@@ -9,20 +9,38 @@ Then u(x, t) = -2 d^2/dx^2 log det Gamma(x, t) wherever det Gamma > 0.
 Two independent closed forms for u are provided (a resolvent-kernel
 form and a trace form of the log-determinant derivatives), plus the
 integral-kernel quantities they both come from.
+
+The resolvent-kernel form runs on one batched kernel,
+GammaEvaluator.evaluate: a stack of exp(-x A) per x and of E(t) per t,
+Gamma for the whole (t, x) grid by broadcasting, one stacked LU per
+point for det Gamma, both gates and both solves, and the flags as
+masks. Scalar sample() is a batch of one, so grid and scalar values
+agree bit for bit. The log-det route and the kernel K stay per point
+and off the batched kernel, as independent checks of it.
 """
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, realization
-from .errors import OverflowDetectedError, SpecValidationError
+from .errors import NumericalError, OverflowDetectedError, SingularMatrixError, SpecValidationError
 
 FLAG_OK = "ok"
 FLAG_NEAR_SINGULAR = "near-singular"
 FLAG_OVERFLOW = "overflow"
+
+# Byte budget of the largest (t rows, x points, P, P) temporary of the
+# batched kernel: t rows are evaluated in chunks that fit it (at least
+# one row per chunk).
+CHUNK_BYTES = 1 << 21
+
+# Per-point outcome codes of the batched kernel. The first three are the
+# flags; at the last two the resolvent solve fails (pivot gate, or a
+# non-finite solution), and the scalar and grid APIs raise.
+_OK, _NEAR_SINGULAR, _OVERFLOW, _SINGULAR, _SOLVE_OVERFLOW = range(5)
+_FLAG_NAMES = np.array([FLAG_OK, FLAG_NEAR_SINGULAR, FLAG_OVERFLOW], dtype="U16")
 
 
 @dataclass(frozen=True)
@@ -66,13 +84,64 @@ class SolutionGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class GammaEvaluator:
-    """Caches the x- and t-independent pieces of Gamma(x, t).
+class Evaluation:
+    """Output of the batched kernel; arrays are shaped (len(t), len(x)).
 
-    Q is the verified Lyapunov solution, flow = 8 A^3 + 2 eta A, and
-    the per-t propagators expm(flow * t) are memoized (the cache grows
-    with the number of distinct t values seen; grids reuse entries
-    across x). Thread safe for concurrent evaluation.
+    code is the per-point outcome. u is NaN unless the point is ok;
+    det_gamma is NaN where Gamma or its determinant overflowed;
+    min_pivot is the smallest |pivot| of each factorization. Without u
+    (with_u=False) only overflow is marked and u stays NaN.
+    """
+
+    x: np.ndarray
+    t: np.ndarray
+    u: np.ndarray
+    det_gamma: np.ndarray
+    code: np.ndarray
+    min_pivot: np.ndarray
+
+    @property
+    def flags(self) -> np.ndarray:
+        """Flag names; valid once raise_first() found no failed solve."""
+        flags = _FLAG_NAMES[np.minimum(self.code, _OVERFLOW)]
+        flags.setflags(write=False)
+        return flags
+
+    @property
+    def overflow(self) -> np.ndarray:
+        return self.code == _OVERFLOW
+
+    def error(self, i: int, j: int) -> NumericalError | None:
+        """The error a per-point evaluation of (t[i], x[j]) reports, if any."""
+        at = f"at x={float(self.x[j])!r}, t={float(self.t[i])!r}"
+        code = self.code[i, j]
+        if code == _SINGULAR:
+            pivot = float(self.min_pivot[i, j])
+            return SingularMatrixError(
+                f"solve: matrix is singular to working precision (pivot {pivot:.3e}) {at}",
+                pivot=pivot)
+        if code == _SOLVE_OVERFLOW:
+            return OverflowDetectedError(f"overflow in solve {at}")
+        if code == _OVERFLOW:
+            return OverflowDetectedError(f"overflow in Gamma or det Gamma {at}")
+        return None
+
+    def raise_first(self, mask: np.ndarray | None = None) -> None:
+        """Raise the first failed solve in t-major order, within mask if given."""
+        failed = self.code >= _SINGULAR
+        if mask is not None:
+            failed &= mask
+        if failed.any():
+            raise self.error(*np.unravel_index(np.argmax(failed), failed.shape))
+
+
+@dataclass(frozen=True, eq=False)
+class GammaEvaluator:
+    """Holds the x- and t-independent pieces of Gamma(x, t).
+
+    Q is the verified Lyapunov solution and flow = 8 A^3 + 2 eta A.
+    Every evaluation computes its own exponentials, so an evaluator
+    holds no mutable state and can be shared between threads.
     """
 
     triplet: realization.Triplet
@@ -80,8 +149,6 @@ class GammaEvaluator:
     diagnostics: realization.TripletDiagnostics
     tolerances: Tolerances
     flow: np.ndarray
-    _propagators: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def P(self) -> int:
@@ -96,14 +163,8 @@ class GammaEvaluator:
         return self.diagnostics.formal_mode
 
     def propagator(self, t: float) -> np.ndarray:
-        """E(t) = expm((8 A^3 + 2 eta A) t), memoized per t."""
-        t = float(t)
-        with self._lock:
-            cached = self._propagators.get(t)
-            if cached is None:
-                cached = linalg.expm(self.flow, t)
-                self._propagators[t] = cached
-        return cached
+        """E(t) = expm((8 A^3 + 2 eta A) t)."""
+        return linalg.expm(self.flow, float(t))
 
     def gamma(self, x: float, t: float) -> np.ndarray:
         """Gamma(x, t) = I + exp(-x A) Q exp(-x A) E(t), x >= 0 only."""
@@ -114,7 +175,11 @@ class GammaEvaluator:
         return np.eye(self.P) + exa @ self.Q @ exa @ self.propagator(t)
 
     def det_gamma(self, x: float, t: float) -> float:
-        return linalg.determinant(linalg.lu_factor(self.gamma(x, t), self.tolerances.pivot))
+        """det Gamma(x, t) through the batched kernel; overflow raises."""
+        e = self.evaluate([float(x)], [float(t)], with_u=False)
+        if e.overflow[0, 0]:
+            raise e.error(0, 0)
+        return float(e.det_gamma[0, 0])
 
     def gamma_x(self, x: float, t: float) -> np.ndarray:
         """Analytic x-derivative: -exp(-xA) B C exp(-xA) E(t).
@@ -128,41 +193,111 @@ class GammaEvaluator:
         exa = linalg.expm(self.triplet.A, -x)
         return -(exa @ (self.triplet.B @ self.triplet.C) @ exa) @ self.propagator(t)
 
-    def _near_singular_threshold(self, gamma: np.ndarray) -> float:
-        norm = max(1.0, float(np.max(np.sum(np.abs(gamma), axis=1))))
+    def evaluate(self, xs, ts, with_u: bool = True) -> Evaluation:
+        """The batched kernel over the grid ts x xs (t-major).
+
+        Each point gets exactly the values and outcome of the per-point
+        definition, whatever else is in the batch. Overflow anywhere in
+        the exponentials or the determinant gives code overflow; a
+        determinant below the near-singular gate, 1e-8 (1 + ||Gamma||^P)
+        by default, gives near-singular. Otherwise the pivot gate and
+        both resolvent solves run, and a failure there is recorded for
+        the caller to raise; a non-finite u is overflow again. Negative
+        or non-finite x raises SpecValidationError.
+        """
+        xs = np.array(xs, dtype=float, ndmin=1)
+        ts = np.array(ts, dtype=float, ndmin=1)
+        shape = (ts.size, xs.size)
+        u = np.full(shape, np.nan)
+        det = np.full(shape, np.nan)
+        code = np.full(shape, _OK, dtype=np.int8)
+        min_pivot = np.full(shape, np.nan)
+        if xs.size and ts.size:
+            bad = ~np.isfinite(xs) | (xs < 0.0)
+            if bad.any():
+                raise SpecValidationError(
+                    f"x must be finite and >= 0, got {float(xs[bad][0])!r}")
+            self._fill(xs, ts, with_u, u, det, code, min_pivot)
+        for arr in (xs, ts, u, det, code, min_pivot):
+            arr.setflags(write=False)
+        return Evaluation(x=xs, t=ts, u=u, det_gamma=det, code=code, min_pivot=min_pivot)
+
+    def _fill(self, xs, ts, with_u, u, det, code, min_pivot) -> None:
+        a, b, c, p = self.triplet.A, self.triplet.B, self.triplet.C, self.P
+        exa, x_overflow = linalg.expm_stack(a, -xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            side = exa @ self.Q @ exa                   # exp(-xA) Q exp(-xA), per x
+            rb = exa @ b
+            rhs = np.concatenate([rb, a @ rb], axis=-1)  # both solves' right sides
+        rows = max(1, CHUNK_BYTES // max(1, 8 * p * p * xs.size))
+        for lo in range(0, ts.size, rows):
+            sl = slice(lo, lo + rows)
+            prop, t_overflow = linalg.expm_stack(self.flow, ts[sl])
+            with np.errstate(over="ignore", invalid="ignore"):
+                gamma = np.eye(p) + side @ prop[:, None]
+                ce = c @ prop                            # C E(t), per t
+            overflow = (x_overflow | t_overflow[:, None]
+                        | ~np.all(np.isfinite(gamma), axis=(-2, -1)))
+            gamma[overflow] = np.eye(p)
+            self._fill_rows(gamma.reshape(-1, p, p), overflow.reshape(-1), with_u,
+                            exa, ce, rhs, u[sl].reshape(-1), det[sl].reshape(-1),
+                            code[sl].reshape(-1), min_pivot[sl].reshape(-1))
+
+    def _fill_rows(self, gamma, overflow, with_u, exa, ce, rhs,
+                   u, det, code, min_pivot) -> None:
+        """Factor, gate and solve one chunk; the outputs are flat views."""
+        n_x = exa.shape[0]
+        factors = linalg.lu_factor_stack(gamma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = factors.permutation_sign() * np.prod(factors.pivots(), axis=-1)
+        overflow |= ~np.isfinite(d)
+        det[~overflow] = d[~overflow]
+        code[overflow] = _OVERFLOW
+        if not with_u:
+            return
+        tol = self.tolerances
+        norm = np.maximum(1.0, np.max(np.sum(np.abs(gamma), axis=-1), axis=-1))
         with np.errstate(over="ignore"):
-            scale = 1.0 + norm ** self.P
-        return self.tolerances.near_singular * scale
+            near = ~overflow & (np.abs(d) < tol.near_singular * (1.0 + norm ** self.P))
+        code[near] = _NEAR_SINGULAR
+        pivots = factors.min_pivot()
+        min_pivot[:] = pivots
+        gated = pivots <= tol.pivot * np.maximum(factors.max_abs, 1e-300)
+        code[~overflow & ~near & gated] = _SINGULAR
+        idx = np.flatnonzero(~overflow & ~near & ~gated)
+        if not idx.size:
+            return
+        i, j = np.divmod(idx, n_x)
+        sol = linalg.lu_solve_stack(
+            linalg.LuFactors(lu=factors.lu[idx], piv=factors.piv[idx],
+                             max_abs=factors.max_abs[idx]), rhs[j])
+        a = self.triplet.A
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = ce[i] @ exa[j]                         # C E(t) exp(-xA)
+            v, w = sol[..., :1], sol[..., 1:]
+            rv = row @ v
+            val = (2.0 * (-(row @ (a @ v)) + rv * rv - row @ w))[:, 0, 0]
+        solved = np.all(np.isfinite(sol), axis=(-2, -1))
+        finite = np.isfinite(val)
+        code[idx[~solved]] = _SOLVE_OVERFLOW
+        code[idx[solved & ~finite]] = _OVERFLOW
+        u[idx[solved & finite]] = val[solved & finite]
 
     def sample(self, x: float, t: float) -> SolutionSample:
         """u via the resolvent-kernel closed form, with status flag.
 
-        Overflow anywhere in the exponentials or the determinant gives
-        flag "overflow"; a determinant below the near-singular gate
-        gives flag "near-singular". In both cases u is NaN.
+        A batch of one through evaluate(): overflow anywhere in the
+        exponentials or the determinant gives flag "overflow"; a
+        determinant below the near-singular gate gives flag
+        "near-singular". In both cases u is NaN. A failed resolvent
+        solve raises SingularMatrixError or OverflowDetectedError.
         """
         x = float(x)
         t = float(t)
-        nan = float("nan")
-        try:
-            gamma = self.gamma(x, t)
-            factors = linalg.lu_factor(gamma, self.tolerances.pivot)
-            det = linalg.determinant(factors)
-        except OverflowDetectedError:
-            return SolutionSample(x, t, nan, nan, FLAG_OVERFLOW)
-        if abs(det) < self._near_singular_threshold(gamma):
-            return SolutionSample(x, t, nan, det, FLAG_NEAR_SINGULAR)
-        a = self.triplet.A
-        exa = linalg.expm(a, -x)
-        row = self.triplet.C @ (self.propagator(t) @ exa)
-        rb = exa @ self.triplet.B
-        v = linalg.solve(factors, rb, self.tolerances.pivot)
-        w = linalg.solve(factors, a @ rb, self.tolerances.pivot)
-        rv = (row @ v).item()
-        u = 2.0 * (-(row @ (a @ v)).item() + rv * rv - (row @ w).item())
-        if not np.isfinite(u):
-            return SolutionSample(x, t, nan, det, FLAG_OVERFLOW)
-        return SolutionSample(x, t, float(u), det, FLAG_OK)
+        e = self.evaluate([x], [t])
+        e.raise_first()
+        return SolutionSample(x, t, float(e.u[0, 0]), float(e.det_gamma[0, 0]),
+                              str(e.flags[0, 0]))
 
     def u(self, x: float, t: float) -> float:
         """Closed-form u(x, t); NaN when the point is flagged."""
@@ -174,17 +309,22 @@ class GammaEvaluator:
         Independent route from sample(): the x-derivatives of Gamma
         collapse through the Lyapunov identity to
         Gx = -exp(-xA) B C exp(-xA) E and Gxx = (A W + W A) E with
-        W = exp(-xA) B C exp(-xA).
+        W = exp(-xA) B C exp(-xA). Per point and off the batched kernel.
+        Overflow, or a factorization that fails the pivot gate, gives
+        NaN, as the flags of sample() do, instead of raising.
         """
-        gamma = self.gamma(x, t)
-        factors = linalg.lu_factor(gamma, self.tolerances.pivot)
-        a = self.triplet.A
-        exa = linalg.expm(a, -float(x))
-        e = self.propagator(t)
-        w = exa @ (self.triplet.B @ self.triplet.C) @ exa
-        gxx = (a @ w + w @ a) @ e
-        gi_gx = linalg.solve(factors, -(w @ e), self.tolerances.pivot)
-        gi_gxx = linalg.solve(factors, gxx, self.tolerances.pivot)
+        try:
+            gamma = self.gamma(x, t)
+            factors = linalg.lu_factor(gamma, self.tolerances.pivot)
+            a = self.triplet.A
+            exa = linalg.expm(a, -float(x))
+            e = self.propagator(t)
+            w = exa @ (self.triplet.B @ self.triplet.C) @ exa
+            gxx = (a @ w + w @ a) @ e
+            gi_gx = linalg.solve(factors, -(w @ e), self.tolerances.pivot)
+            gi_gxx = linalg.solve(factors, gxx, self.tolerances.pivot)
+        except (OverflowDetectedError, SingularMatrixError):
+            return float("nan")
         return float(-2.0 * (np.trace(gi_gxx) - np.trace(gi_gx @ gi_gx)))
 
     def marchenko_omega(self, y: float, t: float) -> float:
@@ -229,21 +369,14 @@ def make_evaluator(triplet: realization.Triplet,
 
 
 def sample_grid(evaluator: GammaEvaluator, xs, ts) -> SolutionGrid:
-    """Evaluate the closed-form u over a grid, keeping per-point flags."""
-    xs = np.array(xs, dtype=float, ndmin=1)
-    ts = np.array(ts, dtype=float, ndmin=1)
-    u = np.full((ts.size, xs.size), np.nan)
-    det = np.full((ts.size, xs.size), np.nan)
-    flags = np.full((ts.size, xs.size), FLAG_OK, dtype="U16")
-    for i, t in enumerate(ts):
-        for j, x in enumerate(xs):
-            s = evaluator.sample(x, t)
-            u[i, j] = s.u
-            det[i, j] = s.det_gamma
-            flags[i, j] = s.flag
-    for arr in (xs, ts, u, det, flags):
-        arr.setflags(write=False)
-    return SolutionGrid(x=xs, t=ts, u=u, det_gamma=det, flags=flags)
+    """Evaluate the closed-form u over a grid, keeping per-point flags.
+
+    One batched kernel call, equal bit for bit to evaluator.sample at
+    every point; the first point (t-major) whose solve fails raises.
+    """
+    e = evaluator.evaluate(xs, ts)
+    e.raise_first()
+    return SolutionGrid(x=e.x, t=e.t, u=e.u, det_gamma=e.det_gamma, flags=e.flags)
 
 
 def n_soliton_gamma_direct(bound_states, eta: float, x: float, t: float) -> np.ndarray:

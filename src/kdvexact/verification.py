@@ -75,7 +75,7 @@ def _resolve_u_source(u_source, eta):
         rate_x = 2.0 * float(np.max(np.abs(u_source.diagnostics.spectrum.eigenvalues)))
         lam = u_source.diagnostics.spectrum.eigenvalues
         rate_t = float(np.max(np.abs(8.0 * lam ** 3 + 2.0 * u_source.eta * lam)))
-        return u_source.u, u_source.eta, rate_x, rate_t
+        return u_source, u_source.eta, rate_x, rate_t
     if callable(u_source):
         if eta is None:
             raise SpecValidationError("eta is required when u_source is a bare callable")
@@ -93,6 +93,35 @@ def _auto_h_t(h_x: float, rate_x, rate_t) -> float:
     return (rate_x * rate_x / rate_t) * h_x * h_x
 
 
+def _stencil_values(u_source, xs, ts, offsets, h_x, h_t):
+    """u at (x + o h_x, t + dt) for every stencil node, as (n_t, n_x) arrays.
+
+    Keys are (o, dt) with o in offsets at dt = 0, and o = 0 at
+    dt = +-h_t. An evaluator samples every node in one batched kernel
+    call (so each value equals u_source.u exactly); a plain callable is
+    called once per node. A failed solve at any node raises.
+    """
+    keys = [(o, 0.0) for o in offsets] + [(0, h_t), (0, -h_t)]
+    if not isinstance(u_source, solution.GammaEvaluator):
+        return {(o, dt): np.array([[u_source(x + o * h_x, t + dt) for x in xs] for t in ts],
+                                  dtype=float)
+                for o, dt in keys}
+    node_x = {o: xs + o * h_x for o in offsets}
+    node_t = {dt: ts + dt for dt in (0.0, h_t, -h_t)}
+    grid_x = np.unique(np.concatenate(list(node_x.values())))
+    grid_t = np.unique(np.concatenate(list(node_t.values())))
+    e = u_source.evaluate(grid_x, grid_t)
+    used = np.zeros(e.code.shape, dtype=bool)
+    values = {}
+    for o, dt in keys:
+        rows = np.searchsorted(grid_t, node_t[dt])[:, None]
+        cols = np.searchsorted(grid_x, node_x[o])[None, :]
+        used[rows, cols] = True
+        values[(o, dt)] = e.u[rows, cols]
+    e.raise_first(used)
+    return values
+
+
 def pde_residual(u_source, x_window, t_window, n_x: int = 11, n_t: int = 5,
                  h_x: float = 1e-3, h_t: float | None = None,
                  eta: float | None = None) -> ResidualScan:
@@ -105,7 +134,7 @@ def pde_residual(u_source, x_window, t_window, n_x: int = 11, n_t: int = 5,
     sample anywhere in a stencil rejects the window, naming the point;
     choose windows inside the region where every sample is ok.
     """
-    u, eta_val, rate_x, rate_t = _resolve_u_source(u_source, eta)
+    u_source, eta_val, rate_x, rate_t = _resolve_u_source(u_source, eta)
     if h_t is None:
         h_t = _auto_h_t(h_x, rate_x, rate_t)
     x_lo = max(float(x_window[0]), X_STENCIL_REACH * h_x)
@@ -118,21 +147,20 @@ def pde_residual(u_source, x_window, t_window, n_x: int = 11, n_t: int = 5,
             f"after clipping for h_x={h_x}, h_t={h_t}")
     xs = np.linspace(x_lo, x_hi, n_x)
     ts = np.linspace(t_lo, t_hi, n_t)
-    res = np.empty((n_t, n_x))
-    for i, t in enumerate(ts):
-        for j, x in enumerate(xs):
-            u0 = u(x, t)
-            ux = sum(w * u(x + o * h_x, t)
-                     for o, w in zip(_D1_OFFSETS, _D1_WEIGHTS)) / (_D1_SCALE * h_x)
-            uxxx = sum(w * u(x + o * h_x, t)
-                       for o, w in zip(_D3_OFFSETS, _D3_WEIGHTS)) / (_D3_SCALE * h_x ** 3)
-            ut = (u(x, t + h_t) - u(x, t - h_t)) / (2.0 * h_t)
-            r = ut + eta_val * ux - 6.0 * u0 * ux + uxxx
-            if not np.isfinite(r):
-                raise SpecValidationError(
-                    f"flagged or non-finite sample in the residual stencil at "
-                    f"x={float(x)!r}, t={float(t)!r}")
-            res[i, j] = r
+    u = _stencil_values(u_source, xs, ts, (0,) + _D3_OFFSETS, h_x, h_t)
+    u0 = u[(0, 0.0)]
+    ux = sum(w * u[(o, 0.0)] for o, w in zip(_D1_OFFSETS, _D1_WEIGHTS)) / (_D1_SCALE * h_x)
+    uxxx = sum(w * u[(o, 0.0)]
+               for o, w in zip(_D3_OFFSETS, _D3_WEIGHTS)) / (_D3_SCALE * h_x ** 3)
+    ut = (u[(0, h_t)] - u[(0, -h_t)]) / (2.0 * h_t)
+    with np.errstate(invalid="ignore"):
+        res = ut + eta_val * ux - 6.0 * u0 * ux + uxxx
+    bad = ~np.isfinite(res)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise SpecValidationError(
+            f"flagged or non-finite sample in the residual stencil at "
+            f"x={float(xs[j])!r}, t={float(ts[i])!r}")
     for arr in (xs, ts, res):
         arr.setflags(write=False)
     return ResidualScan(x=xs, t=ts, residual=res, h_x=h_x, h_t=float(h_t), eta=eta_val)
@@ -280,13 +308,19 @@ class PositivityWindow:
     n_t: int
 
 
-def _scan_row(evaluator, xs, t):
-    """First nonpositive det along xs at fixed t, or None if all positive."""
-    for x in xs:
-        det = evaluator.det_gamma(x, t)
-        if det <= 0.0:
-            return float(x), float(det)
-    return None
+def _scan_row(scan: solution.Evaluation, i: int):
+    """First nonpositive det along row i, or None if all positive.
+
+    Overflow at or before the first nonpositive det raises
+    OverflowDetectedError, as a point-by-point scan would.
+    """
+    hits = np.flatnonzero(scan.overflow[i] | (scan.det_gamma[i] <= 0.0))
+    if not hits.size:
+        return None
+    j = hits[0]
+    if scan.overflow[i, j]:
+        raise scan.error(i, j)
+    return float(scan.x[j]), float(scan.det_gamma[i, j])
 
 
 def positivity_scan(evaluator: solution.GammaEvaluator,
@@ -313,11 +347,12 @@ def positivity_scan(evaluator: solution.GammaEvaluator,
     n_t = max(2, int(round(t_horizon * samples_per_unit)) + 1)
     xs = np.linspace(0.0, x_horizon, n_x)
     ts = np.linspace(0.0, t_horizon, n_t)
+    scan = evaluator.evaluate(xs, ts, with_u=False)
 
     last_good = None
-    for t in ts:
+    for i, t in enumerate(ts):
         try:
-            bad = _scan_row(evaluator, xs, t)
+            bad = _scan_row(scan, i)
         except OverflowDetectedError:
             return PositivityWindow(
                 certified=False, x_horizon=x_horizon, t_horizon=t_horizon,
@@ -333,7 +368,7 @@ def positivity_scan(evaluator: solution.GammaEvaluator,
             while hi - lo > bisect_tol:
                 mid = 0.5 * (lo + hi)
                 try:
-                    mid_bad = _scan_row(evaluator, xs, mid)
+                    mid_bad = _scan_row(evaluator.evaluate(xs, [mid], with_u=False), 0)
                 except OverflowDetectedError:
                     mid_bad = None
                 if mid_bad is None:
@@ -374,13 +409,16 @@ def soliton_equivalence(bound_states, eta: float = 0.0,
     ev = solution.make_evaluator(realization.build_triplet(spec))
     xs = np.linspace(float(x_window[0]), float(x_window[1]), n_x)
     ts = np.linspace(float(t_window[0]), float(t_window[1]), n_t)
+    triplet_side = ev.evaluate(xs, ts, with_u=False)
     worst = 0.0
     worst_point = (float(xs[0]), float(ts[0]))
-    for t in ts:
-        for x in xs:
+    for i, t in enumerate(ts):
+        for j, x in enumerate(xs):
             direct = solution.n_soliton_gamma_direct(spec.bound_states, eta, x, t)
             det_direct = linalg.determinant(linalg.lu_factor(direct))
-            det_triplet = ev.det_gamma(x, t)
+            if triplet_side.overflow[i, j]:
+                raise triplet_side.error(i, j)
+            det_triplet = float(triplet_side.det_gamma[i, j])
             dev = abs(det_triplet - det_direct) / (1.0 + abs(det_direct))
             if dev > worst:
                 worst = dev
