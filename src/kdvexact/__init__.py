@@ -8,7 +8,6 @@ quadrature cross-check, determinant positivity scans, and N-soliton
 reduction.
 """
 from .errors import (
-    ConvergenceError,
     FormalModeError,
     KdvExactError,
     LyapunovSolveError,
@@ -65,7 +64,6 @@ __all__ = [
     "BoundState",
     "CheckResult",
     "ComplexPolePair",
-    "ConvergenceError",
     "FLAG_NEAR_SINGULAR",
     "FLAG_OK",
     "FLAG_OVERFLOW",

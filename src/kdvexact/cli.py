@@ -180,15 +180,17 @@ def _evaluator_from_args(args):
     return spec, solution.make_evaluator(triplet, _tolerances(args))
 
 
-def _grid_axes(args) -> tuple[np.ndarray, np.ndarray]:
+def _sample(args, evaluator) -> solution.SolutionGrid | None:
+    """Sample the --x/--t grid; None, after a note on stderr, if every point is flagged."""
     x0, x1, nx = args.x
     t0, t1, nt = args.t
-    return np.linspace(x0, x1, nx), np.linspace(t0, t1, nt)
-
-
-def _flag_summary(grid: solution.SolutionGrid) -> str:
+    grid = solution.sample_grid(evaluator, np.linspace(x0, x1, nx), np.linspace(t0, t1, nt))
+    if np.any(grid.flags == solution.FLAG_OK):
+        return grid
     labels, counts = np.unique(grid.flags, return_counts=True)
-    return ", ".join(f"{label}: {count}" for label, count in zip(labels, counts))
+    summary = ", ".join(f"{label}: {count}" for label, count in zip(labels, counts))
+    print(f"every grid point is flagged ({summary})", file=sys.stderr)
+    return None
 
 
 def _write_grid(args, grid: solution.SolutionGrid) -> None:
@@ -216,173 +218,164 @@ def cmd_build(args) -> int:
 
 def cmd_eval(args) -> int:
     _, evaluator = _evaluator_from_args(args)
-    xs, ts = _grid_axes(args)
-    grid = solution.sample_grid(evaluator, xs, ts)
-    if not np.any(grid.flags == solution.FLAG_OK):
-        print(f"every grid point is flagged ({_flag_summary(grid)})", file=sys.stderr)
+    grid = _sample(args, evaluator)
+    if grid is None:
         return 3
     _write_grid(args, grid)
     return 0
 
 
-def _none_if_nan(value):
-    v = float(value)
-    return v if math.isfinite(v) else None
+@dataclasses.dataclass
+class _Verify:
+    """What the verify checks share; each fills in its part of the report.
+
+    t_cap is the end of the t range the PDE and Marchenko checks may
+    sample: the --t stop, cut back by the positivity scan when it finds
+    det Gamma <= 0.
+    """
+
+    args: argparse.Namespace
+    spec: realization.ScatteringSpec | None
+    evaluator: solution.GammaEvaluator
+    t_cap: float
+    report: dict
+
+
+def _check_positivity(v: _Verify, horizon: float):
+    window = verification.positivity_scan(v.evaluator, v.args.x[1], horizon,
+                                          samples_per_unit=POSITIVITY_DENSITY)
+    if window.certified:
+        detail = "det Gamma > 0 certified on the scan grid"
+    elif window.overflow_frontier is not None:
+        detail = f"scan truncated by overflow at t={window.overflow_frontier!r}"
+    else:
+        fx, ft, fdet = window.first_failure
+        detail = f"det Gamma = {fdet!r} at x={fx!r}, t={ft!r}"
+    v.report["positivityWindow"] = {
+        "tauLower": window.tau_lower,
+        "tauIsInfiniteUpTo": horizon if window.certified else None,
+        "certified": window.certified,
+        "firstFailure": (list(window.first_failure)
+                         if window.first_failure is not None else None),
+        "overflowFrontier": window.overflow_frontier,
+    }
+    if not window.certified:
+        v.t_cap = min(v.t_cap, 0.9 * window.tau_lower)
+    return window.certified, window.tau_lower, detail
+
+
+def _check_pde(v: _Verify, tol: float):
+    x0, x1, _ = v.args.x
+    t0 = v.args.t[0]
+    if v.t_cap < t0:
+        raise SpecValidationError(
+            f"positivity window t < {v.t_cap!r} excludes the configured t range")
+    scan = verification.pde_residual(v.evaluator, (x0, x1), (t0, v.t_cap), n_x=7, n_t=3)
+    v.report["pdeResidualMax"] = scan.max_abs
+    v.report["pdeResidualGrid"] = {
+        "xWindow": [float(scan.x[0]), float(scan.x[-1])],
+        "tWindow": [float(scan.t[0]), float(scan.t[-1])],
+        "nX": int(scan.x.size), "nT": int(scan.t.size),
+        "hX": scan.h_x, "hT": scan.h_t,
+    }
+    return scan.max_abs <= tol, scan.max_abs, ""
+
+
+def _check_marchenko(v: _Verify, tol: float):
+    rng = np.random.default_rng(MARCHENKO_SEED)
+    box_x = min(3.0, v.args.x[1])
+    box_t = min(3.0, max(v.t_cap, 0.0))
+    worst = 0.0
+    for _ in range(MARCHENKO_SAMPLES):
+        x, y = np.sort(rng.uniform(0.0, box_x, size=2))
+        t = rng.uniform(0.0, box_t) if box_t > 0.0 else 0.0
+        worst = max(worst, abs(verification.marchenko_residual(v.evaluator, x, y, t)))
+    v.report["marchenkoResidualMax"] = worst
+    return worst <= tol, worst, f"{MARCHENKO_SAMPLES} seeded points"
+
+
+def _check_omega(v: _Verify, tol: float):
+    if v.spec is None:
+        return None
+    error = max(r.error for r in verification.omega_quadrature_check(v.spec, (0.5, 1.0, 2.0)))
+    v.report["omegaQuadratureError"] = error
+    return error <= tol, error, ""
+
+
+def _check_soliton(v: _Verify, tol: float):
+    if v.spec is None or not v.spec.is_bound_state_only:
+        return None
+    x0, x1, _ = v.args.x
+    t0, t1, _ = v.args.t
+    eq = verification.soliton_equivalence(
+        v.spec.bound_states, v.spec.eta, (x0, x1), (t0, t1), n_x=13, n_t=7)
+    return eq.max_deviation <= tol, eq.max_deviation, ""
+
+
+# verify's checks in report order: (name, option holding the threshold,
+# runner, reason reported when the runner returns None). A runner
+# returns (passed, measured, detail); a SpecValidationError or
+# NumericalError from it fails the check as unsupported.
+VERIFY_CHECKS = (
+    ("positivityScan", "horizon", _check_positivity, None),
+    ("pdeResidual", "tol_pde", _check_pde, None),
+    ("marchenkoResidual", "tol_marchenko", _check_marchenko, None),
+    ("omegaQuadratureCheck", "tol_omega", _check_omega,
+     "raw triplet input, pole data unknown"),
+    ("solitonEquivalence", "tol_soliton", _check_soliton,
+     "not a bound-states-only spec"),
+)
+
+
+def cmd_verify(args) -> int:
+    spec, evaluator = _evaluator_from_args(args)
+    if args.horizon is None:  # the positivity check's threshold
+        args.horizon = args.t[1]
+    v = _Verify(args, spec, evaluator, t_cap=args.t[1], report=dict.fromkeys(
+        ("pdeResidualMax", "pdeResidualGrid", "marchenkoResidualMax",
+         "omegaQuadratureError", "positivityWindow")))
+    checks = []
+    for name, option, run, skip_reason in VERIFY_CHECKS:
+        threshold = getattr(args, option)
+        try:
+            outcome = run(v, threshold)
+        except (SpecValidationError, NumericalError) as exc:
+            outcome = (False, float("nan"), f"unsupported: {exc}")
+        if outcome is None:
+            outcome = (True, 0.0, f"skipped: {skip_reason}")
+        passed, measured, detail = outcome
+        checks.append(verification.CheckResult(name, passed, measured, threshold, detail))
+    report = verification.VerificationReport(tuple(checks))
+    doc = dict(v.report, passed=report.passed, perCheckStatus=[_check_doc(c) for c in checks])
+    _write_text(args.output, documents.dumps_document(doc))
+    return 0 if report.passed else 4
 
 
 def _check_doc(check: verification.CheckResult) -> dict:
+    measured = float(check.measured)
     return {
         "name": check.name,
         "passed": check.passed,
-        "measured": _none_if_nan(check.measured),
+        "measured": measured if math.isfinite(measured) else None,
         "tolerance": check.threshold,
         "detail": check.detail,
     }
 
 
-def cmd_verify(args) -> int:
-    spec, evaluator = _evaluator_from_args(args)
-    x0, x1, _ = args.x
-    t0, t1, _ = args.t
-    t_horizon = args.horizon if args.horizon is not None else t1
-    nan = float("nan")
-    checks: list[verification.CheckResult] = []
-
-    window_doc = None
-    t_cap = t1
-    try:
-        window = verification.positivity_scan(evaluator, x1, t_horizon,
-                                              samples_per_unit=POSITIVITY_DENSITY)
-        if window.certified:
-            detail = "det Gamma > 0 certified on the scan grid"
-        elif window.overflow_frontier is not None:
-            detail = f"scan truncated by overflow at t={window.overflow_frontier!r}"
-        else:
-            fx, ft, fdet = window.first_failure
-            detail = f"det Gamma = {fdet!r} at x={fx!r}, t={ft!r}"
-        checks.append(verification.CheckResult(
-            "positivityScan", window.certified, window.tau_lower, t_horizon, detail))
-        window_doc = {
-            "tauLower": window.tau_lower,
-            "tauIsInfiniteUpTo": t_horizon if window.certified else None,
-            "certified": window.certified,
-            "firstFailure": (list(window.first_failure)
-                             if window.first_failure is not None else None),
-            "overflowFrontier": window.overflow_frontier,
-        }
-        if not window.certified:
-            t_cap = min(t1, 0.9 * window.tau_lower)
-    except (SpecValidationError, NumericalError) as exc:
-        checks.append(verification.CheckResult(
-            "positivityScan", False, nan, t_horizon, f"unsupported: {exc}"))
-
-    pde_doc = None
-    pde_max = None
-    try:
-        if t_cap < t0:
-            raise SpecValidationError(
-                f"positivity window t < {t_cap!r} excludes the configured t range")
-        scan = verification.pde_residual(evaluator, (x0, x1), (t0, t_cap),
-                                         n_x=7, n_t=3)
-        pde_max = scan.max_abs
-        pde_doc = {
-            "xWindow": [float(scan.x[0]), float(scan.x[-1])],
-            "tWindow": [float(scan.t[0]), float(scan.t[-1])],
-            "nX": int(scan.x.size), "nT": int(scan.t.size),
-            "hX": scan.h_x, "hT": scan.h_t,
-        }
-        checks.append(verification.CheckResult(
-            "pdeResidual", pde_max <= args.tol_pde, pde_max, args.tol_pde))
-    except (SpecValidationError, NumericalError) as exc:
-        checks.append(verification.CheckResult(
-            "pdeResidual", False, nan, args.tol_pde, f"unsupported: {exc}"))
-
-    marchenko_max = None
-    try:
-        rng = np.random.default_rng(MARCHENKO_SEED)
-        box_x = min(3.0, x1)
-        box_t = min(3.0, max(t_cap, 0.0))
-        worst = 0.0
-        for _ in range(MARCHENKO_SAMPLES):
-            x, y = np.sort(rng.uniform(0.0, box_x, size=2))
-            t = rng.uniform(0.0, box_t) if box_t > 0.0 else 0.0
-            worst = max(worst, abs(verification.marchenko_residual(
-                evaluator, x, y, t)))
-        marchenko_max = worst
-        checks.append(verification.CheckResult(
-            "marchenkoResidual", worst <= args.tol_marchenko, worst,
-            args.tol_marchenko, f"{MARCHENKO_SAMPLES} seeded points"))
-    except (SpecValidationError, NumericalError) as exc:
-        checks.append(verification.CheckResult(
-            "marchenkoResidual", False, nan, args.tol_marchenko,
-            f"unsupported: {exc}"))
-
-    omega_error = None
-    if spec is None:
-        checks.append(verification.CheckResult(
-            "omegaQuadratureCheck", True, 0.0, args.tol_omega,
-            "skipped: raw triplet input, pole data unknown"))
-    else:
-        try:
-            results = verification.omega_quadrature_check(spec, (0.5, 1.0, 2.0))
-            omega_error = max(r.error for r in results)
-            checks.append(verification.CheckResult(
-                "omegaQuadratureCheck", omega_error <= args.tol_omega,
-                omega_error, args.tol_omega))
-        except (SpecValidationError, NumericalError) as exc:
-            checks.append(verification.CheckResult(
-                "omegaQuadratureCheck", False, nan, args.tol_omega,
-                f"unsupported: {exc}"))
-
-    if spec is not None and spec.is_bound_state_only:
-        try:
-            eq = verification.soliton_equivalence(
-                spec.bound_states, spec.eta, (x0, x1), (t0, t1), n_x=13, n_t=7)
-            checks.append(verification.CheckResult(
-                "solitonEquivalence", eq.max_deviation <= args.tol_soliton,
-                eq.max_deviation, args.tol_soliton))
-        except (SpecValidationError, NumericalError) as exc:
-            checks.append(verification.CheckResult(
-                "solitonEquivalence", False, nan, args.tol_soliton,
-                f"unsupported: {exc}"))
-    else:
-        checks.append(verification.CheckResult(
-            "solitonEquivalence", True, 0.0, args.tol_soliton,
-            "skipped: not a bound-states-only spec"))
-
-    report = verification.VerificationReport(tuple(checks))
-    doc = {
-        "passed": report.passed,
-        "perCheckStatus": [_check_doc(c) for c in checks],
-        "pdeResidualMax": pde_max,
-        "pdeResidualGrid": pde_doc,
-        "marchenkoResidualMax": marchenko_max,
-        "omegaQuadratureError": omega_error,
-        "positivityWindow": window_doc,
-    }
-    _write_text(args.output, documents.dumps_document(doc))
-    return 0 if report.passed else 4
-
-
 def cmd_soliton(args) -> int:
-    parsed = documents.parse_input_document(_read_document(args.input))
-    parsed = _apply_eta(parsed, args.eta)
-    if not isinstance(parsed, realization.ScatteringSpec):
+    spec, evaluator = _evaluator_from_args(args)
+    if spec is None:
         raise SpecValidationError("soliton needs a scattering-data document")
-    if not parsed.is_bound_state_only:
+    if not spec.is_bound_state_only:
         raise SpecValidationError(
             "soliton needs a bound-states-only spec (no reflection poles)")
-    evaluator = solution.make_evaluator(realization.build_triplet(parsed),
-                                        _tolerances(args))
-    xs, ts = _grid_axes(args)
-    grid = solution.sample_grid(evaluator, xs, ts)
-    if not np.any(grid.flags == solution.FLAG_OK):
-        print(f"every grid point is flagged ({_flag_summary(grid)})", file=sys.stderr)
+    grid = _sample(args, evaluator)
+    if grid is None:
         return 3
     x0, x1, nx = args.x
     t0, t1, nt = args.t
     eq = verification.soliton_equivalence(
-        parsed.bound_states, parsed.eta, (x0, x1), (t0, t1),
+        spec.bound_states, spec.eta, (x0, x1), (t0, t1),
         n_x=min(nx, 26), n_t=min(nt, 11))
     _write_grid(args, grid)
     print(f"soliton determinant deviation {eq.max_deviation:.6e} "
@@ -395,10 +388,8 @@ def cmd_frames(args) -> int:
     if args.output is None:
         raise SpecValidationError("frames needs --output as a directory")
     _, evaluator = _evaluator_from_args(args)
-    xs, ts = _grid_axes(args)
-    grid = solution.sample_grid(evaluator, xs, ts)
-    if not np.any(grid.flags == solution.FLAG_OK):
-        print(f"every grid point is flagged ({_flag_summary(grid)})", file=sys.stderr)
+    grid = _sample(args, evaluator)
+    if grid is None:
         return 3
     os.makedirs(args.output, exist_ok=True)
     for i in range(grid.t.size):

@@ -50,7 +50,3 @@ class SingularMatrixError(NumericalError):
 
 class LyapunovSolveError(NumericalError):
     """The Lyapunov system is singular (some eigenvalue sum vanishes)."""
-
-
-class ConvergenceError(NumericalError):
-    """An iterative kernel failed to converge within its iteration cap."""

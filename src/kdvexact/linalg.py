@@ -1,28 +1,31 @@
 """Dense linear algebra kernels for the triplet solution machinery.
 
 Thin, contract-enforcing wrappers around LAPACK-backed numpy/scipy
-routines: matrix exponentials, the Lyapunov solve A Q + Q A = RHS via
-the explicit Kronecker-sum system, pivoted LU with determinant and
-solve helpers, eigenvalue extraction, and the complex resolvent apply
-(k I - i A)^{-1} b computed through a real block embedding.
+routines: matrix exponentials, the Lyapunov solve A Q + Q A = RHS by
+Bartels-Stewart (scipy's Schur-based Sylvester solver) with a residual
+check, pivoted LU with determinant and solve helpers, eigenvalue
+extraction, and the resolvent apply (k I - i A)^{-1} b as one complex
+LU solve.
 
-All single-matrix routines work on real float64 matrices, detect
-overflow instead of propagating NaN, and raise typed errors from
-`errors`. The stacked forms (expm_stack, lu_factor_stack,
-lu_solve_stack) work on many small matrices at once and never raise on
-numerical trouble: they report it as masks, or leave it to the caller
-to mask, so one bad member cannot stop a whole grid.
+All single-matrix routines detect overflow instead of propagating NaN
+and raise typed errors from `errors`; lu_factor and solve take real or
+complex matrices, the rest work on real float64. The stacked forms
+(expm_stack, lu_factor_stack, lu_solve_stack) work on many small
+matrices at once and never raise on numerical trouble: they report it
+as masks, or leave it to the caller to mask, so one bad member cannot
+stop a whole grid.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import (
-    ConvergenceError,
     LyapunovSolveError,
+    NumericalError,
     OverflowDetectedError,
     SingularMatrixError,
     SpecValidationError,
@@ -31,8 +34,6 @@ from .errors import (
 # Default tolerances; every consumer can override per call.
 RESIDUAL_TOL = 1e-12   # relative residual bound for verified solves
 PIVOT_TOL = 1e-14      # singularity threshold, times max |entry|
-
-MAX_LYAPUNOV_DIM = 64  # Kronecker system stays at most 4096 x 4096
 
 # Stacked LU: members up to this size are eliminated all at once, one
 # column per numpy step; larger ones go to LAPACK one at a time, where
@@ -104,12 +105,13 @@ def expm_stack(m: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lyapunov_solve(a: np.ndarray, rhs: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
-    """Solve A Q + Q A = RHS through the Kronecker-sum linear system.
+    """Solve A Q + Q A = RHS by Bartels-Stewart (scipy.linalg.solve_sylvester).
 
-    The system matrix is kron(I, A) + kron(A^T, I) acting on the
-    column-major vectorization of Q. Singular systems (some eigenvalue
-    pair with lambda_i + lambda_j = 0) raise LyapunovSolveError, as does
-    a solution whose residual exceeds residual_tol * max(1, ||RHS||_inf).
+    A residual above residual_tol * max(1, max |RHS|) raises
+    LyapunovSolveError. That catches a spectrum with some
+    lambda_i + lambda_j = 0 unless RHS lies in the range of the singular
+    map, where a Q exists but is not unique; make_evaluator rejects
+    such spectra before solving.
     """
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -117,23 +119,14 @@ def lyapunov_solve(a: np.ndarray, rhs: np.ndarray, residual_tol: float = RESIDUA
     if a.shape != (p, p) or rhs.shape != (p, p):
         raise SpecValidationError(
             f"lyapunov_solve: shapes {a.shape} and {rhs.shape} must both be ({p}, {p})")
-    if p > MAX_LYAPUNOV_DIM:
-        raise SpecValidationError(
-            f"lyapunov_solve: dimension {p} exceeds the supported cap {MAX_LYAPUNOV_DIM}")
-    kron = np.kron(np.eye(p), a) + np.kron(a.T, np.eye(p))
-    try:
-        factors = lu_factor(kron, pivot_tol=PIVOT_TOL)
-        q_vec = solve(factors, rhs.flatten(order="F"))
-    except SingularMatrixError as exc:
-        raise LyapunovSolveError(
-            "Lyapunov system is singular: some eigenvalue pair sums to zero "
-            f"(pivot {exc.pivot:.3e})") from exc
-    q = q_vec.reshape((p, p), order="F")
-    scale = max(1.0, float(np.max(np.abs(rhs)))) if rhs.size else 1.0
-    resid = float(np.max(np.abs(a @ q + q @ a - rhs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = sla.solve_sylvester(a, a, rhs)
+        resid = float(np.max(np.abs(a @ q + q @ a - rhs)))
+    scale = max(1.0, float(np.max(np.abs(rhs))))
     if not resid <= residual_tol * scale:
         raise LyapunovSolveError(
-            f"Lyapunov residual {resid:.3e} exceeds {residual_tol:.1e} * {scale:.3e}")
+            f"Lyapunov residual {resid:.3e} exceeds {residual_tol:.1e} * {scale:.3e} "
+            "(an eigenvalue pair summing to zero leaves no solution)")
     return q
 
 
@@ -172,15 +165,13 @@ class LuFactors:
         return float(sign) if self.lu.ndim == 2 else sign
 
 
-def lu_factor(m: np.ndarray, pivot_tol: float = PIVOT_TOL) -> LuFactors:
-    """Factor a square matrix with partial pivoting."""
-    m = np.asarray(m, dtype=float)
+def lu_factor(m: np.ndarray) -> LuFactors:
+    """Factor a real or complex square matrix with partial pivoting."""
+    m = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SpecValidationError(f"lu_factor: square matrix required, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise OverflowDetectedError("overflow in lu_factor input")
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns on exact singularity; we diagnose via pivots
         lu, piv = sla.lu_factor(m, check_finite=False)
@@ -211,7 +202,6 @@ def _require_nonsingular(factors: LuFactors, pivot_tol: float, what: str) -> Non
 def solve(factors: LuFactors, rhs: np.ndarray, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
     """Back-substitute rhs through the factorization."""
     _require_nonsingular(factors, pivot_tol, "solve")
-    rhs = np.asarray(rhs, dtype=float)
     out = sla.lu_solve((factors.lu, factors.piv), rhs, check_finite=False)
     return _check_finite(out, "solve")
 
@@ -301,32 +291,17 @@ def eigenvalues(m: np.ndarray) -> Spectrum:
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+        raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     return Spectrum(eigenvalues=vals, min_real_part=float(np.min(vals.real)))
 
 
-def resolvent_apply(a: np.ndarray, k: complex, b: np.ndarray,
-                    pivot_tol: float = PIVOT_TOL) -> np.ndarray:
+def resolvent_apply(a: np.ndarray, k: complex, b: np.ndarray) -> np.ndarray:
     """Solve (k I - i A) z = b for complex k and real A, b.
 
-    Uses the real 2P x 2P block embedding
-        [[Re(k) I, -(Im(k) I - A)], [Im(k) I - A, Re(k) I]]
-    so only real LU machinery is needed. k equal to i times an
-    eigenvalue of A makes the system singular and raises
-    SingularMatrixError.
+    k equal to i times an eigenvalue of A makes the system singular and
+    raises SingularMatrixError.
     """
     a = np.asarray(a, dtype=float)
-    p = a.shape[0]
-    b = np.asarray(b, dtype=float)
-    squeeze = b.ndim == 1
-    bc = b.reshape(p, -1)
-    k = complex(k)
-    im_block = k.imag * np.eye(p) - a
-    re_block = k.real * np.eye(p)
-    big = np.block([[re_block, -im_block], [im_block, re_block]])
-    rhs = np.vstack([bc, np.zeros_like(bc)])
-    sol = solve(lu_factor(big, pivot_tol=pivot_tol), rhs, pivot_tol=pivot_tol)
-    z = sol[:p] + 1j * sol[p:]
-    return z[:, 0] if squeeze else z
+    return solve(lu_factor(complex(k) * np.eye(a.shape[0]) - 1j * a), b)

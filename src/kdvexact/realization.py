@@ -328,12 +328,9 @@ def validate_triplet(triplet: Triplet, resonance_tol: float = RESONANCE_TOL) -> 
     spectrum = linalg.eigenvalues(triplet.A)
     vals = spectrum.eigenvalues
     scale = max(1.0, float(np.max(np.abs(vals))))
-    resonant = []
-    for i in range(len(vals)):
-        for j in range(i, len(vals)):
-            mag = abs(vals[i] + vals[j])
-            if mag < resonance_tol * scale:
-                resonant.append((i, j, float(mag)))
+    mag = np.abs(vals[:, None] + vals)
+    i, j = np.nonzero(np.triu(mag < resonance_tol * scale))  # pairs i <= j, row-major
+    resonant = [(int(a), int(b), float(mag[a, b])) for a, b in zip(i, j)]
     formal = spectrum.min_real_part <= 0.0
     notes = []
     if formal:

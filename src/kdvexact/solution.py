@@ -25,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, realization
-from .errors import NumericalError, OverflowDetectedError, SingularMatrixError, SpecValidationError
+from .errors import (
+    LyapunovSolveError,
+    NumericalError,
+    OverflowDetectedError,
+    SingularMatrixError,
+    SpecValidationError,
+)
 
 FLAG_OK = "ok"
 FLAG_NEAR_SINGULAR = "near-singular"
@@ -315,7 +321,7 @@ class GammaEvaluator:
         """
         try:
             gamma = self.gamma(x, t)
-            factors = linalg.lu_factor(gamma, self.tolerances.pivot)
+            factors = linalg.lu_factor(gamma)
             a = self.triplet.A
             exa = linalg.expm(a, -float(x))
             e = self.propagator(t)
@@ -342,7 +348,7 @@ class GammaEvaluator:
         if y < x:
             raise SpecValidationError(f"kernel needs y >= x, got x={x!r}, y={y!r}")
         gamma = self.gamma(x, t)
-        factors = linalg.lu_factor(gamma, self.tolerances.pivot)
+        factors = linalg.lu_factor(gamma)
         exa = linalg.expm(self.triplet.A, -x)
         eya = linalg.expm(self.triplet.A, -y)
         row = self.triplet.C @ (self.propagator(t) @ exa)
@@ -355,10 +361,18 @@ def make_evaluator(triplet: realization.Triplet,
     """Validate the triplet, solve the Lyapunov system, build an evaluator.
 
     Raises LyapunovSolveError when eigenvalue pairs of A are resonant
-    (some lambda_i + lambda_j ~ 0), in which case no Q exists.
+    (some lambda_i + lambda_j ~ 0), in which case no unique Q exists.
+    The Lyapunov residual check alone does not catch this when B C
+    happens to lie in the range of the singular system.
     """
     tol = tolerances if tolerances is not None else Tolerances()
     diagnostics = realization.validate_triplet(triplet)
+    if not diagnostics.lyapunov_solvable:
+        i, j, mag = diagnostics.resonant_pairs[0]
+        vals = diagnostics.spectrum.eigenvalues
+        raise LyapunovSolveError(
+            f"no unique Lyapunov solution: eigenvalues {vals[i]:.6g} and {vals[j]:.6g} "
+            f"sum to {mag:.3e} in modulus")
     a = triplet.A
     q = linalg.lyapunov_solve(a, triplet.B @ triplet.C, tol.lyapunov_residual)
     q.setflags(write=False)

@@ -37,6 +37,9 @@ X_STENCIL_REACH = 3  # x stencil spans x +/- 3 h_x
 REFINEMENT_LEVELS = (3.2e-2, 1.6e-2, 8e-3)
 REFINEMENT_RATIO_BAND = (8.0, 32.0)  # brackets ratio 16 = 2**4 for a 4th-order scheme
 
+MARCHENKO_QUAD_LIMIT = 200   # adaptive subdivisions of the Marchenko integral
+OMEGA_EPSABS = 1e-10         # absolute tolerance of the Fourier half-line quadratures
+
 
 @dataclass(frozen=True, eq=False)
 class ResidualScan:
@@ -195,15 +198,14 @@ def pde_residual_refinement(u_source, x_window, t_window,
 
 def marchenko_residual(evaluator: solution.GammaEvaluator,
                        x: float, y: float, t: float,
-                       tail_floor: float = 1e-14,
-                       quad_limit: int = 200) -> float:
+                       tail_floor: float = 1e-14) -> float:
     """Residual of K(x,y) + Omega(x+y) + int_x^inf K(x,z) Omega(y+z) dz.
 
     Valid only when all eigenvalues of A have positive real part (the
     integrand then decays like exp(-2 mu z)); otherwise the integral
-    diverges and FormalModeError is raised. The quadrature budget has
-    two knobs: the infinite tail is cut where the decay envelope falls
-    below tail_floor, and quad_limit caps the adaptive subdivisions.
+    diverges and FormalModeError is raised. The infinite tail is cut
+    where the decay envelope falls below tail_floor, and
+    MARCHENKO_QUAD_LIMIT caps the adaptive subdivisions.
     """
     if evaluator.formal_mode:
         raise FormalModeError(
@@ -216,7 +218,7 @@ def marchenko_residual(evaluator: solution.GammaEvaluator,
     trip = evaluator.triplet
     mu = evaluator.diagnostics.spectrum.min_real_part
     gamma = evaluator.gamma(x, t)
-    factors = linalg.lu_factor(gamma, evaluator.tolerances.pivot)
+    factors = linalg.lu_factor(gamma)
     e = evaluator.propagator(t)
     row = trip.C @ (e @ linalg.expm(trip.A, -x))
     row_gi = row @ linalg.inverse(factors, evaluator.tolerances.pivot)
@@ -232,7 +234,7 @@ def marchenko_residual(evaluator: solution.GammaEvaluator,
     span = math.log(max(start / tail_floor, math.e)) / (2.0 * mu)
     z_max = x + span + 2.0
     integral, _ = integrate.quad(lambda z: kernel(z) * omega(y + z), x, z_max,
-                                 epsabs=1e-12, epsrel=1e-12, limit=quad_limit)
+                                 epsabs=1e-12, epsrel=1e-12, limit=MARCHENKO_QUAD_LIMIT)
     return evaluator.marchenko_kernel(x, y, t) + omega(x + y) + integral
 
 
@@ -249,8 +251,8 @@ class OmegaQuadratureCheck:
         return abs(self.quadrature - self.reference)
 
 
-def omega_quadrature_check(spec: realization.ScatteringSpec, ys,
-                           epsabs: float = 1e-10) -> tuple[OmegaQuadratureCheck, ...]:
+def omega_quadrature_check(spec: realization.ScatteringSpec,
+                           ys) -> tuple[OmegaQuadratureCheck, ...]:
     """Check Omega(y; 0) against the Fourier transform of the reflection.
 
     (1/2 pi) int_R r(k) exp(i k y) dk is computed as oscillatory
@@ -279,9 +281,9 @@ def omega_quadrature_check(spec: realization.ScatteringSpec, ys,
             raise SpecValidationError(
                 f"omega quadrature check needs y > 0 (contour closure), got {y!r}")
         cos_half, _ = integrate.quad(re_part, 0.0, np.inf, weight="cos", wvar=y,
-                                     epsabs=epsabs, limlst=80, limit=200)
+                                     epsabs=OMEGA_EPSABS, limlst=80, limit=200)
         sin_half, _ = integrate.quad(im_part, 0.0, np.inf, weight="sin", wvar=y,
-                                     epsabs=epsabs, limlst=80, limit=200)
+                                     epsabs=OMEGA_EPSABS, limlst=80, limit=200)
         quadrature = (cos_half - sin_half) / math.pi
         out.append(OmegaQuadratureCheck(y=y, quadrature=quadrature,
                                         reference=reference(y)))

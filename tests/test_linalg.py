@@ -1,6 +1,8 @@
 """Dense linear algebra kernels: exponentials, Lyapunov, LU, resolvent."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,10 +101,28 @@ def test_lyapunov_resonant_pair_raises():
         linalg.lyapunov_solve(a, np.ones((2, 2)))
 
 
-def test_lyapunov_dimension_cap():
-    p = linalg.MAX_LYAPUNOV_DIM + 1
-    with pytest.raises(SpecValidationError):
-        linalg.lyapunov_solve(np.eye(p), np.eye(p))
+def test_lyapunov_large_stable_residual():
+    # No cap on P: Bartels-Stewart at P = 128 still meets the residual bound.
+    rng = np.random.default_rng(41)
+    p = 128
+    base = rng.uniform(-1, 1, size=(p, p))
+    a = base @ base.T / p + 0.5 * np.eye(p)
+    rhs = rng.uniform(-2, 2, size=(p, p))
+    q = linalg.lyapunov_solve(a, rhs)
+    resid = np.max(np.abs(a @ q + q @ a - rhs))
+    assert resid < 1e-12 * max(1.0, np.max(np.abs(rhs))), resid
+
+
+def test_lyapunov_large_resonant_spectrum_raises():
+    # One eigenvalue pair of a P = 96 matrix sums to zero: no Q exists.
+    rng = np.random.default_rng(43)
+    p = 96
+    lam = np.linspace(0.5, 2.0, p)
+    lam[-1] = -lam[0]
+    s = rng.uniform(-1, 1, size=(p, p)) + 4.0 * np.eye(p)
+    a = s @ np.diag(lam) @ np.linalg.inv(s)
+    with pytest.raises(LyapunovSolveError):
+        linalg.lyapunov_solve(a, rng.uniform(-1, 1, size=(p, p)))
 
 
 def test_determinant_matches_cofactor_expansion():
@@ -161,9 +181,12 @@ def test_resolvent_matches_complex_solve():
 
 
 def test_resolvent_at_spectrum_point_raises():
-    # k = i*lambda makes (kI - iA) exactly singular
-    with pytest.raises(SingularMatrixError):
-        linalg.resolvent_apply(np.array([[1.0]]), 1j, np.array([[1.0]]))
+    # k = i*lambda makes (kI - iA) exactly singular; the pivot gate
+    # reports it, and no LinAlgWarning from scipy escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError):
+            linalg.resolvent_apply(np.array([[1.0]]), 1j, np.array([[1.0]]))
 
 
 def test_resolvent_decays_like_one_over_k():

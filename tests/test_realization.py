@@ -19,6 +19,8 @@ from kdvexact import (
     validate_triplet,
 )
 
+from kdvexact.realization import RESONANCE_TOL
+
 import helpers
 from helpers import S3
 
@@ -236,6 +238,23 @@ def test_validate_triplet_modes():
                                         B=np.ones(2), C=np.ones(2)))
     assert resonant.resonant_pairs and not resonant.lyapunov_solvable
     assert not resonant.valid
+
+
+def test_resonant_pairs_match_pairwise_loop():
+    # a rotation block (eigenvalues +-i), a zero eigenvalue and several
+    # opposite pairs, one of them off by 1e-12
+    a = np.zeros((8, 8))
+    a[:6, :6] = np.diag([1.0, -1.0, 0.0, 2.0, -2.0, 1.0 + 1e-12])
+    a[6:, 6:] = [[0.0, 1.0], [-1.0, 0.0]]
+    diag = validate_triplet(Triplet(A=a, B=np.ones(8), C=np.ones(8)))
+    vals = diag.spectrum.eigenvalues
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    want = [(i, j, float(abs(vals[i] + vals[j])))
+            for i in range(len(vals)) for j in range(i, len(vals))
+            if abs(vals[i] + vals[j]) < RESONANCE_TOL * scale]
+    assert len(want) == 5
+    assert list(diag.resonant_pairs) == want
+    assert all(type(i) is int and type(j) is int for i, j, _ in diag.resonant_pairs)
 
 
 def test_triplet_shape_and_finiteness_checks():

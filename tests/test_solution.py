@@ -12,6 +12,7 @@ from kdvexact import (
     FLAG_OK,
     FLAG_OVERFLOW,
     BoundState,
+    LyapunovSolveError,
     ScatteringSpec,
     SpecValidationError,
     Triplet,
@@ -40,6 +41,14 @@ def test_zero_c_gives_vacuum():
         s = ev.sample(x, t)
         assert s.flag == FLAG_OK and s.det_gamma == 1.0 and s.u == 0.0
         assert ev.marchenko_kernel(x, x + 1.0, t) == 0.0
+
+
+def test_resonant_spectrum_raises_even_when_b_c_is_consistent():
+    # lambda = +-1 resonate, but B C = e1 e1^T lies in the range of the
+    # singular Lyapunov map: a Q with zero residual exists, not a unique one
+    trip = Triplet(A=np.diag([1.0, -1.0]), B=np.array([1.0, 0.0]), C=np.array([1.0, 0.0]))
+    with pytest.raises(LyapunovSolveError):
+        make_evaluator(trip)
 
 
 def test_bound_state_q_entries():
