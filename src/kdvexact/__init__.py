@@ -37,7 +37,6 @@ from .solution import (
     GammaEvaluator,
     SolutionGrid,
     SolutionSample,
-    Tolerances,
     make_evaluator,
     n_soliton_gamma_direct,
     sample_grid,
@@ -85,7 +84,6 @@ __all__ = [
     "SolutionGrid",
     "SolutionSample",
     "SpecValidationError",
-    "Tolerances",
     "Triplet",
     "TripletDiagnostics",
     "VerificationReport",

@@ -75,12 +75,6 @@ def _add_grid(sp) -> None:
                     help="override the document's transformation drift")
 
 
-def _add_evaluator_tols(sp) -> None:
-    sp.add_argument("--tol-lyapunov", type=float, default=solution.Tolerances.lyapunov_residual)
-    sp.add_argument("--tol-pivot", type=float, default=solution.Tolerances.pivot)
-    sp.add_argument("--tol-near-singular", type=float, default=solution.Tolerances.near_singular)
-
-
 def _add_check_tols(sp) -> None:
     sp.add_argument("--tol-pde", type=float, default=1e-5,
                     help="PDE residual threshold")
@@ -108,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(e)
     _add_grid(e)
     e.add_argument("--format", choices=("csv", "structured-document"), default="csv")
-    _add_evaluator_tols(e)
     e.set_defaults(func=cmd_eval)
 
     v = sub.add_parser("verify", help="run the independent check suite")
@@ -116,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(v)
     v.add_argument("--horizon", type=_nonneg_float, default=None,
                    help="positivity-scan time horizon (default: t range stop)")
-    _add_evaluator_tols(v)
     _add_check_tols(v)
     v.set_defaults(func=cmd_verify)
 
@@ -124,14 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(s)
     _add_grid(s)
     s.add_argument("--format", choices=("csv", "structured-document"), default="csv")
-    _add_evaluator_tols(s)
     s.add_argument("--tol-soliton", type=float, default=1e-10)
     s.set_defaults(func=cmd_soliton)
 
     f = sub.add_parser("frames", help="write one x,u file per t value")
     _add_io(f)
     _add_grid(f)
-    _add_evaluator_tols(f)
     f.set_defaults(func=cmd_frames)
     return p
 
@@ -161,12 +151,6 @@ def _apply_eta(parsed, eta):
     return dataclasses.replace(parsed, eta=eta)
 
 
-def _tolerances(args) -> solution.Tolerances:
-    return solution.Tolerances(lyapunov_residual=args.tol_lyapunov,
-                               pivot=args.tol_pivot,
-                               near_singular=args.tol_near_singular)
-
-
 def _evaluator_from_args(args):
     """Parse the input document and build (spec or None, evaluator)."""
     parsed = documents.parse_input_document(_read_document(args.input))
@@ -177,7 +161,7 @@ def _evaluator_from_args(args):
     else:
         spec = None
         triplet = parsed
-    return spec, solution.make_evaluator(triplet, _tolerances(args))
+    return spec, solution.make_evaluator(triplet)
 
 
 def _sample(args, evaluator) -> solution.SolutionGrid | None:

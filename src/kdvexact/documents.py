@@ -84,8 +84,6 @@ def _parse_complex_pole(item, path: str) -> realization.ComplexPolePair:
     try:
         return realization.ComplexPolePair(alpha=alpha, beta=beta,
                                            coefficients=tuple(coeffs))
-    except SchemaError:
-        raise
     except SpecValidationError as exc:
         raise SchemaError(path, str(exc)) from None
 
@@ -133,8 +131,6 @@ def parse_scattering_spec(data: dict) -> realization.ScatteringSpec:
         return realization.ScatteringSpec(complex_poles=complex_poles,
                                           imaginary_poles=imaginary_poles,
                                           bound_states=bound_states, eta=eta)
-    except SchemaError:
-        raise
     except SpecValidationError as exc:
         raise SchemaError("$", str(exc)) from None
 

@@ -31,7 +31,7 @@ from .errors import (
     SpecValidationError,
 )
 
-# Default tolerances; every consumer can override per call.
+# Gate values, the same for every caller.
 RESIDUAL_TOL = 1e-12   # relative residual bound for verified solves
 PIVOT_TOL = 1e-14      # singularity threshold, times max |entry|
 
@@ -104,10 +104,10 @@ def expm_stack(m: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
     return out, overflow
 
 
-def lyapunov_solve(a: np.ndarray, rhs: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
+def lyapunov_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A Q + Q A = RHS by Bartels-Stewart (scipy.linalg.solve_sylvester).
 
-    A residual above residual_tol * max(1, max |RHS|) raises
+    A residual above RESIDUAL_TOL * max(1, max |RHS|) raises
     LyapunovSolveError. That catches a spectrum with some
     lambda_i + lambda_j = 0 unless RHS lies in the range of the singular
     map, where a Q exists but is not unique; make_evaluator rejects
@@ -123,9 +123,9 @@ def lyapunov_solve(a: np.ndarray, rhs: np.ndarray, residual_tol: float = RESIDUA
         q = sla.solve_sylvester(a, a, rhs)
         resid = float(np.max(np.abs(a @ q + q @ a - rhs)))
     scale = max(1.0, float(np.max(np.abs(rhs))))
-    if not resid <= residual_tol * scale:
+    if not resid <= RESIDUAL_TOL * scale:
         raise LyapunovSolveError(
-            f"Lyapunov residual {resid:.3e} exceeds {residual_tol:.1e} * {scale:.3e} "
+            f"Lyapunov residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e} * {scale:.3e} "
             "(an eigenvalue pair summing to zero leaves no solution)")
     return q
 
@@ -136,9 +136,9 @@ class LuFactors:
 
     lu and piv are the packed LAPACK-style factors (row i was swapped
     with row piv[i] at step i); max_abs is the largest absolute entry of
-    the original matrix, used for relative pivot thresholds. For a stack
-    every field gains the leading stack axis, and min_pivot and
-    permutation_sign return one value per member.
+    the original matrix, used for the relative pivot gate. For a stack
+    every field gains the leading stack axis, and min_pivot, singular
+    and permutation_sign return one value per member.
     """
 
     lu: np.ndarray
@@ -158,6 +158,10 @@ class LuFactors:
             return 0.0
         smallest = np.min(np.abs(self.pivots()), axis=-1)
         return float(smallest) if self.lu.ndim == 2 else smallest
+
+    def singular(self):
+        """The pivot gate: min |pivot| <= PIVOT_TOL * max |entry|."""
+        return self.min_pivot() <= PIVOT_TOL * np.maximum(self.max_abs, 1e-300)
 
     def permutation_sign(self):
         swaps = np.count_nonzero(self.piv != np.arange(self.n), axis=-1)
@@ -191,24 +195,20 @@ def determinant(factors: LuFactors) -> float:
     return det
 
 
-def _require_nonsingular(factors: LuFactors, pivot_tol: float, what: str) -> None:
-    pivot = factors.min_pivot()
-    if pivot <= pivot_tol * max(factors.max_abs, 1e-300):
+def solve(factors: LuFactors, rhs: np.ndarray) -> np.ndarray:
+    """Back-substitute rhs through the factorization; the pivot gate raises."""
+    if factors.singular():
+        pivot = factors.min_pivot()
         raise SingularMatrixError(
-            f"{what}: matrix is singular to working precision (pivot {pivot:.3e})",
+            f"solve: matrix is singular to working precision (pivot {pivot:.3e})",
             pivot=pivot)
-
-
-def solve(factors: LuFactors, rhs: np.ndarray, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
-    """Back-substitute rhs through the factorization."""
-    _require_nonsingular(factors, pivot_tol, "solve")
     out = sla.lu_solve((factors.lu, factors.piv), rhs, check_finite=False)
     return _check_finite(out, "solve")
 
 
-def inverse(factors: LuFactors, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
+def inverse(factors: LuFactors) -> np.ndarray:
     """Explicit inverse via solves against the identity."""
-    return solve(factors, np.eye(factors.n), pivot_tol=pivot_tol)
+    return solve(factors, np.eye(factors.n))
 
 
 def lu_factor_stack(m: np.ndarray) -> LuFactors:
@@ -219,7 +219,7 @@ def lu_factor_stack(m: np.ndarray) -> LuFactors:
     first entry of largest magnitude); a column with a zero pivot is
     left uneliminated, as LAPACK leaves it. Larger members go to LAPACK
     one at a time. Members must be finite; no pivot gate is applied, so
-    callers read min_pivot() and mask.
+    callers read singular() and mask.
     """
     m = np.asarray(m, dtype=float)
     k, n, _ = m.shape

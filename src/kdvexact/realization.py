@@ -309,10 +309,11 @@ class TripletDiagnostics:
         return self.lyapunov_solvable and not self.formal_mode
 
 
+# Resonance gate: |lambda_i + lambda_j| below this times max(1, spectral radius).
 RESONANCE_TOL = 1e-8
 
 
-def validate_triplet(triplet: Triplet, resonance_tol: float = RESONANCE_TOL) -> TripletDiagnostics:
+def validate_triplet(triplet: Triplet) -> TripletDiagnostics:
     """Diagnose a triplet: eigenvalues, resonances, usable modes.
 
     Any real (A, B, C) is accepted. formal_mode is set when some
@@ -329,7 +330,7 @@ def validate_triplet(triplet: Triplet, resonance_tol: float = RESONANCE_TOL) -> 
     vals = spectrum.eigenvalues
     scale = max(1.0, float(np.max(np.abs(vals))))
     mag = np.abs(vals[:, None] + vals)
-    i, j = np.nonzero(np.triu(mag < resonance_tol * scale))  # pairs i <= j, row-major
+    i, j = np.nonzero(np.triu(mag < RESONANCE_TOL * scale))  # pairs i <= j, row-major
     resonant = [(int(a), int(b), float(mag[a, b])) for a, b in zip(i, j)]
     formal = spectrum.min_real_part <= 0.0
     notes = []

@@ -14,9 +14,10 @@ The resolvent-kernel form runs on one batched kernel,
 GammaEvaluator.evaluate: a stack of exp(-x A) per x and of E(t) per t,
 Gamma for the whole (t, x) grid by broadcasting, one stacked LU per
 point for det Gamma, both gates and both solves, and the flags as
-masks. Scalar sample() is a batch of one, so grid and scalar values
-agree bit for bit. The log-det route and the kernel K stay per point
-and off the batched kernel, as independent checks of it.
+masks. A point that fails a gate is flagged, never raised for. Scalar
+sample() is a batch of one, so grid and scalar values agree bit for
+bit. The log-det route and the kernel K stay per point and off the
+batched kernel, as independent checks of it.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ import numpy as np
 from . import linalg, realization
 from .errors import (
     LyapunovSolveError,
-    NumericalError,
     OverflowDetectedError,
     SingularMatrixError,
     SpecValidationError,
@@ -42,25 +42,14 @@ FLAG_OVERFLOW = "overflow"
 # one row per chunk).
 CHUNK_BYTES = 1 << 21
 
-# Per-point outcome codes of the batched kernel. The first three are the
-# flags; at the last two the resolvent solve fails (pivot gate, or a
-# non-finite solution), and the scalar and grid APIs raise.
-_OK, _NEAR_SINGULAR, _OVERFLOW, _SINGULAR, _SOLVE_OVERFLOW = range(5)
+# Near-singular gate: |det Gamma| < NEAR_SINGULAR_TOL (1 + ||Gamma||_inf^P).
+# The scale is the natural size of the determinant, so huge-entry
+# matrices whose determinant only survives by cancellation are flagged.
+NEAR_SINGULAR_TOL = 1e-8
+
+# Per-point outcome codes of the batched kernel, indexing the flag names.
+_OK, _NEAR_SINGULAR, _OVERFLOW = range(3)
 _FLAG_NAMES = np.array([FLAG_OK, FLAG_NEAR_SINGULAR, FLAG_OVERFLOW], dtype="U16")
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical gates used by the evaluator.
-
-    near_singular scales with (1 + ||Gamma||_inf ** P), the natural
-    size of the determinant, so huge-entry matrices whose determinant
-    only survives by cancellation are flagged too.
-    """
-
-    lyapunov_residual: float = linalg.RESIDUAL_TOL
-    pivot: float = linalg.PIVOT_TOL
-    near_singular: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -93,10 +82,11 @@ class SolutionGrid:
 class Evaluation:
     """Output of the batched kernel; arrays are shaped (len(t), len(x)).
 
-    code is the per-point outcome. u is NaN unless the point is ok;
-    det_gamma is NaN where Gamma or its determinant overflowed;
-    min_pivot is the smallest |pivot| of each factorization. Without u
-    (with_u=False) only overflow is marked and u stays NaN.
+    code is the per-point outcome, one of three: ok, near-singular
+    (the near-singular or the pivot gate fired) or overflow (in the
+    exponentials, det Gamma, the solves or u). u is NaN unless the point
+    is ok; det_gamma is NaN where Gamma or its determinant overflowed.
+    Without u (with_u=False) only overflow is marked and u stays NaN.
     """
 
     x: np.ndarray
@@ -104,12 +94,10 @@ class Evaluation:
     u: np.ndarray
     det_gamma: np.ndarray
     code: np.ndarray
-    min_pivot: np.ndarray
 
     @property
     def flags(self) -> np.ndarray:
-        """Flag names; valid once raise_first() found no failed solve."""
-        flags = _FLAG_NAMES[np.minimum(self.code, _OVERFLOW)]
+        flags = _FLAG_NAMES[self.code]
         flags.setflags(write=False)
         return flags
 
@@ -117,28 +105,10 @@ class Evaluation:
     def overflow(self) -> np.ndarray:
         return self.code == _OVERFLOW
 
-    def error(self, i: int, j: int) -> NumericalError | None:
-        """The error a per-point evaluation of (t[i], x[j]) reports, if any."""
-        at = f"at x={float(self.x[j])!r}, t={float(self.t[i])!r}"
-        code = self.code[i, j]
-        if code == _SINGULAR:
-            pivot = float(self.min_pivot[i, j])
-            return SingularMatrixError(
-                f"solve: matrix is singular to working precision (pivot {pivot:.3e}) {at}",
-                pivot=pivot)
-        if code == _SOLVE_OVERFLOW:
-            return OverflowDetectedError(f"overflow in solve {at}")
-        if code == _OVERFLOW:
-            return OverflowDetectedError(f"overflow in Gamma or det Gamma {at}")
-        return None
-
-    def raise_first(self, mask: np.ndarray | None = None) -> None:
-        """Raise the first failed solve in t-major order, within mask if given."""
-        failed = self.code >= _SINGULAR
-        if mask is not None:
-            failed &= mask
-        if failed.any():
-            raise self.error(*np.unravel_index(np.argmax(failed), failed.shape))
+    def overflow_error(self, i: int, j: int) -> OverflowDetectedError:
+        """The error det Gamma at (t[i], x[j]) raises when it overflowed."""
+        return OverflowDetectedError(
+            f"overflow in Gamma or det Gamma at x={float(self.x[j])!r}, t={float(self.t[i])!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +123,6 @@ class GammaEvaluator:
     triplet: realization.Triplet
     Q: np.ndarray
     diagnostics: realization.TripletDiagnostics
-    tolerances: Tolerances
     flow: np.ndarray
 
     @property
@@ -184,7 +153,7 @@ class GammaEvaluator:
         """det Gamma(x, t) through the batched kernel; overflow raises."""
         e = self.evaluate([float(x)], [float(t)], with_u=False)
         if e.overflow[0, 0]:
-            raise e.error(0, 0)
+            raise e.overflow_error(0, 0)
         return float(e.det_gamma[0, 0])
 
     def gamma_x(self, x: float, t: float) -> np.ndarray:
@@ -205,11 +174,11 @@ class GammaEvaluator:
         Each point gets exactly the values and outcome of the per-point
         definition, whatever else is in the batch. Overflow anywhere in
         the exponentials or the determinant gives code overflow; a
-        determinant below the near-singular gate, 1e-8 (1 + ||Gamma||^P)
-        by default, gives near-singular. Otherwise the pivot gate and
-        both resolvent solves run, and a failure there is recorded for
-        the caller to raise; a non-finite u is overflow again. Negative
-        or non-finite x raises SpecValidationError.
+        determinant below the near-singular gate or a factorization
+        that fails the pivot gate (linalg.LuFactors.singular) gives
+        near-singular. Otherwise both resolvent solves run, and a
+        non-finite solution or u is overflow again. No point raises;
+        negative or non-finite x raises SpecValidationError.
         """
         xs = np.array(xs, dtype=float, ndmin=1)
         ts = np.array(ts, dtype=float, ndmin=1)
@@ -217,18 +186,17 @@ class GammaEvaluator:
         u = np.full(shape, np.nan)
         det = np.full(shape, np.nan)
         code = np.full(shape, _OK, dtype=np.int8)
-        min_pivot = np.full(shape, np.nan)
         if xs.size and ts.size:
             bad = ~np.isfinite(xs) | (xs < 0.0)
             if bad.any():
                 raise SpecValidationError(
                     f"x must be finite and >= 0, got {float(xs[bad][0])!r}")
-            self._fill(xs, ts, with_u, u, det, code, min_pivot)
-        for arr in (xs, ts, u, det, code, min_pivot):
+            self._fill(xs, ts, with_u, u, det, code)
+        for arr in (xs, ts, u, det, code):
             arr.setflags(write=False)
-        return Evaluation(x=xs, t=ts, u=u, det_gamma=det, code=code, min_pivot=min_pivot)
+        return Evaluation(x=xs, t=ts, u=u, det_gamma=det, code=code)
 
-    def _fill(self, xs, ts, with_u, u, det, code, min_pivot) -> None:
+    def _fill(self, xs, ts, with_u, u, det, code) -> None:
         a, b, c, p = self.triplet.A, self.triplet.B, self.triplet.C, self.P
         exa, x_overflow = linalg.expm_stack(a, -xs)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -247,10 +215,9 @@ class GammaEvaluator:
             gamma[overflow] = np.eye(p)
             self._fill_rows(gamma.reshape(-1, p, p), overflow.reshape(-1), with_u,
                             exa, ce, rhs, u[sl].reshape(-1), det[sl].reshape(-1),
-                            code[sl].reshape(-1), min_pivot[sl].reshape(-1))
+                            code[sl].reshape(-1))
 
-    def _fill_rows(self, gamma, overflow, with_u, exa, ce, rhs,
-                   u, det, code, min_pivot) -> None:
+    def _fill_rows(self, gamma, overflow, with_u, exa, ce, rhs, u, det, code) -> None:
         """Factor, gate and solve one chunk; the outputs are flat views."""
         n_x = exa.shape[0]
         factors = linalg.lu_factor_stack(gamma)
@@ -261,16 +228,12 @@ class GammaEvaluator:
         code[overflow] = _OVERFLOW
         if not with_u:
             return
-        tol = self.tolerances
-        norm = np.maximum(1.0, np.max(np.sum(np.abs(gamma), axis=-1), axis=-1))
         with np.errstate(over="ignore"):
-            near = ~overflow & (np.abs(d) < tol.near_singular * (1.0 + norm ** self.P))
+            norm = np.maximum(1.0, np.max(np.sum(np.abs(gamma), axis=-1), axis=-1))
+            near = np.abs(d) < NEAR_SINGULAR_TOL * (1.0 + norm ** self.P)
+        near = ~overflow & (near | factors.singular())
         code[near] = _NEAR_SINGULAR
-        pivots = factors.min_pivot()
-        min_pivot[:] = pivots
-        gated = pivots <= tol.pivot * np.maximum(factors.max_abs, 1e-300)
-        code[~overflow & ~near & gated] = _SINGULAR
-        idx = np.flatnonzero(~overflow & ~near & ~gated)
+        idx = np.flatnonzero(~overflow & ~near)
         if not idx.size:
             return
         i, j = np.divmod(idx, n_x)
@@ -283,25 +246,21 @@ class GammaEvaluator:
             v, w = sol[..., :1], sol[..., 1:]
             rv = row @ v
             val = (2.0 * (-(row @ (a @ v)) + rv * rv - row @ w))[:, 0, 0]
-        solved = np.all(np.isfinite(sol), axis=(-2, -1))
-        finite = np.isfinite(val)
-        code[idx[~solved]] = _SOLVE_OVERFLOW
-        code[idx[solved & ~finite]] = _OVERFLOW
-        u[idx[solved & finite]] = val[solved & finite]
+        finite = np.isfinite(val)   # a non-finite solution gives a non-finite u
+        code[idx[~finite]] = _OVERFLOW
+        u[idx[finite]] = val[finite]
 
     def sample(self, x: float, t: float) -> SolutionSample:
         """u via the resolvent-kernel closed form, with status flag.
 
         A batch of one through evaluate(): overflow anywhere in the
-        exponentials or the determinant gives flag "overflow"; a
-        determinant below the near-singular gate gives flag
-        "near-singular". In both cases u is NaN. A failed resolvent
-        solve raises SingularMatrixError or OverflowDetectedError.
+        exponentials, the solves or u gives flag "overflow"; failing the
+        near-singular or the pivot gate gives flag "near-singular". In
+        both cases u is NaN; the point never raises.
         """
         x = float(x)
         t = float(t)
         e = self.evaluate([x], [t])
-        e.raise_first()
         return SolutionSample(x, t, float(e.u[0, 0]), float(e.det_gamma[0, 0]),
                               str(e.flags[0, 0]))
 
@@ -327,8 +286,8 @@ class GammaEvaluator:
             e = self.propagator(t)
             w = exa @ (self.triplet.B @ self.triplet.C) @ exa
             gxx = (a @ w + w @ a) @ e
-            gi_gx = linalg.solve(factors, -(w @ e), self.tolerances.pivot)
-            gi_gxx = linalg.solve(factors, gxx, self.tolerances.pivot)
+            gi_gx = linalg.solve(factors, -(w @ e))
+            gi_gxx = linalg.solve(factors, gxx)
         except (OverflowDetectedError, SingularMatrixError):
             return float("nan")
         return float(-2.0 * (np.trace(gi_gxx) - np.trace(gi_gx @ gi_gx)))
@@ -352,12 +311,10 @@ class GammaEvaluator:
         exa = linalg.expm(self.triplet.A, -x)
         eya = linalg.expm(self.triplet.A, -y)
         row = self.triplet.C @ (self.propagator(t) @ exa)
-        return -(row @ linalg.solve(factors, eya @ self.triplet.B,
-                                    self.tolerances.pivot)).item()
+        return -(row @ linalg.solve(factors, eya @ self.triplet.B)).item()
 
 
-def make_evaluator(triplet: realization.Triplet,
-                   tolerances: Tolerances | None = None) -> GammaEvaluator:
+def make_evaluator(triplet: realization.Triplet) -> GammaEvaluator:
     """Validate the triplet, solve the Lyapunov system, build an evaluator.
 
     Raises LyapunovSolveError when eigenvalue pairs of A are resonant
@@ -365,7 +322,6 @@ def make_evaluator(triplet: realization.Triplet,
     The Lyapunov residual check alone does not catch this when B C
     happens to lie in the range of the singular system.
     """
-    tol = tolerances if tolerances is not None else Tolerances()
     diagnostics = realization.validate_triplet(triplet)
     if not diagnostics.lyapunov_solvable:
         i, j, mag = diagnostics.resonant_pairs[0]
@@ -374,22 +330,20 @@ def make_evaluator(triplet: realization.Triplet,
             f"no unique Lyapunov solution: eigenvalues {vals[i]:.6g} and {vals[j]:.6g} "
             f"sum to {mag:.3e} in modulus")
     a = triplet.A
-    q = linalg.lyapunov_solve(a, triplet.B @ triplet.C, tol.lyapunov_residual)
+    q = linalg.lyapunov_solve(a, triplet.B @ triplet.C)
     q.setflags(write=False)
     flow = 8.0 * (a @ a @ a) + (2.0 * triplet.eta) * a
     flow.setflags(write=False)
-    return GammaEvaluator(triplet=triplet, Q=q, diagnostics=diagnostics,
-                          tolerances=tol, flow=flow)
+    return GammaEvaluator(triplet=triplet, Q=q, diagnostics=diagnostics, flow=flow)
 
 
 def sample_grid(evaluator: GammaEvaluator, xs, ts) -> SolutionGrid:
     """Evaluate the closed-form u over a grid, keeping per-point flags.
 
     One batched kernel call, equal bit for bit to evaluator.sample at
-    every point; the first point (t-major) whose solve fails raises.
+    every point; a point that fails a gate is flagged, never raised for.
     """
     e = evaluator.evaluate(xs, ts)
-    e.raise_first()
     return SolutionGrid(x=e.x, t=e.t, u=e.u, det_gamma=e.det_gamma, flags=e.flags)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import integrate
 
 from . import linalg, realization, solution
-from .errors import FormalModeError, OverflowDetectedError, SpecValidationError
+from .errors import FormalModeError, SpecValidationError
 
 # fourth-order central first derivative: (f-2 - 8 f-1 + 8 f+1 - f+2) / (12 h)
 _D1_OFFSETS = (-2, -1, 1, 2)
@@ -102,8 +102,8 @@ def _stencil_values(u_source, xs, ts, offsets, h_x, h_t):
 
     Keys are (o, dt) with o in offsets at dt = 0, and o = 0 at
     dt = +-h_t. An evaluator samples every node in one batched kernel
-    call (so each value equals u_source.u exactly); a plain callable is
-    called once per node. A failed solve at any node raises.
+    call (so each value equals u_source.u exactly, NaN where flagged); a
+    plain callable is called once per node.
     """
     keys = [(o, 0.0) for o in offsets] + [(0, h_t), (0, -h_t)]
     if not isinstance(u_source, solution.GammaEvaluator):
@@ -114,16 +114,10 @@ def _stencil_values(u_source, xs, ts, offsets, h_x, h_t):
     node_t = {dt: ts + dt for dt in (0.0, h_t, -h_t)}
     grid_x = np.unique(np.concatenate(list(node_x.values())))
     grid_t = np.unique(np.concatenate(list(node_t.values())))
-    e = u_source.evaluate(grid_x, grid_t)
-    used = np.zeros(e.code.shape, dtype=bool)
-    values = {}
-    for o, dt in keys:
-        rows = np.searchsorted(grid_t, node_t[dt])[:, None]
-        cols = np.searchsorted(grid_x, node_x[o])[None, :]
-        used[rows, cols] = True
-        values[(o, dt)] = e.u[rows, cols]
-    e.raise_first(used)
-    return values
+    u = u_source.evaluate(grid_x, grid_t).u
+    return {(o, dt): u[np.searchsorted(grid_t, node_t[dt])[:, None],
+                       np.searchsorted(grid_x, node_x[o])[None, :]]
+            for o, dt in keys}
 
 
 def pde_residual(u_source, x_window, t_window, n_x: int = 11, n_t: int = 5,
@@ -135,8 +129,9 @@ def pde_residual(u_source, x_window, t_window, n_x: int = 11, n_t: int = 5,
     it) or a plain u(x, t) callable (pass eta, and h_t if the default
     h_x**2 is unsuitable). The sample window is clipped so every
     stencil node satisfies x >= 0 and t >= 0. A flagged or non-finite
-    sample anywhere in a stencil rejects the window, naming the point;
-    choose windows inside the region where every sample is ok.
+    sample anywhere in a stencil rejects the window with
+    SpecValidationError, naming the point; choose windows inside the
+    region where every sample is ok.
     """
     u_source, eta_val, rate_x, rate_t = _resolve_u_source(u_source, eta)
     if h_t is None:
@@ -243,7 +238,7 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t,
         factors = linalg.lu_factor(evaluator.gamma(xi, ti))
         ce = c @ evaluator.propagator(ti)
         exa = linalg.expm(trip.A, -xi)
-        rows[i] = ce @ exa @ linalg.inverse(factors, evaluator.tolerances.pivot) @ exa
+        rows[i] = ce @ exa @ linalg.inverse(factors) @ exa
         weights[i] = ce @ linalg.expm(trip.A, -(xi + yi))
         direct[i] = evaluator.marchenko_kernel(xi, yi, ti) + weights[i] @ b
     mu = evaluator.diagnostics.spectrum.min_real_part
@@ -335,18 +330,15 @@ class PositivityWindow:
 
 
 def _scan_row(scan: solution.Evaluation, i: int):
-    """First nonpositive det along row i, or None if all positive.
+    """First overflow or nonpositive det along row i, or None if none.
 
-    Overflow at or before the first nonpositive det raises
-    OverflowDetectedError, as a point-by-point scan would.
+    Returns (x, det, overflowed) for the earliest such point in x.
     """
     hits = np.flatnonzero(scan.overflow[i] | (scan.det_gamma[i] <= 0.0))
     if not hits.size:
         return None
     j = hits[0]
-    if scan.overflow[i, j]:
-        raise scan.error(i, j)
-    return float(scan.x[j]), float(scan.det_gamma[i, j])
+    return float(scan.x[j]), float(scan.det_gamma[i, j]), bool(scan.overflow[i, j])
 
 
 def positivity_scan(evaluator: solution.GammaEvaluator,
@@ -377,35 +369,32 @@ def positivity_scan(evaluator: solution.GammaEvaluator,
 
     last_good = None
     for i, t in enumerate(ts):
-        try:
-            bad = _scan_row(scan, i)
-        except OverflowDetectedError:
+        bad = _scan_row(scan, i)
+        if bad is None:
+            last_good = t
+            continue
+        if bad[2]:
             return PositivityWindow(
                 certified=False, x_horizon=x_horizon, t_horizon=t_horizon,
                 tau_lower=0.0 if last_good is None else float(last_good),
                 first_failure=None, overflow_frontier=float(t), n_x=n_x, n_t=n_t)
-        if bad is not None:
-            if last_good is None:
-                return PositivityWindow(
-                    certified=False, x_horizon=x_horizon, t_horizon=t_horizon,
-                    tau_lower=0.0, first_failure=(bad[0], float(t), bad[1]),
-                    overflow_frontier=None, n_x=n_x, n_t=n_t)
-            lo, hi, hi_bad = float(last_good), float(t), bad
-            while hi - lo > bisect_tol:
-                mid = 0.5 * (lo + hi)
-                try:
-                    mid_bad = _scan_row(evaluator.evaluate(xs, [mid], with_u=False), 0)
-                except OverflowDetectedError:
-                    mid_bad = None
-                if mid_bad is None:
-                    lo = mid
-                else:
-                    hi, hi_bad = mid, mid_bad
+        if last_good is None:
             return PositivityWindow(
                 certified=False, x_horizon=x_horizon, t_horizon=t_horizon,
-                tau_lower=lo, first_failure=(hi_bad[0], hi, hi_bad[1]),
+                tau_lower=0.0, first_failure=(bad[0], float(t), bad[1]),
                 overflow_frontier=None, n_x=n_x, n_t=n_t)
-        last_good = t
+        lo, hi, hi_bad = float(last_good), float(t), bad
+        while hi - lo > bisect_tol:
+            mid = 0.5 * (lo + hi)
+            mid_bad = _scan_row(evaluator.evaluate(xs, [mid], with_u=False), 0)
+            if mid_bad is None or mid_bad[2]:
+                lo = mid
+            else:
+                hi, hi_bad = mid, mid_bad
+        return PositivityWindow(
+            certified=False, x_horizon=x_horizon, t_horizon=t_horizon,
+            tau_lower=lo, first_failure=(hi_bad[0], hi, hi_bad[1]),
+            overflow_frontier=None, n_x=n_x, n_t=n_t)
     return PositivityWindow(
         certified=True, x_horizon=x_horizon, t_horizon=t_horizon,
         tau_lower=t_horizon, first_failure=None, overflow_frontier=None,
@@ -443,7 +432,7 @@ def soliton_equivalence(bound_states, eta: float = 0.0,
             direct = solution.n_soliton_gamma_direct(spec.bound_states, eta, x, t)
             det_direct = linalg.determinant(linalg.lu_factor(direct))
             if triplet_side.overflow[i, j]:
-                raise triplet_side.error(i, j)
+                raise triplet_side.overflow_error(i, j)
             det_triplet = float(triplet_side.det_gamma[i, j])
             dev = abs(det_triplet - det_direct) / (1.0 + abs(det_direct))
             if dev > worst:

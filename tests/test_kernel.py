@@ -143,7 +143,7 @@ def test_u_log_det_flags_instead_of_raising():
 
 def test_evaluator_holds_no_cache():
     fields = {f.name for f in solution.GammaEvaluator.__dataclass_fields__.values()}
-    assert fields == {"triplet", "Q", "diagnostics", "tolerances", "flow"}
+    assert fields == {"triplet", "Q", "diagnostics", "flow"}
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
