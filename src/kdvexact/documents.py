@@ -209,23 +209,24 @@ def format_float(value) -> str:
     return repr(float(value))
 
 
+def _float_strings(values) -> list[str]:
+    """format_float of every entry, in order, without per-entry numpy indexing."""
+    return [repr(v) for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
 def write_grid_csv(stream, grid) -> None:
-    """Grid rows t-major: x, t, u, detGamma, flag."""
+    """Grid rows t-major: x, t, u, detGamma, flag; one write per t row."""
     stream.write(GRID_CSV_HEADER + "\n")
-    for i in range(grid.t.size):
-        t_str = format_float(grid.t[i])
-        for j in range(grid.x.size):
-            stream.write(f"{format_float(grid.x[j])},{t_str},"
-                         f"{format_float(grid.u[i, j])},"
-                         f"{format_float(grid.det_gamma[i, j])},"
-                         f"{grid.flags[i, j]}\n")
+    xs = _float_strings(grid.x)
+    for t, u, det, flags in zip(_float_strings(grid.t), grid.u, grid.det_gamma, grid.flags):
+        cells = zip(xs, _float_strings(u), _float_strings(det), flags.tolist())
+        stream.write("".join([f"{x},{t},{v},{d},{flag}\n" for x, v, d, flag in cells]))
 
 
 def write_frame_csv(stream, xs, us) -> None:
     """One time slice: x, u."""
-    stream.write(FRAME_CSV_HEADER + "\n")
-    for x, u in zip(xs, us):
-        stream.write(f"{format_float(x)},{format_float(u)}\n")
+    rows = [f"{x},{u}\n" for x, u in zip(_float_strings(xs), _float_strings(us))]
+    stream.write("".join([FRAME_CSV_HEADER + "\n", *rows]))
 
 
 def grid_document(grid) -> dict:

@@ -4,16 +4,15 @@ Thin, contract-enforcing wrappers around LAPACK-backed numpy/scipy
 routines: matrix exponentials, the Lyapunov solve A Q + Q A = RHS by
 Bartels-Stewart (scipy's Schur-based Sylvester solver) with a residual
 check, pivoted LU with determinant and solve helpers, eigenvalue
-extraction, and the resolvent apply (k I - i A)^{-1} b as one complex
-LU solve.
+extraction, and the resolvent c (k I - i A)^{-1} b, reduced once to a
+complex Schur form and then applied with one triangular solve per k.
 
-All single-matrix routines detect overflow instead of propagating NaN
-and raise typed errors from `errors`; lu_factor and solve take real or
-complex matrices, the rest work on real float64. The stacked forms
-(expm_stack, lu_factor_stack, lu_solve_stack) work on many small
-matrices at once and never raise on numerical trouble: they report it
-as masks, or leave it to the caller to mask, so one bad member cannot
-stop a whole grid.
+All single-matrix routines detect overflow instead of propagating NaN,
+work on real float64 (the resolvent returns complex values) and raise
+typed errors from `errors`. The stacked forms (expm_stack,
+lu_factor_stack, lu_solve_stack) work on many small matrices at once
+and never raise on numerical trouble: they report it as masks, or leave
+it to the caller to mask, so one bad member cannot stop a whole grid.
 """
 from __future__ import annotations
 
@@ -57,7 +56,7 @@ def as_matrix(obj, name: str = "matrix") -> np.ndarray:
 
 
 def _check_finite(m: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         finite = m[np.isfinite(m)]
         mag = float(np.max(np.abs(finite))) if finite.size else float("inf")
         raise OverflowDetectedError(f"overflow in {what}", magnitude=mag)
@@ -130,6 +129,11 @@ def lyapunov_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return q
 
 
+def _pivot_gate(min_pivot, max_abs):
+    """True where a factorization is singular to working precision."""
+    return min_pivot <= PIVOT_TOL * np.maximum(max_abs, 1e-300)
+
+
 @dataclass(frozen=True)
 class LuFactors:
     """Pivoted LU factorization of a square matrix, or of a stack of them.
@@ -161,7 +165,7 @@ class LuFactors:
 
     def singular(self):
         """The pivot gate: min |pivot| <= PIVOT_TOL * max |entry|."""
-        return self.min_pivot() <= PIVOT_TOL * np.maximum(self.max_abs, 1e-300)
+        return _pivot_gate(self.min_pivot(), self.max_abs)
 
     def permutation_sign(self):
         swaps = np.count_nonzero(self.piv != np.arange(self.n), axis=-1)
@@ -170,8 +174,8 @@ class LuFactors:
 
 
 def lu_factor(m: np.ndarray) -> LuFactors:
-    """Factor a real or complex square matrix with partial pivoting."""
-    m = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
+    """Factor a real square matrix with partial pivoting."""
+    m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SpecValidationError(f"lu_factor: square matrix required, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -297,11 +301,60 @@ def eigenvalues(m: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=vals, min_real_part=float(np.min(vals.real)))
 
 
+@dataclass(frozen=True)
+class Resolvent:
+    """c (k I - i A)^{-1} b for any number of k, from one complex Schur form.
+
+    reduce_resolvent writes A = Z T Z^H with T upper triangular (Jordan
+    chains included), so c (k I - i A)^{-1} b = (c Z) (k I - i T)^{-1} (Z^H b)
+    and each k costs one triangular solve. The pivots of k I - i T are
+    its diagonal k - i T_jj; apply gates them with the test
+    LuFactors.singular applies to an LU.
+    """
+
+    shifted: np.ndarray   # -i T, upper triangular, Fortran order for LAPACK
+    left: np.ndarray      # c Z
+    right: np.ndarray     # Z^H b
+    off_max: float        # largest |entry| of -i T above its diagonal
+
+    def apply(self, k: complex) -> np.ndarray:
+        """c (k I - i A)^{-1} b; k = i * an eigenvalue raises SingularMatrixError."""
+        pivots = complex(k) + np.diagonal(self.shifted)
+        if not pivots.size:
+            return self.left @ self.right
+        mags = np.abs(pivots).tolist()
+        pivot = min(mags)
+        if _pivot_gate(pivot, max(*mags, self.off_max)):
+            raise SingularMatrixError(
+                f"resolvent: k I - i A is singular to working precision (pivot {pivot:.3e})",
+                pivot=pivot)
+        m = self.shifted.copy(order="F")
+        np.fill_diagonal(m, pivots)
+        y, _ = sla.lapack.ztrtrs(m, self.right)
+        return _check_finite(self.left @ y, "resolvent")
+
+
+def reduce_resolvent(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> Resolvent:
+    """Reduce real A once for c (k I - i A)^{-1} b.
+
+    b is P x r; c is m x P and defaults to the identity.
+    """
+    a = np.asarray(a, dtype=float)
+    t, z = sla.schur(a, output="complex")
+    shifted = np.asfortranarray(-1j * t)
+    return Resolvent(
+        shifted=shifted,
+        left=z if c is None else c @ z,
+        right=z.conj().T @ b,
+        off_max=float(np.max(np.abs(np.triu(shifted, 1)), initial=0.0)),
+    )
+
+
 def resolvent_apply(a: np.ndarray, k: complex, b: np.ndarray) -> np.ndarray:
     """Solve (k I - i A) z = b for complex k and real A, b.
 
-    k equal to i times an eigenvalue of A makes the system singular and
-    raises SingularMatrixError.
+    The one-shot form of reduce_resolvent: k equal to i times an
+    eigenvalue of A makes the system singular and raises
+    SingularMatrixError.
     """
-    a = np.asarray(a, dtype=float)
-    return solve(lu_factor(complex(k) * np.eye(a.shape[0]) - 1j * a), b)
+    return reduce_resolvent(a, b).apply(k)

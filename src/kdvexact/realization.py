@@ -264,12 +264,17 @@ def build_reflection_triplet(spec: ScatteringSpec) -> Triplet:
     return _assemble(blocks, spec.eta)
 
 
+def reflection_resolvent(triplet: Triplet) -> linalg.Resolvent:
+    """-i C (k I - i A)^{-1} B with A reduced once; apply(k) is a 1 x 1 array.
+
+    The empty triplet gives the identically zero function.
+    """
+    return linalg.reduce_resolvent(triplet.A, triplet.B, -1j * triplet.C)
+
+
 def eval_reflection(triplet: Triplet, k: complex) -> complex:
     """Evaluate -i C (k I - i A)^{-1} B at a single complex k."""
-    if triplet.P == 0:
-        return 0j
-    z = linalg.resolvent_apply(triplet.A, k, triplet.B)
-    return complex(-1j * (triplet.C @ z)[0, 0])
+    return complex(reflection_resolvent(triplet).apply(k)[0, 0])
 
 
 def reflection_partial_fractions(spec: ScatteringSpec, k: complex) -> complex:

@@ -277,9 +277,10 @@ def omega_quadrature_check(spec: realization.ScatteringSpec,
     line onto (0, inf)) and compared with C exp(-yA) B over the
     non-bound-state blocks. Bound states carry no continuous spectrum,
     so specs without reflection data compare 0 against 0. Every y is
-    checked before any quadrature runs. r(k) is memoized for the call,
-    so the cos and sin halves (and every y) share one resolvent solve
-    per distinct node; the quadratures are unchanged by the memo.
+    checked before any quadrature runs. A is reduced to Schur form once
+    per call and r(k) is memoized, so the cos and sin halves (and every
+    y) share one triangular solve per distinct node; the quadratures are
+    unchanged by the memo.
     """
     ys = [float(y) for y in np.atleast_1d(np.asarray(ys, dtype=float))]
     for y in ys:
@@ -293,9 +294,11 @@ def omega_quadrature_check(spec: realization.ScatteringSpec,
             return 0.0
         return (refl.C @ linalg.expm(refl.A, -y) @ refl.B).item()
 
+    resolvent = realization.reflection_resolvent(refl)
+
     @functools.cache
     def r(k: float) -> complex:
-        return realization.eval_reflection(refl, k)
+        return complex(resolvent.apply(k)[0, 0])
 
     out = []
     for y in ys:

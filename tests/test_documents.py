@@ -6,10 +6,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kdvexact import (
+    FLAG_NEAR_SINGULAR,
+    FLAG_OK,
+    FLAG_OVERFLOW,
     SchemaError,
     ScatteringSpec,
+    SolutionGrid,
     Triplet,
     make_evaluator,
     sample_grid,
@@ -204,6 +211,59 @@ def test_frame_csv_layout():
     buf = io.StringIO()
     write_frame_csv(buf, [0.0, 0.25], [1.5, -0.125])
     assert buf.getvalue() == "x,u\n0.0,1.5\n0.25,-0.125\n"
+
+
+def _grid_csv_per_cell(grid) -> str:
+    """The per-cell writer the CSV writers must reproduce byte for byte."""
+    buf = io.StringIO()
+    buf.write("x,t,u,detGamma,flag\n")
+    for i in range(grid.t.size):
+        t_str = format_float(grid.t[i])
+        for j in range(grid.x.size):
+            buf.write(f"{format_float(grid.x[j])},{t_str},"
+                      f"{format_float(grid.u[i, j])},"
+                      f"{format_float(grid.det_gamma[i, j])},"
+                      f"{grid.flags[i, j]}\n")
+    return buf.getvalue()
+
+
+def _frame_csv_per_cell(xs, us) -> str:
+    buf = io.StringIO()
+    buf.write("x,u\n")
+    for x, u in zip(xs, us):
+        buf.write(f"{format_float(x)},{format_float(u)}\n")
+    return buf.getvalue()
+
+
+# NaN, signed zeros, subnormals and values near the float range, mixed with ordinary ones
+_cell_floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                         st.sampled_from([float("nan"), -0.0, 0.0, 5e-324, -2.2e-308,
+                                          1.7976931348623157e308, -1e300]))
+
+
+@st.composite
+def _grids(draw):
+    n_t, n_x = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    cells = hnp.arrays(float, (n_t, n_x), elements=_cell_floats)
+    return SolutionGrid(
+        x=draw(hnp.arrays(float, n_x, elements=_cell_floats)),
+        t=draw(hnp.arrays(float, n_t, elements=_cell_floats)),
+        u=draw(cells), det_gamma=draw(cells),
+        flags=draw(hnp.arrays(np.dtype("U16"), (n_t, n_x),
+                              elements=st.sampled_from([FLAG_OK, FLAG_NEAR_SINGULAR,
+                                                        FLAG_OVERFLOW]))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=_grids())
+def test_csv_writers_match_per_cell_writers(grid):
+    buf = io.StringIO()
+    write_grid_csv(buf, grid)
+    assert buf.getvalue() == _grid_csv_per_cell(grid)
+    for i in range(grid.t.size):
+        buf = io.StringIO()
+        write_frame_csv(buf, grid.x, grid.u[i])
+        assert buf.getvalue() == _frame_csv_per_cell(grid.x, grid.u[i])
 
 
 def test_grid_document_nan_becomes_null():

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from kdvexact import (
+    ComplexPolePair,
+    ImaginaryPole,
     LyapunovSolveError,
     OverflowDetectedError,
+    ScatteringSpec,
     SingularMatrixError,
     SpecValidationError,
+    build_reflection_triplet,
 )
 from kdvexact import linalg
 
@@ -196,3 +200,49 @@ def test_resolvent_decays_like_one_over_k():
     n1 = np.max(np.abs(linalg.resolvent_apply(a, 100.0 + 0j, b)))
     n2 = np.max(np.abs(linalg.resolvent_apply(a, 1000.0 + 0j, b)))
     assert abs(n2 / n1 - 0.1) < 0.01
+
+
+def _random_systems():
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        p = int(rng.integers(1, 9))
+        yield (rng.uniform(-2, 2, size=(p, p)), rng.uniform(-2, 2, size=(p, 1)),
+               rng.uniform(-2, 2, size=(1, p)))
+
+
+def _jordan_chain_systems():
+    """Reflection triplets whose poles have multiplicity 1, 2 and 3."""
+    for m in (1, 2, 3):
+        pair = ComplexPolePair(alpha=0.8, beta=0.6,
+                               coefficients=tuple((0.3 / s, 0.2 * s) for s in range(1, m + 1)))
+        pole = ImaginaryPole(omega=0.7, coefficients=tuple(0.5 * s for s in range(1, m + 1)))
+        for spec in (ScatteringSpec(complex_poles=(pair,)),
+                     ScatteringSpec(complex_poles=(pair,), imaginary_poles=(pole,))):
+            refl = build_reflection_triplet(spec)
+            yield refl.A, refl.B, refl.C
+
+
+_SYSTEMS = [*_random_systems(), *_jordan_chain_systems()]
+
+
+@pytest.mark.parametrize("a, b, c", _SYSTEMS)
+def test_reduced_resolvent_matches_dense_solve(a, b, c):
+    p = a.shape[0]
+    plain = linalg.reduce_resolvent(a, b)
+    projected = linalg.reduce_resolvent(a, b, c)
+    for k in (0.0, 0.37, -2.5, 40.0, 1.5 + 0.5j, -0.3 - 1.2j, 0.2 + 3.0j):
+        want = np.linalg.solve(k * np.eye(p) - 1j * a, b.astype(complex))
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(plain.apply(k) - want)) <= 1e-12 * scale, k
+        assert np.max(np.abs(linalg.resolvent_apply(a, k, b) - want)) <= 1e-12 * scale, k
+        assert abs(projected.apply(k) - c @ want).item() <= 1e-12 * np.sum(np.abs(c) @ np.abs(want)), k
+
+
+@pytest.mark.parametrize("a, b, c", _SYSTEMS)
+def test_reduced_resolvent_at_spectrum_point_raises(a, b, c):
+    resolvent = linalg.reduce_resolvent(a, b, c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in linalg.eigenvalues(a).eigenvalues:
+            with pytest.raises(SingularMatrixError):
+                resolvent.apply(1j * lam)
