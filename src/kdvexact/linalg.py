@@ -1,7 +1,10 @@
 """Dense linear algebra kernels for the triplet solution machinery.
 
 Thin, contract-enforcing wrappers around LAPACK-backed numpy/scipy
-routines: matrix exponentials, the Lyapunov solve A Q + Q A = RHS by
+routines: matrix exponentials (expm is scipy's, for the per-point
+routes; expm_stack, the batched kernel's, runs one vectorized Pade pass
+per diagonal block size of the matrix, so each is an independent check
+of the other), the Lyapunov solve A Q + Q A = RHS by
 Bartels-Stewart (scipy's Schur-based Sylvester solver) with a residual
 check, pivoted LU with determinant and solve helpers, eigenvalue
 extraction, and the resolvent c (k I - i A)^{-1} b, reduced once to a
@@ -83,23 +86,90 @@ def expm(m: np.ndarray, s: float = 1.0) -> np.ndarray:
     return _check_finite(result, f"expm with ||sM||={np.max(np.abs(scaled)):.3g}")
 
 
+def _diagonal_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and sizes of the contiguous diagonal blocks of square m.
+
+    Split by the exact-zero pattern: a block ends at j when no nonzero
+    entry couples rows or columns 0..j with j+1..n-1. A dense matrix is
+    one block.
+    """
+    idx = np.arange(m.shape[0])
+    coupled = (m != 0.0) | (m.T != 0.0)
+    reach = np.max(np.where(coupled, idx, idx[:, None]), axis=1, initial=0)
+    ends = np.flatnonzero(np.maximum.accumulate(reach) == idx) + 1
+    starts = np.concatenate([[0], ends])[:-1]
+    return starts, ends - starts
+
+
+# Degree-13 Pade coefficients and the 1-norm up to which degree 13 needs
+# no squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _pade13_stack(x: np.ndarray) -> np.ndarray:
+    """exp of every finite member of a (k, n, n) stack, by scaling and squaring.
+
+    Each member is scaled by its own 2^-s, with s the least power that
+    brings its 1-norm to _THETA13 or below, so its bits do not depend
+    on the rest of the stack.
+    """
+    b = _PADE13
+    norm = np.max(np.sum(np.abs(x), axis=-2), axis=-1)
+    frac, exp2 = np.frexp(norm / _THETA13)
+    squarings = np.maximum(0, exp2 - (frac == 0.5))   # ceil(log2(norm / theta))
+    x = np.ldexp(x, -squarings[:, None, None])
+    eye = np.eye(x.shape[-1])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for i in range(int(squarings.max(initial=0))):
+        sel = np.flatnonzero(squarings > i)
+        r[sel] = r[sel] @ r[sel]
+    return r
+
+
 def expm_stack(m: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
     """Matrix exponentials of s*m for every s in a 1-D array of scales.
 
     Returns the (len(scales), n, n) stack and a boolean mask of the
-    members that overflowed, whose entries are meaningless. Each member
-    is computed exactly as expm(m, s) computes it; a zero scale gives
-    the exact identity.
+    members that overflowed, whose entries are meaningless. m is split
+    once into its diagonal blocks (_diagonal_blocks): 1 x 1 blocks are
+    scalar exponentials, and each other block size takes one vectorized
+    degree-13 Pade pass over every (scale, block) pair. A member depends
+    only on its own scale, so a batch of one equals the same member of
+    any batch bit for bit; a zero scale gives the exact identity. This
+    is the batched kernel's exponential; expm stays on scipy, so the
+    per-point routes that use it are an independent reference.
     """
     m = np.asarray(m, dtype=float)
     s = np.asarray(scales, dtype=float).reshape(-1)
+    n = m.shape[0]
+    out = np.zeros((s.size, n, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = s[:, None, None] * m
-        overflow = ~np.all(np.isfinite(scaled), axis=(1, 2))
-        scaled[overflow] = 0.0
-        out = sla.expm(scaled)
-    out[s == 0.0] = np.eye(m.shape[0])
-    overflow |= ~np.all(np.isfinite(out), axis=(1, 2))
+        overflow = ~np.isfinite(s * np.max(np.abs(m), initial=0.0))
+        s = np.where(overflow, 0.0, s)
+        starts, sizes = _diagonal_blocks(m)
+        for size in np.unique(sizes):
+            at = starts[sizes == size]
+            rows = at[:, None, None] + np.arange(size)[:, None]
+            cols = at[:, None, None] + np.arange(size)
+            blocks = s[:, None, None, None] * m[rows, cols]   # (scales, blocks, size, size)
+            if size == 1:
+                res = np.exp(blocks)
+            else:
+                res = _pade13_stack(blocks.reshape(-1, size, size)).reshape(blocks.shape)
+            overflow |= ~np.all(np.isfinite(res), axis=(1, 2, 3))
+            out[:, rows, cols] = res
+    out[s == 0.0] = np.eye(n)
     return out, overflow
 
 

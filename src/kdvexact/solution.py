@@ -11,13 +11,15 @@ form and a trace form of the log-determinant derivatives), plus the
 integral-kernel quantities they both come from.
 
 The resolvent-kernel form runs on one batched kernel,
-GammaEvaluator.evaluate: a stack of exp(-x A) per x and of E(t) per t,
+GammaEvaluator.evaluate: a stack of exp(-x A) per x and of E(t) per t
+(linalg.expm_stack, a vectorized Pade per diagonal block of A),
 Gamma for the whole (t, x) grid by broadcasting, one stacked LU per
 point for det Gamma, both gates and both solves, and the flags as
 masks. A point that fails a gate is flagged, never raised for. Scalar
 sample() is a batch of one, so grid and scalar values agree bit for
 bit. The log-det route and the kernel K stay per point and off the
-batched kernel, as independent checks of it.
+batched kernel, on scipy's expm (linalg.expm), as independent checks
+of it.
 """
 from __future__ import annotations
 

@@ -13,7 +13,12 @@ from kdvexact import (
     FLAG_NEAR_SINGULAR,
     FLAG_OK,
     FLAG_OVERFLOW,
+    BoundState,
+    ComplexPolePair,
     GammaEvaluator,
+    ImaginaryPole,
+    ScatteringSpec,
+    Triplet,
     build_triplet,
     linalg,
     make_evaluator,
@@ -166,7 +171,35 @@ def test_expm_stack_matches_expm_member_by_member():
     assert np.array_equal(stack[0], np.eye(3))
     assert overflow.tolist() == [False, False, False, False, True, True]
     for s, member in zip(scales[:4], stack[:4]):
-        assert np.array_equal(member, linalg.expm(a, s))
+        # batch invariance, which sample() relies on, is exact. expm is
+        # scipy's algorithm, not the kernel's: against a 40-digit mpmath
+        # exponential scipy is 5.2e-13 off at s = 2 and 9.1e-13 at s = -1e3,
+        # the stack 7e-14 at most (test_oracle.py holds it to 1e-13)
+        assert np.array_equal(member, linalg.expm_stack(a, [s])[0][0])
+        assert np.max(np.abs(member - linalg.expm(a, s))) <= 2e-12 * np.max(np.abs(member))
     for s in scales[4:]:
         with pytest.raises(linalg.OverflowDetectedError):
             linalg.expm(a, s)
+
+
+# a double complex pair and a double imaginary pole: 4 x 4 and 2 x 2 Jordan chains
+_JORDAN_SPEC = ScatteringSpec(
+    complex_poles=(ComplexPolePair(alpha=0.7, beta=0.6, coefficients=((0.2, 0.1), (0.05, 0.1))),),
+    imaginary_poles=(ImaginaryPole(omega=0.9, coefficients=(0.3, 0.1)),),
+    bound_states=(BoundState(kappa=0.5, c=1.0),), eta=4.0)
+_DENSE_TRIPLET = Triplet(A=np.array([[1.0, 0.3, -0.2], [0.1, 0.8, 0.4], [-0.3, 0.2, 1.2]]),
+                         B=np.array([1.0, 0.5, 0.2]), C=np.array([0.3, -0.4, 1.0]), eta=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(triplet=st.one_of(_calm_specs.map(build_triplet), st.just(build_triplet(_JORDAN_SPEC)),
+                         st.just(_DENSE_TRIPLET)),
+       scales=st.lists(st.one_of(st.floats(-30.0, 30.0), st.floats(-3000.0, 3000.0),
+                                 st.just(0.0)), min_size=1, max_size=8))
+def test_expm_stack_member_equals_batch_of_one(triplet, scales):
+    for m in (triplet.A, make_evaluator(triplet).flow):
+        stack, overflow = linalg.expm_stack(m, scales)
+        for s, member, over in zip(scales, stack, overflow):
+            one, one_over = linalg.expm_stack(m, [s])
+            assert one_over[0] == over
+            assert member.tobytes() == one[0].tobytes()

@@ -246,3 +246,18 @@ def test_reduced_resolvent_at_spectrum_point_raises(a, b, c):
         for lam in linalg.eigenvalues(a).eigenvalues:
             with pytest.raises(SingularMatrixError):
                 resolvent.apply(1j * lam)
+
+
+def test_expm_stack_keeps_every_coupling_of_a_sparse_pattern():
+    # the block split reads the zero pattern; a coupling it dropped would
+    # show as an O(1) error, a different algorithm only as rounding
+    rng = np.random.default_rng(3)
+    scales = [-2.0, 0.5, 3.0]
+    for _ in range(30):
+        n = int(rng.integers(1, 8))
+        m = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+        stack, overflow = linalg.expm_stack(m, scales)
+        assert not overflow.any()
+        for s, member in zip(scales, stack):
+            want = linalg.expm(m, s)
+            assert np.max(np.abs(member - want)) <= 1e-11 * np.max(np.abs(want))

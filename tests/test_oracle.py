@@ -1,0 +1,127 @@
+"""The batched kernel against high-precision mpmath oracles.
+
+expm_stack is compared with a 40-digit matrix exponential and the
+kernel's u with a 50-digit log-det route, on the README spec, the
+benchmark's P = 64 many-poles spec and seeded dense matrices.
+"""
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from kdvexact import FLAG_OK, build_triplet, documents, linalg, make_evaluator
+
+import helpers
+
+mp = pytest.importorskip("mpmath")
+
+README_TRIPLET = build_triplet(helpers.three_block_spec())
+
+
+def _many_poles_triplet(seed: int = 1):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return build_triplet(documents.parse_input_document(workloads.many_poles_spec(seed)))
+
+
+def _mp_expm(m: np.ndarray, s: float, dps: int = 40) -> np.ndarray:
+    """exp(s m) for the float64 matrix m and scale s, to dps digits."""
+    with mp.workdps(dps):
+        e = mp.expm(mp.mpf(s) * mp.matrix(m.tolist()))
+        return np.array(e.tolist(), dtype=float)
+
+
+def _assert_stack_matches_oracle(m: np.ndarray, scales, blocks=None):
+    """Each member within 1e-13 max |exp| of the oracle; blocks are
+    (offset, size) diagonal blocks of m to take the oracle on, all of m
+    when None (entries outside them must then be exactly zero)."""
+    stack, overflow = linalg.expm_stack(m, scales)
+    assert not overflow.any()
+    n = m.shape[0]
+    blocks = blocks or [(0, n)]
+    inside = np.zeros((n, n), dtype=bool)
+    for s, member in zip(scales, stack):
+        want = np.zeros((n, n))
+        for at, size in blocks:
+            sl = slice(at, at + size)
+            want[sl, sl] = _mp_expm(m[sl, sl], s)
+            inside[sl, sl] = True
+        assert np.all(member[~inside] == 0.0), s
+        err = np.max(np.abs(member - want))
+        assert err <= 1e-13 * np.max(np.abs(want)), (s, err / np.max(np.abs(want)))
+
+
+def test_expm_stack_readme_exponentials_match_oracle():
+    _assert_stack_matches_oracle(README_TRIPLET.A, -np.linspace(0.0, 10.0, 21))
+    flow = make_evaluator(README_TRIPLET).flow
+    _assert_stack_matches_oracle(flow, np.linspace(0.0, 2.0, 11))
+
+
+def test_expm_stack_many_poles_jordan_blocks_match_oracle():
+    triplet = _many_poles_triplet()
+    a = triplet.A
+    starts, sizes = linalg._diagonal_blocks(a)
+    assert sorted(np.unique(sizes, return_counts=True)[1].tolist()) == [8, 10, 12]
+    blocks = [(int(at), int(size)) for at, size in zip(starts, sizes)]
+    _assert_stack_matches_oracle(a, -np.linspace(0.0, 10.0, 6), blocks)
+    flow = make_evaluator(triplet).flow
+    _assert_stack_matches_oracle(flow, np.linspace(0.0, 1.0, 3), blocks)
+
+
+def test_expm_stack_dense_matrices_match_oracle():
+    for seed in range(6):
+        m = np.random.default_rng(seed).standard_normal((5, 5))
+        _assert_stack_matches_oracle(m, [-4.0, -2.0, -0.7, 0.3, 1.5, 3.0, 5.0])
+
+
+def _mp_u_log_det(triplet, x: float, t: float, dps: int = 50):
+    """u = -2 [tr(G^-1 Gxx) - tr((G^-1 Gx)^2)] in mpmath, with Q from the
+    Kronecker form of A Q + Q A = B C."""
+    with mp.workdps(dps):
+        p = triplet.P
+        a = mp.matrix(triplet.A.tolist())
+        bc = mp.matrix(np.outer(triplet.B, triplet.C).tolist())
+        eye = mp.eye(p)
+        kron = mp.matrix(p * p, p * p)
+        for i in range(p):
+            for j in range(p):
+                for k in range(p):
+                    kron[i * p + j, k * p + j] += a[i, k]   # (A Q)_ij
+                    kron[i * p + j, i * p + k] += a[k, j]   # (Q A)_ij
+        vec_q = mp.lu_solve(kron, mp.matrix([bc[i, j] for i in range(p) for j in range(p)]))
+        q = mp.matrix(p, p)
+        for i in range(p):
+            for j in range(p):
+                q[i, j] = vec_q[i * p + j]
+        flow = 8 * a * a * a + 2 * mp.mpf(triplet.eta) * a
+        exa = mp.expm(-mp.mpf(x) * a)
+        e = mp.expm(mp.mpf(t) * flow)
+        w = exa * bc * exa
+        g_inv = mp.inverse(eye + exa * q * exa * e)
+        gi_gx = g_inv * (-(w * e))
+        gi_gxx = g_inv * ((a * w + w * a) * e)
+        tr = lambda m: sum(m[i, i] for i in range(p))   # noqa: E731
+        return float(-2 * (tr(gi_gxx) - tr(gi_gx * gi_gx)))
+
+
+def test_kernel_u_matches_log_det_oracle_at_readme_points():
+    ev = make_evaluator(README_TRIPLET)
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(0.0, 10.0, 40)
+    ts = rng.uniform(0.0, 0.3, 40)
+    checked = 0
+    for x, t in zip(xs, ts):
+        s = ev.sample(x, t)
+        if s.flag != FLAG_OK:
+            continue
+        want = _mp_u_log_det(README_TRIPLET, x, t)
+        assert abs(s.u - want) <= 1e-13 * (1.0 + abs(want)), (x, t, s.u, want)
+        checked += 1
+    assert checked >= 30
