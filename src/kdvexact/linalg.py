@@ -2,9 +2,11 @@
 
 Thin, contract-enforcing wrappers around LAPACK-backed numpy/scipy
 routines: matrix exponentials (expm is scipy's, for the per-point
-routes; expm_stack, the batched kernel's, runs one vectorized Pade pass
-per diagonal block size of the matrix, so each is an independent check
-of the other), the Lyapunov solve A Q + Q A = RHS by
+routes and the verification checks, and takes a scalar or a 1-D array
+of scales, the latter in one stacked scipy call; expm_stack, the
+batched kernel's, runs one vectorized Pade pass per diagonal block size
+of the matrix, so each is an independent check of the other), the
+Lyapunov solve A Q + Q A = RHS by
 Bartels-Stewart (scipy's Schur-based Sylvester solver) with a residual
 check, pivoted LU with determinant and solve helpers, eigenvalue
 extraction, and the resolvent c (k I - i A)^{-1} b, reduced once to a
@@ -66,24 +68,33 @@ def _check_finite(m: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
-def expm(m: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """Matrix exponential of s*m (scaling-and-squaring Pade).
+def expm(m: np.ndarray, s=1.0) -> np.ndarray:
+    """Matrix exponential of s*m (scipy's scaling-and-squaring Pade).
 
-    s = 0 returns the exact identity. Non-finite results raise
-    OverflowDetectedError carrying the largest finite magnitude seen.
+    A scalar s gives the n x n exponential; a 1-D array of scales gives
+    the (len(s), n, n) stack from one scipy.linalg.expm call over the
+    stack of s*m, each member equal bit for bit to the scalar call. A
+    zero scale gives the exact identity. Non-finite results, in any
+    member, raise OverflowDetectedError carrying the largest finite
+    magnitude seen.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SpecValidationError(f"expm: square matrix required, got shape {m.shape}")
-    if s == 0.0:
+    s = np.asarray(s, dtype=float)
+    if s.ndim > 1:
+        raise SpecValidationError(f"expm: scalar or 1-D scales required, got shape {s.shape}")
+    if s.ndim == 0 and s == 0.0:
         return np.eye(m.shape[0])
-    with np.errstate(over="ignore"):
-        scaled = s * m
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = s[..., None, None] * m
     if not np.all(np.isfinite(scaled)):
         raise OverflowDetectedError("overflow scaling the expm argument")
     with np.errstate(over="ignore", invalid="ignore"):
         result = sla.expm(scaled)
-    return _check_finite(result, f"expm with ||sM||={np.max(np.abs(scaled)):.3g}")
+    if s.ndim:
+        result[s == 0.0] = np.eye(m.shape[0])
+    return _check_finite(result, f"expm with ||sM||={np.max(np.abs(scaled), initial=0.0):.3g}")
 
 
 def _diagonal_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +270,8 @@ def lu_factor(m: np.ndarray) -> LuFactors:
 def determinant(factors: LuFactors) -> float:
     """Determinant from the LU diagonal; overflow raises, zero is fine."""
     diag = np.diag(factors.lu)
-    det = factors.permutation_sign() * float(np.prod(diag))
+    with np.errstate(over="ignore"):
+        det = factors.permutation_sign() * float(np.prod(diag))
     if not np.isfinite(det):
         # recompute in log space to report the magnitude before failing
         with np.errstate(divide="ignore"):

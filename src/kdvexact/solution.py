@@ -349,25 +349,38 @@ def sample_grid(evaluator: GammaEvaluator, xs, ts) -> SolutionGrid:
     return SolutionGrid(x=e.x, t=e.t, u=e.u, det_gamma=e.det_gamma, flags=e.flags)
 
 
-def n_soliton_gamma_direct(bound_states, eta: float, x: float, t: float) -> np.ndarray:
+def _n_soliton_gamma(states, eta: float, x, t) -> tuple[np.ndarray, np.ndarray]:
+    """n_soliton_gamma_direct and theta, unchecked: overflow stays non-finite."""
+    kap = np.array([s.kappa for s in states], dtype=float)
+    c = np.array([s.c for s in states], dtype=float)
+    x, t = (np.asarray(v, dtype=float)[..., None] for v in (x, t))
+    theta = -2.0 * kap * x + (8.0 * kap ** 3 + 2.0 * float(eta) * kap) * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = c * np.exp(theta)
+        gamma = np.eye(kap.size) + weights[..., :, None] / (kap[:, None] + kap[None, :])
+    return gamma, theta
+
+
+def n_soliton_gamma_direct(bound_states, eta: float, x, t) -> np.ndarray:
     """Classical N-soliton matrix, bypassing the triplet machinery.
 
     Gamma_jl = delta_jl + c_j exp(theta_j) / (kappa_j + kappa_l) with
     theta_j = -2 kappa_j x + (8 kappa_j^3 + 2 eta kappa_j) t. Same
     determinant as the triplet route (the two matrices are conjugate
-    by a diagonal similarity).
+    by a diagonal similarity). x and t are scalars (an N x N matrix is
+    returned) or arrays that broadcast together (a (..., N, N) stack
+    whose members equal the scalar calls bit for bit). Overflow raises
+    OverflowDetectedError naming the first overflowing point in C order.
     """
     states = tuple(bound_states)
     if not states:
         raise SpecValidationError("need at least one bound state")
-    kap = np.array([s.kappa for s in states], dtype=float)
-    c = np.array([s.c for s in states], dtype=float)
-    theta = -2.0 * kap * float(x) + (8.0 * kap ** 3 + 2.0 * float(eta) * kap) * float(t)
-    with np.errstate(over="ignore"):
-        weights = c * np.exp(theta)
-    gamma = np.eye(kap.size) + weights[:, None] / (kap[:, None] + kap[None, :])
-    if not np.all(np.isfinite(gamma)):
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    gamma, theta = _n_soliton_gamma(states, eta, x, t)
+    bad = ~np.all(np.isfinite(gamma), axis=(-2, -1))
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
         raise OverflowDetectedError(
-            f"n-soliton exponentials overflowed at x={x}, t={t}",
-            magnitude=float(np.max(theta)))
+            f"n-soliton exponentials overflowed at x={x[at]}, t={t[at]}",
+            magnitude=float(np.max(theta[at])))
     return gamma

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import integrate
 
 from . import linalg, realization, solution
-from .errors import FormalModeError, SpecValidationError
+from .errors import FormalModeError, NumericalError, OverflowDetectedError, SpecValidationError
 
 # fourth-order central first derivative: (f-2 - 8 f-1 + 8 f+1 - f+2) / (12 h)
 _D1_OFFSETS = (-2, -1, 1, 2)
@@ -40,6 +40,31 @@ REFINEMENT_RATIO_BAND = (8.0, 32.0)  # brackets ratio 16 = 2**4 for a 4th-order 
 
 MARCHENKO_QUAD_LIMIT = 200   # adaptive subdivisions of the Marchenko integral
 OMEGA_EPSABS = 1e-10         # absolute tolerance of the Fourier half-line quadratures
+
+# QUADPACK's qk21 (Piessens et al., 1983): the nonnegative 21-point
+# Kronrod nodes on [-1, 1], their weights, and the 10-point Gauss weights
+# of the nodes 1, 3, .., 9 among them. The rule is symmetric about 0.
+_QK21_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+             0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+             0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+             0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+             0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+             0.0)
+_QK21_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+             0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+             0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+             0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+             0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+             0.149445554002916905664936468389821)
+_QK21_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+            0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+            0.295524224714752870173892994651338)
+_KRONROD_X = np.concatenate([_QK21_XGK, np.negative(_QK21_XGK[-2::-1])])
+_KRONROD_W = np.concatenate([_QK21_WGK, _QK21_WGK[-2::-1]])
+_GAUSS_W = np.concatenate([_QK21_WG, _QK21_WG[::-1]])   # at _KRONROD_X[1::2]
+_MAX_SPLITS = 128   # intervals bisected per round at most, as quad_vec
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,25 +217,97 @@ def pde_residual_refinement(u_source, x_window, t_window,
                             ratios=ratios, orders=orders)
 
 
+def _gk21(f, lo: np.ndarray, hi: np.ndarray):
+    """QUADPACK's qk21 rule on every interval [lo_j, hi_j] at once.
+
+    f maps a 1-D array of nodes to one row of values per node. Returns
+    each interval's integral (len(lo), n) and its error and rounding
+    estimates (len(lo),), as quad_vec's gk21 rule computes them under
+    the max norm: QUADPACK's scaled Kronrod - Gauss difference, raised
+    to the rounding estimate 50 eps h int |f|. A non-finite value of f
+    raises NumericalError.
+    """
+    c = 0.5 * (lo + hi)
+    h = (0.5 * (hi - lo))[:, None]
+    nodes = c[:, None] + h * _KRONROD_X
+    fv = f(nodes.reshape(-1)).reshape(nodes.shape + (-1,))   # (intervals, 21, n)
+    if not np.all(np.isfinite(fv)):
+        raise NumericalError("non-finite integrand in the adaptive quadrature")
+    s_k = _KRONROD_W @ fv
+    s_g = _GAUSS_W @ fv[:, 1::2]
+    dabs = np.max(np.abs(h * (_KRONROD_W @ np.abs(fv - 0.5 * s_k[:, None]))), axis=-1)
+    err = np.max(np.abs((s_k - s_g) * h), axis=-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        damped = dabs * np.minimum(1.0, (200.0 * err / dabs) ** 1.5)
+    err = np.where((dabs != 0.0) & (err != 0.0), damped, err)
+    rounding = np.max(np.abs(50.0 * _EPS * h * (_KRONROD_W @ np.abs(fv))), axis=-1)
+    err = np.where(rounding > _TINY, np.maximum(err, rounding), err)
+    return h * s_k, err, rounding
+
+
+def _adaptive_gk21(f, b: float, epsabs: float, epsrel: float, limit: int) -> np.ndarray:
+    """int_0^b f(s) ds for vector-valued f, by quad_vec's adaptive scheme.
+
+    Each round bisects the intervals of largest error estimate until
+    their errors sum past global error - tol / 8 (at most 128), and
+    evaluates every new node in one call of f. It stops once the global
+    error falls below tol / 8, tol = max(epsabs, epsrel max|integral|),
+    or below the accumulated rounding estimate. Reaching limit intervals
+    first raises NumericalError naming the error estimate.
+    """
+    lo, hi = np.array([0.0]), np.array([float(b)])
+    parts, errs, rounding = _gk21(f, lo, hi)
+    total, error, rounding = parts[0], float(errs[0]), float(rounding[0])
+    tol = max(epsabs, epsrel * float(np.max(np.abs(total))))
+    while lo.size < limit:
+        order = np.lexsort((hi, lo, -errs))
+        within = np.cumsum(errs[order])[:-1] <= error - tol / 8.0
+        take, keep = np.split(order, [min(_MAX_SPLITS, 1 + np.count_nonzero(within))])
+        mid = 0.5 * (lo[take] + hi[take])
+        new_lo = np.concatenate([lo[take], mid])
+        new_hi = np.concatenate([mid, hi[take]])
+        new_parts, new_errs, new_rounding = _gk21(f, new_lo, new_hi)
+        total = total + np.sum(new_parts, axis=0) - np.sum(parts[take], axis=0)
+        error += float(np.sum(new_errs) - np.sum(errs[take]))
+        rounding += float(np.sum(new_rounding))
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        parts = np.concatenate([parts[keep], new_parts])
+        errs = np.concatenate([errs[keep], new_errs])
+        tol = max(epsabs, epsrel * float(np.max(np.abs(total))))
+        if error < tol / 8.0 or error < rounding:
+            return total
+    raise NumericalError(
+        f"quadrature did not converge in {limit} subintervals: error estimate "
+        f"{error:.3e} above {tol / 8.0:.3e}")
+
+
 def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t,
                        tail_floor: float = 1e-14):
     """Residual of K(x,y) + Omega(x+y) + int_x^inf K(x,z) Omega(y+z) dz.
 
     x, y and t are scalars (a float is returned) or equal-length 1-D
     arrays (an array of residuals is returned). Every sample is checked
-    for 0 <= x <= y before any work is done. Valid only when all
+    for finite 0 <= x <= y before any work is done. Valid only when all
     eigenvalues of A have positive real part (the integrand then decays
     like exp(-2 mu z)); otherwise the integral diverges and
     FormalModeError is raised. Each sample's infinite tail is cut where
     its decay envelope falls below tail_floor.
 
-    With z = x + s, exp(-zA) = exp(-xA) exp(-sA), so every sample's
-    integrand is -(R v)(W v) with v = exp(-sA) B and per-sample rows
+    The set-up takes two stacked exponentials over the samples:
+    exp(-xA), exp(-(x+y)A) and exp(-yA) in one, E(t) in the other.
+    Gamma(x, t) is factored per sample (linalg.lu_factor and solve, so
+    the pivot gate raises SingularMatrixError), giving
+    K(x,y) = -C E(t) exp(-xA) Gamma^{-1} exp(-yA) B and the rows
     R = C E(t) exp(-xA) Gamma^{-1} exp(-xA), W = C E(t) exp(-(x+y)A).
-    All samples share one adaptive quad_vec over s with a max-norm
-    error test (MARCHENKO_QUAD_LIMIT caps its subdivisions), so each
-    quadrature node costs one matrix exponential, and each sample's
-    error is bounded by epsabs + epsrel max_i |I_i| (both 1e-12).
+    With z = x + s, exp(-zA) = exp(-xA) exp(-sA), so every sample's
+    integrand is -(R v)(W v) with v = exp(-sA) B. All samples share one
+    adaptive G10/K21 quadrature over s (QUADPACK's qk21 with quad_vec's
+    error estimate and bisection), so each refinement round costs one
+    stacked exponential over its new nodes whatever the sample count.
+    Each sample's error is bounded by epsabs + epsrel max_i |I_i| (both
+    1e-12) under the max norm; reaching MARCHENKO_QUAD_LIMIT subintervals
+    first raises NumericalError instead of returning an unconverged
+    integral.
     """
     if evaluator.formal_mode:
         raise FormalModeError(
@@ -222,35 +319,40 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t,
     if not (x.ndim == 1 and x.size and x.shape == y.shape == t.shape):
         raise SpecValidationError(f"x, y and t must be scalars or nonempty 1-D arrays of "
                                   f"one length, got shapes {x.shape}, {y.shape}, {t.shape}")
-    bad = np.flatnonzero(~((0.0 <= x) & (x <= y)))
+    bad = np.flatnonzero(~((0.0 <= x) & (x <= y) & np.isfinite(y)))
     if bad.size:
         i = bad[0]
         where = "" if scalar else f"sample {i}: "
         raise SpecValidationError(
-            f"need 0 <= x <= y, {where}got x={float(x[i])!r}, y={float(y[i])!r}")
+            f"need finite 0 <= x <= y, {where}got x={float(x[i])!r}, y={float(y[i])!r}")
     trip = evaluator.triplet
-    b = trip.B.reshape(-1)
-    c = trip.C.reshape(-1)
-    rows = np.empty((x.size, trip.P))
-    weights = np.empty((x.size, trip.P))
-    direct = np.empty(x.size)
-    for i, (xi, yi, ti) in enumerate(zip(x, y, t)):
-        factors = linalg.lu_factor(evaluator.gamma(xi, ti))
-        ce = c @ evaluator.propagator(ti)
-        exa = linalg.expm(trip.A, -xi)
-        rows[i] = ce @ exa @ linalg.inverse(factors) @ exa
-        weights[i] = ce @ linalg.expm(trip.A, -(xi + yi))
-        direct[i] = evaluator.marchenko_kernel(xi, yi, ti) + weights[i] @ b
+    a, b, c = trip.A, trip.B.reshape(-1), trip.C.reshape(-1)
+    exa, exya, eya = np.split(linalg.expm(a, -np.concatenate([x, x + y, y])), 3)
+    prop = linalg.expm(evaluator.flow, t)                       # E(t), per sample
+    with np.errstate(over="ignore", invalid="ignore"):
+        ce = c @ prop                                           # C E(t)
+        row = np.einsum("np,npq->nq", ce, exa)                  # C E(t) exp(-xA)
+        gamma = np.eye(trip.P) + exa @ evaluator.Q @ exa @ prop
+        rhs = np.concatenate([exa, (eya @ b)[..., None]], axis=-1)
+    sol = np.stack([linalg.solve(linalg.lu_factor(g), r) for g, r in zip(gamma, rhs)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rg = np.einsum("np,npq->nq", row, sol)                  # C E exp(-xA) Gamma^{-1} [...]
+        rows, kernel = rg[:, :-1], -rg[:, -1]
+        weights = np.einsum("np,npq->nq", ce, exya)
+        direct = kernel + weights @ b
+        start = np.abs((rows @ b) * (weights @ b))
+    if not all(np.all(np.isfinite(v)) for v in (rg, weights, direct)):
+        raise OverflowDetectedError("overflow in the Marchenko kernel rows")
     mu = evaluator.diagnostics.spectrum.min_real_part
-    start = np.abs((rows @ b) * (weights @ b))
     cut = np.log(np.maximum(start / tail_floor, math.e)) / (2.0 * mu) + 2.0
 
-    def integrand(s: float) -> np.ndarray:
-        v = linalg.expm(trip.A, -s) @ b
-        return np.where(s <= cut, -(rows @ v) * (weights @ v), 0.0)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        v = linalg.expm(a, -s) @ b
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(s[:, None] <= cut, -(v @ rows.T) * (v @ weights.T), 0.0)
 
-    integral, _ = integrate.quad_vec(integrand, 0.0, float(cut.max()), epsabs=1e-12,
-                                     epsrel=1e-12, norm="max", limit=MARCHENKO_QUAD_LIMIT)
+    integral = _adaptive_gk21(integrand, float(cut.max()), epsabs=1e-12, epsrel=1e-12,
+                              limit=MARCHENKO_QUAD_LIMIT)
     residual = direct + integral
     return float(residual[0]) if scalar else residual
 
@@ -420,7 +522,13 @@ def soliton_equivalence(bound_states, eta: float = 0.0,
     """Compare det Gamma from the triplet route against the classical matrix.
 
     The deviation is |det_triplet - det_direct| / (1 + |det_direct|),
-    maximized over the grid.
+    maximized over the grid; worst_point is its first maximum in t-major
+    order. Both sides are batched: the triplet side is one kernel call,
+    the direct side one N-soliton matrix stack over the grid (x and t
+    arrays) and one stacked LU for its determinants. Overflow raises
+    OverflowDetectedError at the first point, in t-major order, where the
+    direct matrix, its determinant or the triplet side overflowed, with
+    the per-point error of the first of those three to fail there.
     """
     states = tuple(bound_states)
     spec = realization.ScatteringSpec(bound_states=states, eta=eta)
@@ -428,20 +536,28 @@ def soliton_equivalence(bound_states, eta: float = 0.0,
     xs = np.linspace(float(x_window[0]), float(x_window[1]), n_x)
     ts = np.linspace(float(t_window[0]), float(t_window[1]), n_t)
     triplet_side = ev.evaluate(xs, ts, with_u=False)
-    worst = 0.0
-    worst_point = (float(xs[0]), float(ts[0]))
-    for i, t in enumerate(ts):
-        for j, x in enumerate(xs):
-            direct = solution.n_soliton_gamma_direct(spec.bound_states, eta, x, t)
-            det_direct = linalg.determinant(linalg.lu_factor(direct))
-            if triplet_side.overflow[i, j]:
-                raise triplet_side.overflow_error(i, j)
-            det_triplet = float(triplet_side.det_gamma[i, j])
-            dev = abs(det_triplet - det_direct) / (1.0 + abs(det_direct))
-            if dev > worst:
-                worst = dev
-                worst_point = (float(x), float(t))
-    return SolitonEquivalence(max_deviation=worst, worst_point=worst_point,
+    at_t, at_x = np.divmod(np.arange(ts.size * xs.size), xs.size)   # t-major points
+    direct, _ = solution._n_soliton_gamma(spec.bound_states, eta, xs[at_x], ts[at_t])
+    finite = np.all(np.isfinite(direct), axis=(-2, -1))
+    factors = linalg.lu_factor_stack(np.where(finite[:, None, None], direct, np.eye(len(states))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_direct = factors.permutation_sign() * np.prod(factors.pivots(), axis=-1)
+    # The first failing point in t-major order raises the error the
+    # per-point route raises there: direct matrix, determinant, triplet side.
+    failed = ~finite | ~np.isfinite(det_direct) | triplet_side.overflow.reshape(-1)
+    if failed.any():
+        k = int(np.argmax(failed))
+        if not finite[k]:
+            solution.n_soliton_gamma_direct(spec.bound_states, eta, xs[at_x[k]], ts[at_t[k]])
+        if not np.isfinite(det_direct[k]):
+            linalg.determinant(linalg.LuFactors(lu=factors.lu[k], piv=factors.piv[k],
+                                                max_abs=factors.max_abs[k]))
+        raise triplet_side.overflow_error(at_t[k], at_x[k])
+    dev = (np.abs(triplet_side.det_gamma.reshape(-1) - det_direct)
+           / (1.0 + np.abs(det_direct)))
+    worst = int(np.argmax(dev))
+    return SolitonEquivalence(max_deviation=float(dev[worst]),
+                              worst_point=(float(xs[at_x[worst]]), float(ts[at_t[worst]])),
                               n_x=n_x, n_t=n_t)
 
 

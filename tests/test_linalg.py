@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kdvexact import (
+    BoundState,
     ComplexPolePair,
     ImaginaryPole,
     LyapunovSolveError,
@@ -15,6 +16,7 @@ from kdvexact import (
     SingularMatrixError,
     SpecValidationError,
     build_reflection_triplet,
+    build_triplet,
 )
 from kdvexact import linalg
 
@@ -75,6 +77,48 @@ def test_expm_zero_scale_is_exact_identity():
 def test_expm_overflow_detected():
     with pytest.raises(OverflowDetectedError):
         linalg.expm(np.array([[1000.0]]), 1.0)
+
+
+def _stacked_expm_cases():
+    readme = build_triplet(ScatteringSpec(
+        complex_poles=(ComplexPolePair(alpha=np.sqrt(3.0) / 2, beta=0.5,
+                                       coefficients=((0.5, 0.5),)),),
+        bound_states=(BoundState(kappa=2.0, c=3.0),), eta=1.0)).A
+    double = build_triplet(ScatteringSpec(
+        complex_poles=(ComplexPolePair(alpha=0.8, beta=0.6,
+                                       coefficients=((0.2, 0.1), (0.05, 0.1))),),
+        imaginary_poles=(ImaginaryPole(omega=0.9, coefficients=(0.1, 0.05)),))).A
+    dense = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 4))
+    return {
+        "readme A": readme,
+        "readme flow": 8.0 * readme @ readme @ readme + 2.0 * readme,
+        "three bound states": np.diag([0.5, 0.7, 0.9]),
+        "1 x 1": np.array([[1.0]]),
+        "rotation": np.array([[0.5, -np.sqrt(3.0) / 2], [np.sqrt(3.0) / 2, 0.5]]),
+        "double poles": double,
+        "dense": dense,
+    }
+
+
+@pytest.mark.parametrize("name", list(_stacked_expm_cases()))
+def test_expm_stacked_scales_equal_scalar_calls_bit_for_bit(name):
+    m = _stacked_expm_cases()[name]
+    scales = np.array([-3.0, -0.25, 0.0, 1e-3, 0.4, 2.5, -0.25, 0.0])
+    stack = linalg.expm(m, scales)
+    assert stack.shape == (scales.size,) + m.shape
+    for s, member in zip(scales, stack):
+        assert np.array_equal(member, linalg.expm(m, float(s))), s
+    assert np.array_equal(stack[2], np.eye(m.shape[0]))
+    assert linalg.expm(m, np.zeros(0)).shape == (0,) + m.shape
+
+
+def test_stacked_expm_overflow_and_shape_errors():
+    with pytest.raises(OverflowDetectedError):
+        linalg.expm(np.array([[1000.0]]), np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(OverflowDetectedError):
+        linalg.expm(np.array([[1.0, 2.0], [0.5, 1.0]]), np.array([1.0, 1e308]))
+    with pytest.raises(SpecValidationError):
+        linalg.expm(np.eye(2), np.ones((2, 2)))
 
 
 def test_lyapunov_scalar_and_diagonal():
