@@ -197,39 +197,34 @@ def _complex_pair_block(pole: ComplexPolePair) -> tuple[np.ndarray, np.ndarray, 
             a[2 * s:2 * s + 2, 2 * s + 2:2 * s + 4] = -np.eye(2)
     b = np.zeros(2 * m)
     b[-1] = 1.0
-    c = np.zeros(2 * m)
-    for s in range(m):
-        # order-m coefficients first, order-1 coefficients last
-        eps, gam = pole.coefficients[m - 1 - s]
-        c[2 * s] = 2.0 * gam
-        c[2 * s + 1] = 2.0 * eps
+    # order-m coefficients first, order-1 coefficients last
+    c = 2.0 * np.array([(gam, eps) for eps, gam in reversed(pole.coefficients)]).reshape(-1)
     return a, b, c
 
 
 def _imaginary_pole_block(pole: ImaginaryPole) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = pole.multiplicity
-    a = pole.omega * np.eye(m)
-    for s in range(m - 1):
-        a[s, s + 1] = -1.0
+    a = pole.omega * np.eye(m) - np.eye(m, k=1)
     b = np.zeros(m)
     b[-1] = 1.0
-    c = np.array([pole.coefficients[m - 1 - s] for s in range(m)], dtype=float)
+    c = np.array(pole.coefficients[::-1], dtype=float)
     return a, b, c
 
 
+def _reflection_blocks(spec: ScatteringSpec) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    return ([_complex_pair_block(p) for p in spec.complex_poles]
+            + [_imaginary_pole_block(p) for p in spec.imaginary_poles])
+
+
 def _assemble(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], eta: float) -> Triplet:
-    p = sum(blk[0].shape[0] for blk in blocks)
-    a = np.zeros((p, p))
-    b = np.zeros(p)
-    c = np.zeros(p)
+    a, b, c = zip(*blocks)
+    b, c = np.concatenate(b), np.concatenate(c)
+    big_a = np.zeros((b.size, b.size))
     at = 0
-    for blk_a, blk_b, blk_c in blocks:
-        n = blk_a.shape[0]
-        a[at:at + n, at:at + n] = blk_a
-        b[at:at + n] = blk_b
-        c[at:at + n] = blk_c
-        at += n
-    return Triplet(A=a, B=b, C=c, eta=eta)
+    for blk in a:
+        big_a[at:at + len(blk), at:at + len(blk)] = blk
+        at += len(blk)
+    return Triplet(A=big_a, B=b, C=c, eta=eta)
 
 
 def build_triplet(spec: ScatteringSpec) -> Triplet:
@@ -242,10 +237,8 @@ def build_triplet(spec: ScatteringSpec) -> Triplet:
     m x m bidiagonal blocks; bound states produce 1 x 1 blocks
     ([kappa], 1, c).
     """
-    blocks = [_complex_pair_block(p) for p in spec.complex_poles]
-    blocks += [_imaginary_pole_block(p) for p in spec.imaginary_poles]
-    blocks += [(np.array([[s.kappa]]), np.array([1.0]), np.array([s.c]))
-               for s in spec.bound_states]
+    blocks = _reflection_blocks(spec) + [
+        (np.array([[s.kappa]]), np.array([1.0]), np.array([s.c])) for s in spec.bound_states]
     triplet = _assemble(blocks, spec.eta)
     assert triplet.P == spec.matrix_dimension
     return triplet
@@ -257,8 +250,7 @@ def build_reflection_triplet(spec: ScatteringSpec) -> Triplet:
     For a bound-state-only spec this is the empty 0 x 0 triplet, whose
     reflection function is identically zero.
     """
-    blocks = [_complex_pair_block(p) for p in spec.complex_poles]
-    blocks += [_imaginary_pole_block(p) for p in spec.imaginary_poles]
+    blocks = _reflection_blocks(spec)
     if not blocks:
         return Triplet(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)), eta=spec.eta)
     return _assemble(blocks, spec.eta)

@@ -17,12 +17,13 @@ Gamma for the whole (t, x) grid by broadcasting, one stacked LU per
 point for det Gamma, both gates and both solves, and the flags as
 masks. A point that fails a gate is flagged, never raised for. Scalar
 sample() is a batch of one, so grid and scalar values agree bit for
-bit. The log-det route and the kernel K stay per point and off the
-batched kernel, on scipy's expm (linalg.expm), as independent checks
-of it.
+bit. Gamma, the log-det route and the kernel K stay per point and off
+the batched kernel, as independent checks of it: one builder forms
+exp(-x A), E(t) and Gamma on scipy's expm (linalg.expm) for all three.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,14 @@ class SolutionSample:
 
 @dataclass(frozen=True, eq=False)
 class SolutionGrid:
-    """sample_grid result; value arrays are shaped (len(t), len(x))."""
+    """Output of the batched kernel; arrays are shaped (len(t), len(x)).
+
+    flags is the per-point outcome, one of three: ok, near-singular
+    (the near-singular or the pivot gate fired) or overflow (in the
+    exponentials, det Gamma, the solves or u). u is NaN unless the point
+    is ok; det_gamma is NaN where Gamma or its determinant overflowed.
+    Without u (with_u=False) only overflow is marked and u stays NaN.
+    """
 
     x: np.ndarray
     t: np.ndarray
@@ -79,33 +87,11 @@ class SolutionGrid:
     def all_ok(self) -> bool:
         return bool(np.all(self.flags == FLAG_OK))
 
-
-@dataclass(frozen=True, eq=False)
-class Evaluation:
-    """Output of the batched kernel; arrays are shaped (len(t), len(x)).
-
-    code is the per-point outcome, one of three: ok, near-singular
-    (the near-singular or the pivot gate fired) or overflow (in the
-    exponentials, det Gamma, the solves or u). u is NaN unless the point
-    is ok; det_gamma is NaN where Gamma or its determinant overflowed.
-    Without u (with_u=False) only overflow is marked and u stays NaN.
-    """
-
-    x: np.ndarray
-    t: np.ndarray
-    u: np.ndarray
-    det_gamma: np.ndarray
-    code: np.ndarray
-
-    @property
-    def flags(self) -> np.ndarray:
-        flags = _FLAG_NAMES[self.code]
-        flags.setflags(write=False)
-        return flags
-
-    @property
+    @functools.cached_property
     def overflow(self) -> np.ndarray:
-        return self.code == _OVERFLOW
+        mask = self.flags == FLAG_OVERFLOW
+        mask.setflags(write=False)
+        return mask
 
     def overflow_error(self, i: int, j: int) -> OverflowDetectedError:
         """The error det Gamma at (t[i], x[j]) raises when it overflowed."""
@@ -143,13 +129,18 @@ class GammaEvaluator:
         """E(t) = expm((8 A^3 + 2 eta A) t)."""
         return linalg.expm(self.flow, float(t))
 
-    def gamma(self, x: float, t: float) -> np.ndarray:
-        """Gamma(x, t) = I + exp(-x A) Q exp(-x A) E(t), x >= 0 only."""
+    def _reference(self, x: float, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(exp(-x A), E(t), Gamma(x, t)) on scipy's expm, x >= 0 only."""
         x = float(x)
         if not np.isfinite(x) or x < 0.0:
             raise SpecValidationError(f"x must be finite and >= 0, got {x!r}")
         exa = linalg.expm(self.triplet.A, -x)
-        return np.eye(self.P) + exa @ self.Q @ exa @ self.propagator(t)
+        e = self.propagator(t)
+        return exa, e, np.eye(self.P) + exa @ self.Q @ exa @ e
+
+    def gamma(self, x: float, t: float) -> np.ndarray:
+        """Gamma(x, t) = I + exp(-x A) Q exp(-x A) E(t), x >= 0 only."""
+        return self._reference(x, t)[2]
 
     def det_gamma(self, x: float, t: float) -> float:
         """det Gamma(x, t) through the batched kernel; overflow raises."""
@@ -158,24 +149,12 @@ class GammaEvaluator:
             raise e.overflow_error(0, 0)
         return float(e.det_gamma[0, 0])
 
-    def gamma_x(self, x: float, t: float) -> np.ndarray:
-        """Analytic x-derivative: -exp(-xA) B C exp(-xA) E(t).
-
-        The Lyapunov identity collapses A M + M A (M the x-dependent
-        factor of Gamma - I) to this rank-one form.
-        """
-        x = float(x)
-        if not np.isfinite(x) or x < 0.0:
-            raise SpecValidationError(f"x must be finite and >= 0, got {x!r}")
-        exa = linalg.expm(self.triplet.A, -x)
-        return -(exa @ (self.triplet.B @ self.triplet.C) @ exa) @ self.propagator(t)
-
-    def evaluate(self, xs, ts, with_u: bool = True) -> Evaluation:
+    def evaluate(self, xs, ts, with_u: bool = True) -> SolutionGrid:
         """The batched kernel over the grid ts x xs (t-major).
 
         Each point gets exactly the values and outcome of the per-point
         definition, whatever else is in the batch. Overflow anywhere in
-        the exponentials or the determinant gives code overflow; a
+        the exponentials or the determinant gives flag overflow; a
         determinant below the near-singular gate or a factorization
         that fails the pivot gate (linalg.LuFactors.singular) gives
         near-singular. Otherwise both resolvent solves run, and a
@@ -194,9 +173,10 @@ class GammaEvaluator:
                 raise SpecValidationError(
                     f"x must be finite and >= 0, got {float(xs[bad][0])!r}")
             self._fill(xs, ts, with_u, u, det, code)
-        for arr in (xs, ts, u, det, code):
+        flags = _FLAG_NAMES[code]
+        for arr in (xs, ts, u, det, flags):
             arr.setflags(write=False)
-        return Evaluation(x=xs, t=ts, u=u, det_gamma=det, code=code)
+        return SolutionGrid(x=xs, t=ts, u=u, det_gamma=det, flags=flags)
 
     def _fill(self, xs, ts, with_u, u, det, code) -> None:
         a, b, c, p = self.triplet.A, self.triplet.B, self.triplet.C, self.P
@@ -281,11 +261,9 @@ class GammaEvaluator:
         NaN, as the flags of sample() do, instead of raising.
         """
         try:
-            gamma = self.gamma(x, t)
+            exa, e, gamma = self._reference(x, t)
             factors = linalg.lu_factor(gamma)
             a = self.triplet.A
-            exa = linalg.expm(a, -float(x))
-            e = self.propagator(t)
             w = exa @ (self.triplet.B @ self.triplet.C) @ exa
             gxx = (a @ w + w @ a) @ e
             gi_gx = linalg.solve(factors, -(w @ e))
@@ -308,11 +286,10 @@ class GammaEvaluator:
         y = float(y)
         if y < x:
             raise SpecValidationError(f"kernel needs y >= x, got x={x!r}, y={y!r}")
-        gamma = self.gamma(x, t)
+        exa, e, gamma = self._reference(x, t)
         factors = linalg.lu_factor(gamma)
-        exa = linalg.expm(self.triplet.A, -x)
         eya = linalg.expm(self.triplet.A, -y)
-        row = self.triplet.C @ (self.propagator(t) @ exa)
+        row = self.triplet.C @ (e @ exa)
         return -(row @ linalg.solve(factors, eya @ self.triplet.B)).item()
 
 
@@ -345,8 +322,7 @@ def sample_grid(evaluator: GammaEvaluator, xs, ts) -> SolutionGrid:
     One batched kernel call, equal bit for bit to evaluator.sample at
     every point; a point that fails a gate is flagged, never raised for.
     """
-    e = evaluator.evaluate(xs, ts)
-    return SolutionGrid(x=e.x, t=e.t, u=e.u, det_gamma=e.det_gamma, flags=e.flags)
+    return evaluator.evaluate(xs, ts)
 
 
 def _n_soliton_gamma(states, eta: float, x, t) -> tuple[np.ndarray, np.ndarray]:

@@ -434,7 +434,7 @@ class PositivityWindow:
     n_t: int
 
 
-def _scan_row(scan: solution.Evaluation, i: int):
+def _scan_row(scan: solution.SolutionGrid, i: int):
     """First overflow or nonpositive det along row i, or None if none.
 
     Returns (x, det, overflowed) for the earliest such point in x.
@@ -525,10 +525,11 @@ def soliton_equivalence(bound_states, eta: float = 0.0,
     maximized over the grid; worst_point is its first maximum in t-major
     order. Both sides are batched: the triplet side is one kernel call,
     the direct side one N-soliton matrix stack over the grid (x and t
-    arrays) and one stacked LU for its determinants. Overflow raises
-    OverflowDetectedError at the first point, in t-major order, where the
-    direct matrix, its determinant or the triplet side overflowed, with
-    the per-point error of the first of those three to fail there.
+    arrays) and numpy's det over it, so no factorization is shared with
+    the kernel. Overflow raises OverflowDetectedError at the first point,
+    in t-major order, where the direct matrix, its determinant or the
+    triplet side overflowed, with the per-point error of the first of
+    those three to fail there.
     """
     states = tuple(bound_states)
     spec = realization.ScatteringSpec(bound_states=states, eta=eta)
@@ -539,9 +540,8 @@ def soliton_equivalence(bound_states, eta: float = 0.0,
     at_t, at_x = np.divmod(np.arange(ts.size * xs.size), xs.size)   # t-major points
     direct, _ = solution._n_soliton_gamma(spec.bound_states, eta, xs[at_x], ts[at_t])
     finite = np.all(np.isfinite(direct), axis=(-2, -1))
-    factors = linalg.lu_factor_stack(np.where(finite[:, None, None], direct, np.eye(len(states))))
-    with np.errstate(over="ignore", invalid="ignore"):
-        det_direct = factors.permutation_sign() * np.prod(factors.pivots(), axis=-1)
+    with np.errstate(over="ignore"):
+        det_direct = np.linalg.det(np.where(finite[:, None, None], direct, np.eye(len(states))))
     # The first failing point in t-major order raises the error the
     # per-point route raises there: direct matrix, determinant, triplet side.
     failed = ~finite | ~np.isfinite(det_direct) | triplet_side.overflow.reshape(-1)
@@ -550,8 +550,7 @@ def soliton_equivalence(bound_states, eta: float = 0.0,
         if not finite[k]:
             solution.n_soliton_gamma_direct(spec.bound_states, eta, xs[at_x[k]], ts[at_t[k]])
         if not np.isfinite(det_direct[k]):
-            linalg.determinant(linalg.LuFactors(lu=factors.lu[k], piv=factors.piv[k],
-                                                max_abs=factors.max_abs[k]))
+            linalg.determinant(linalg.lu_factor(direct[k]))
         raise triplet_side.overflow_error(at_t[k], at_x[k])
     dev = (np.abs(triplet_side.det_gamma.reshape(-1) - det_direct)
            / (1.0 + np.abs(det_direct)))

@@ -6,7 +6,9 @@ the assertion message.
 """
 from __future__ import annotations
 
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -220,3 +222,16 @@ def test_reflection_partial_fractions():
     _report("reflection-partial-fractions", ok,
             f"max rel {worst:.3e} (tol 1e-10) at 100 real k x 8 specs, "
             f"multiplicities {sorted(mults)}")
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library\n.*?^```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    ev, grid = scope["ev"], scope["grid"]
+    u, u_log_det = ev.u(1.0, 0.05), ev.u_log_det(1.0, 0.05)
+    rel = abs(u - u_log_det) / abs(u_log_det)
+    ok = grid.all_ok and rel <= 1e-12 and ev.sample(1.0, 0.05).u == u
+    _report("readme-library", ok, f"all_ok {grid.all_ok}, u vs u_log_det rel {rel:.3e} "
+            f"(tol 1e-12) at x=1, t=0.05")

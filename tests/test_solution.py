@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.integrate import quad
 
 from kdvexact import (
@@ -209,12 +210,16 @@ def test_kernel_diagonal_derivative_recovers_u():
 
 
 def test_gamma_x_is_analytic_derivative():
+    # The Lyapunov identity u_log_det relies on: Gamma_x = -exp(-xA) B C exp(-xA) E(t).
     ev = make_evaluator(helpers.rotation_triplet(0.4, 0.3, eta=2.0))
     x0, t0 = 1.0, 0.2
+    trip = ev.triplet
+    exa = sla.expm(-x0 * trip.A)
+    gamma_x = -(exa @ trip.B @ trip.C @ exa) @ sla.expm(t0 * ev.flow)
     errs = []
     for h in (1e-2, 5e-3, 2.5e-3):
         fd = (ev.gamma(x0 + h, t0) - ev.gamma(x0 - h, t0)) / (2 * h)
-        errs.append(np.max(np.abs(fd - ev.gamma_x(x0, t0))))
+        errs.append(np.max(np.abs(fd - gamma_x)))
     # central differences converge at second order: halving h quarters the error
     assert 3.0 < errs[0] / errs[1] < 5.0, errs
     assert 3.0 < errs[1] / errs[2] < 5.0, errs
@@ -264,7 +269,28 @@ def test_negative_x_rejected():
     with pytest.raises(SpecValidationError):
         ev.sample(-1.0, 0.0)
     with pytest.raises(SpecValidationError):
-        ev.gamma_x(-0.5, 0.0)
+        ev.u_log_det(-0.5, 0.0)
+    with pytest.raises(SpecValidationError):
+        ev.marchenko_kernel(-0.5, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("route, args, calls", [
+    ("u_log_det", (1.0, 0.05), 2),             # exp(-xA) and E(t)
+    ("marchenko_kernel", (1.0, 1.5, 0.05), 3),  # plus exp(-yA)
+])
+def test_reference_routes_build_each_exponential_once(monkeypatch, route, args, calls):
+    ev = make_evaluator(build_triplet(helpers.three_block_spec(eta=1.0)))
+    want = getattr(ev, route)(*args)
+    seen = []
+    expm = linalg.expm
+
+    def counted(*a, **kw):
+        seen.append(a)
+        return expm(*a, **kw)
+
+    monkeypatch.setattr(linalg, "expm", counted)
+    assert getattr(ev, route)(*args) == want
+    assert len(seen) == calls
 
 
 def test_concurrent_sampling_is_consistent():
