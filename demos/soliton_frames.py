@@ -33,12 +33,12 @@ for t in (0.0, 0.25, 0.5, 0.75, 1.0):
 # frame export, one x,u file per time slice
 ts = np.linspace(0.0, 1.0, 5)
 grid = sample_grid(ev, xs, ts)
-outdir = tempfile.mkdtemp(prefix="kdv_frames_")
-for i in range(ts.size):
-    path = os.path.join(outdir, f"frame_{i:04d}.csv")
-    with open(path, "w", newline="") as fh:
-        write_frame_csv(fh, grid.x, grid.u[i])
-print(f"wrote {ts.size} frames to {outdir}")
+with tempfile.TemporaryDirectory(prefix="kdv_frames_") as outdir:
+    for i in range(ts.size):
+        path = os.path.join(outdir, f"frame_{i:04d}.csv")
+        with open(path, "w", newline="") as fh:
+            write_frame_csv(fh, grid.x, grid.u[i])
+    print(f"wrote {len(os.listdir(outdir))} frames to a temporary directory")
 
 # the depth of an isolated soliton is -2 kappa^2 regardless of c
 lone = make_evaluator(build_triplet(

@@ -28,7 +28,12 @@ DEFAULT_X = (0.0, 10.0, 201)
 DEFAULT_T = (0.0, 2.0, 101)
 MARCHENKO_SAMPLES = 12
 MARCHENKO_SEED = 1729
-POSITIVITY_DENSITY = 8.0
+
+# verify's fixed pass thresholds (positivityScan's is --horizon).
+PDE_TOL = 1e-5          # max |PDE residual| on the stencil grid
+MARCHENKO_TOL = 1e-8    # max |Marchenko residual| over the seeded samples
+OMEGA_TOL = 1e-6        # max Fourier cross-check error
+SOLITON_TOL = 1e-10     # N-soliton determinant deviation (verify and soliton)
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -75,17 +80,6 @@ def _add_grid(sp) -> None:
                     help="override the document's transformation drift")
 
 
-def _add_check_tols(sp) -> None:
-    sp.add_argument("--tol-pde", type=float, default=1e-5,
-                    help="PDE residual threshold")
-    sp.add_argument("--tol-marchenko", type=float, default=1e-8,
-                    help="integral-equation residual threshold")
-    sp.add_argument("--tol-omega", type=float, default=1e-6,
-                    help="Fourier cross-check threshold")
-    sp.add_argument("--tol-soliton", type=float, default=1e-10,
-                    help="N-soliton determinant deviation threshold")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="kdvexact",
@@ -109,14 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(v)
     v.add_argument("--horizon", type=_nonneg_float, default=None,
                    help="positivity-scan time horizon (default: t range stop)")
-    _add_check_tols(v)
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("soliton", help="bound-states-only grid plus determinant comparison")
     _add_io(s)
     _add_grid(s)
     s.add_argument("--format", choices=("csv", "structured-document"), default="csv")
-    s.add_argument("--tol-soliton", type=float, default=1e-10)
     s.set_defaults(func=cmd_soliton)
 
     f = sub.add_parser("frames", help="write one x,u file per t value")
@@ -226,8 +218,7 @@ class _Verify:
 
 
 def _check_positivity(v: _Verify, horizon: float):
-    window = verification.positivity_scan(v.evaluator, v.args.x[1], horizon,
-                                          samples_per_unit=POSITIVITY_DENSITY)
+    window = verification.positivity_scan(v.evaluator, v.args.x[1], horizon)
     if window.certified:
         detail = "det Gamma > 0 certified on the scan grid"
     elif window.overflow_frontier is not None:
@@ -298,31 +289,31 @@ def _check_soliton(v: _Verify, tol: float):
     return eq.max_deviation <= tol, eq.max_deviation, ""
 
 
-# verify's checks in report order: (name, option holding the threshold,
-# runner, reason reported when the runner returns None). A runner
-# returns (passed, measured, detail); a SpecValidationError or
-# NumericalError from it fails the check as unsupported.
+# verify's checks in report order: (name, threshold, runner, reason
+# reported when the runner returns None); a threshold of None stands for
+# --horizon. A runner returns (passed, measured, detail); a
+# SpecValidationError or NumericalError from it fails the check as
+# unsupported.
 VERIFY_CHECKS = (
-    ("positivityScan", "horizon", _check_positivity, None),
-    ("pdeResidual", "tol_pde", _check_pde, None),
-    ("marchenkoResidual", "tol_marchenko", _check_marchenko, None),
-    ("omegaQuadratureCheck", "tol_omega", _check_omega,
+    ("positivityScan", None, _check_positivity, None),
+    ("pdeResidual", PDE_TOL, _check_pde, None),
+    ("marchenkoResidual", MARCHENKO_TOL, _check_marchenko, None),
+    ("omegaQuadratureCheck", OMEGA_TOL, _check_omega,
      "raw triplet input, pole data unknown"),
-    ("solitonEquivalence", "tol_soliton", _check_soliton,
+    ("solitonEquivalence", SOLITON_TOL, _check_soliton,
      "not a bound-states-only spec"),
 )
 
 
 def cmd_verify(args) -> int:
     spec, evaluator = _evaluator_from_args(args)
-    if args.horizon is None:  # the positivity check's threshold
-        args.horizon = args.t[1]
+    horizon = args.t[1] if args.horizon is None else args.horizon
     v = _Verify(args, spec, evaluator, t_cap=args.t[1], report=dict.fromkeys(
         ("pdeResidualMax", "pdeResidualGrid", "marchenkoResidualMax",
          "omegaQuadratureError", "positivityWindow")))
     checks = []
-    for name, option, run, skip_reason in VERIFY_CHECKS:
-        threshold = getattr(args, option)
+    for name, threshold, run, skip_reason in VERIFY_CHECKS:
+        threshold = horizon if threshold is None else threshold
         try:
             outcome = run(v, threshold)
         except (SpecValidationError, NumericalError) as exc:
@@ -365,9 +356,9 @@ def cmd_soliton(args) -> int:
         n_x=min(nx, 26), n_t=min(nt, 11))
     _write_grid(args, grid)
     print(f"soliton determinant deviation {eq.max_deviation:.6e} "
-          f"(threshold {args.tol_soliton:.1e}) at x={eq.worst_point[0]!r}, "
+          f"(threshold {SOLITON_TOL:.1e}) at x={eq.worst_point[0]!r}, "
           f"t={eq.worst_point[1]!r}", file=sys.stderr)
-    return 0 if eq.max_deviation <= args.tol_soliton else 4
+    return 0 if eq.max_deviation <= SOLITON_TOL else 4
 
 
 def cmd_frames(args) -> int:

@@ -48,6 +48,18 @@ def _expect_real(value, path: str) -> float:
     return v
 
 
+def _reals(value, path: str) -> list[float]:
+    return [_expect_real(v, f"{path}[{j}]") for j, v in enumerate(_expect_list(value, path))]
+
+
+def _construct(path: str, cls, **fields):
+    """cls(**fields), reporting its SpecValidationError as a SchemaError at path."""
+    try:
+        return cls(**fields)
+    except SpecValidationError as exc:
+        raise SchemaError(path, str(exc)) from None
+
+
 def _require(obj: dict, key: str, path: str):
     if key not in obj:
         raise SchemaError(f"{path}.{key}", "missing required key")
@@ -81,23 +93,16 @@ def _parse_complex_pole(item, path: str) -> realization.ComplexPolePair:
         _reject_unknown(pobj, frozenset({"eps", "gamma"}), ppath)
         coeffs.append((_expect_real(_require(pobj, "eps", ppath), f"{ppath}.eps"),
                        _expect_real(_require(pobj, "gamma", ppath), f"{ppath}.gamma")))
-    try:
-        return realization.ComplexPolePair(alpha=alpha, beta=beta,
-                                           coefficients=tuple(coeffs))
-    except SpecValidationError as exc:
-        raise SchemaError(path, str(exc)) from None
+    return _construct(path, realization.ComplexPolePair, alpha=alpha, beta=beta,
+                      coefficients=tuple(coeffs))
 
 
 def _parse_imaginary_pole(item, path: str) -> realization.ImaginaryPole:
     obj = _expect_object(item, path)
     _reject_unknown(obj, frozenset({"omega", "r"}), path)
     omega = _expect_real(_require(obj, "omega", path), f"{path}.omega")
-    rs = [_expect_real(v, f"{path}.r[{j}]")
-          for j, v in enumerate(_expect_list(_require(obj, "r", path), f"{path}.r"))]
-    try:
-        return realization.ImaginaryPole(omega=omega, coefficients=tuple(rs))
-    except SpecValidationError as exc:
-        raise SchemaError(path, str(exc)) from None
+    rs = _reals(_require(obj, "r", path), f"{path}.r")
+    return _construct(path, realization.ImaginaryPole, omega=omega, coefficients=tuple(rs))
 
 
 def _parse_bound_state(item, path: str) -> realization.BoundState:
@@ -105,10 +110,7 @@ def _parse_bound_state(item, path: str) -> realization.BoundState:
     _reject_unknown(obj, frozenset({"kappa", "c"}), path)
     kappa = _expect_real(_require(obj, "kappa", path), f"{path}.kappa")
     c = _expect_real(_require(obj, "c", path), f"{path}.c")
-    try:
-        return realization.BoundState(kappa=kappa, c=c)
-    except SpecValidationError as exc:
-        raise SchemaError(path, str(exc)) from None
+    return _construct(path, realization.BoundState, kappa=kappa, c=c)
 
 
 def parse_scattering_spec(data: dict) -> realization.ScatteringSpec:
@@ -127,12 +129,8 @@ def parse_scattering_spec(data: dict) -> realization.ScatteringSpec:
         _parse_bound_state(item, f"$.boundStates[{i}]")
         for i, item in enumerate(_expect_list(data.get("boundStates", []),
                                               "$.boundStates")))
-    try:
-        return realization.ScatteringSpec(complex_poles=complex_poles,
-                                          imaginary_poles=imaginary_poles,
-                                          bound_states=bound_states, eta=eta)
-    except SpecValidationError as exc:
-        raise SchemaError("$", str(exc)) from None
+    return _construct("$", realization.ScatteringSpec, complex_poles=complex_poles,
+                      imaginary_poles=imaginary_poles, bound_states=bound_states, eta=eta)
 
 
 def parse_raw_triplet(obj, path: str = "$.rawTriplet") -> realization.Triplet:
@@ -149,16 +147,12 @@ def parse_raw_triplet(obj, path: str = "$.rawTriplet") -> realization.Triplet:
             raise SchemaError(f"{path}.A[{i}]",
                               f"expected {len(rows)} entries for a square matrix, "
                               f"got {len(row)}")
-        a.append([_expect_real(v, f"{path}.A[{i}][{j}]") for j, v in enumerate(row)])
-    b = [_expect_real(v, f"{path}.B[{i}]")
-         for i, v in enumerate(_expect_list(_require(obj, "B", path), f"{path}.B"))]
-    c = [_expect_real(v, f"{path}.C[{i}]")
-         for i, v in enumerate(_expect_list(_require(obj, "C", path), f"{path}.C"))]
+        a.append(_reals(row, f"{path}.A[{i}]"))
+    b = _reals(_require(obj, "B", path), f"{path}.B")
+    c = _reals(_require(obj, "C", path), f"{path}.C")
     eta = _expect_real(obj["eta"], f"{path}.eta") if "eta" in obj else 0.0
-    try:
-        return realization.Triplet(A=np.array(a), B=np.array(b), C=np.array(c), eta=eta)
-    except SpecValidationError as exc:
-        raise SchemaError(path, str(exc)) from None
+    return _construct(path, realization.Triplet, A=np.array(a), B=np.array(b),
+                      C=np.array(c), eta=eta)
 
 
 def parse_input_document(data: dict):

@@ -74,7 +74,8 @@ class SolutionGrid:
     (the near-singular or the pivot gate fired) or overflow (in the
     exponentials, det Gamma, the solves or u). u is NaN unless the point
     is ok; det_gamma is NaN where Gamma or its determinant overflowed.
-    Without u (with_u=False) only overflow is marked and u stays NaN.
+    Without u (with_u=False) both gates still run and u stays NaN; a
+    point whose solves or u would overflow reads ok there.
     """
 
     x: np.ndarray
@@ -157,7 +158,7 @@ class GammaEvaluator:
         the exponentials or the determinant gives flag overflow; a
         determinant below the near-singular gate or a factorization
         that fails the pivot gate (linalg.LuFactors.singular) gives
-        near-singular. Otherwise both resolvent solves run, and a
+        near-singular. Otherwise, with_u, both resolvent solves run and a
         non-finite solution or u is overflow again. No point raises;
         negative or non-finite x raises SpecValidationError.
         """
@@ -208,15 +209,13 @@ class GammaEvaluator:
         overflow |= ~np.isfinite(d)
         det[~overflow] = d[~overflow]
         code[overflow] = _OVERFLOW
-        if not with_u:
-            return
         with np.errstate(over="ignore"):
             norm = np.maximum(1.0, np.max(np.sum(np.abs(gamma), axis=-1), axis=-1))
             near = np.abs(d) < NEAR_SINGULAR_TOL * (1.0 + norm ** self.P)
         near = ~overflow & (near | factors.singular())
         code[near] = _NEAR_SINGULAR
         idx = np.flatnonzero(~overflow & ~near)
-        if not idx.size:
+        if not (with_u and idx.size):
             return
         i, j = np.divmod(idx, n_x)
         sol = linalg.lu_solve_stack(

@@ -39,7 +39,9 @@ REFINEMENT_LEVELS = (3.2e-2, 1.6e-2, 8e-3)
 REFINEMENT_RATIO_BAND = (8.0, 32.0)  # brackets ratio 16 = 2**4 for a 4th-order scheme
 
 MARCHENKO_QUAD_LIMIT = 200   # adaptive subdivisions of the Marchenko integral
+MARCHENKO_TAIL_FLOOR = 1e-14  # decay envelope where each Marchenko tail is cut
 OMEGA_EPSABS = 1e-10         # absolute tolerance of the Fourier half-line quadratures
+POSITIVITY_BISECT_TOL = 1e-8  # width to which a positivity crossing time is bisected
 
 # QUADPACK's qk21 (Piessens et al., 1983): the nonnegative 21-point
 # Kronrod nodes on [-1, 1], their weights, and the 10-point Gauss weights
@@ -91,11 +93,10 @@ class RefinementReport:
     max_residuals: tuple[float, ...]
     ratios: tuple[float, ...]
     orders: tuple[float, ...]
-    ratio_band: tuple[float, float] = REFINEMENT_RATIO_BAND
 
     @property
     def fourth_order(self) -> bool:
-        lo, hi = self.ratio_band
+        lo, hi = REFINEMENT_RATIO_BAND
         return all(lo <= r <= hi for r in self.ratios)
 
 
@@ -281,8 +282,7 @@ def _adaptive_gk21(f, b: float, epsabs: float, epsrel: float, limit: int) -> np.
         f"{error:.3e} above {tol / 8.0:.3e}")
 
 
-def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t,
-                       tail_floor: float = 1e-14):
+def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t):
     """Residual of K(x,y) + Omega(x+y) + int_x^inf K(x,z) Omega(y+z) dz.
 
     x, y and t are scalars (a float is returned) or equal-length 1-D
@@ -291,7 +291,7 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t,
     eigenvalues of A have positive real part (the integrand then decays
     like exp(-2 mu z)); otherwise the integral diverges and
     FormalModeError is raised. Each sample's infinite tail is cut where
-    its decay envelope falls below tail_floor.
+    its decay envelope falls below MARCHENKO_TAIL_FLOOR.
 
     The set-up takes two stacked exponentials over the samples:
     exp(-xA), exp(-(x+y)A) and exp(-yA) in one, E(t) in the other.
@@ -344,7 +344,7 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t,
     if not all(np.all(np.isfinite(v)) for v in (rg, weights, direct)):
         raise OverflowDetectedError("overflow in the Marchenko kernel rows")
     mu = evaluator.diagnostics.spectrum.min_real_part
-    cut = np.log(np.maximum(start / tail_floor, math.e)) / (2.0 * mu) + 2.0
+    cut = np.log(np.maximum(start / MARCHENKO_TAIL_FLOOR, math.e)) / (2.0 * mu) + 2.0
 
     def integrand(s: np.ndarray) -> np.ndarray:
         v = linalg.expm(a, -s) @ b
@@ -434,29 +434,17 @@ class PositivityWindow:
     n_t: int
 
 
-def _scan_row(scan: solution.SolutionGrid, i: int):
-    """First overflow or nonpositive det along row i, or None if none.
-
-    Returns (x, det, overflowed) for the earliest such point in x.
-    """
-    hits = np.flatnonzero(scan.overflow[i] | (scan.det_gamma[i] <= 0.0))
-    if not hits.size:
-        return None
-    j = hits[0]
-    return float(scan.x[j]), float(scan.det_gamma[i, j]), bool(scan.overflow[i, j])
-
-
 def positivity_scan(evaluator: solution.GammaEvaluator,
                     x_horizon: float, t_horizon: float,
-                    samples_per_unit: float = 8.0,
-                    bisect_tol: float = 1e-8) -> PositivityWindow:
+                    samples_per_unit: float = 8.0) -> PositivityWindow:
     """Scan det Gamma > 0 over [0, x_horizon] x [0, t_horizon].
 
-    Rows advance in t; the first nonpositive sample stops the scan and
-    the crossing time is bisected down to bisect_tol (earliest failing
-    t, then smallest failing x, is reported). Overflow at large t
-    truncates the scan and is reported as a frontier instead of a
-    failure. Requires the decaying regime (no formal-mode spectra).
+    Rows advance in t; the first row with a nonpositive sample stops
+    the scan and the crossing time is bisected down to
+    POSITIVITY_BISECT_TOL (earliest failing t, then smallest failing x,
+    is reported). Overflow at large t truncates the scan and is reported
+    as a frontier instead of a failure. Requires the decaying regime (no
+    formal-mode spectra).
     """
     if evaluator.formal_mode:
         raise FormalModeError(
@@ -470,40 +458,30 @@ def positivity_scan(evaluator: solution.GammaEvaluator,
     n_t = max(2, int(round(t_horizon * samples_per_unit)) + 1)
     xs = np.linspace(0.0, x_horizon, n_x)
     ts = np.linspace(0.0, t_horizon, n_t)
+    window = functools.partial(PositivityWindow, certified=False, x_horizon=x_horizon,
+                               t_horizon=t_horizon, first_failure=None,
+                               overflow_frontier=None, n_x=n_x, n_t=n_t)
     scan = evaluator.evaluate(xs, ts, with_u=False)
-
-    last_good = None
-    for i, t in enumerate(ts):
-        bad = _scan_row(scan, i)
-        if bad is None:
-            last_good = t
-            continue
-        if bad[2]:
-            return PositivityWindow(
-                certified=False, x_horizon=x_horizon, t_horizon=t_horizon,
-                tau_lower=0.0 if last_good is None else float(last_good),
-                first_failure=None, overflow_frontier=float(t), n_x=n_x, n_t=n_t)
-        if last_good is None:
-            return PositivityWindow(
-                certified=False, x_horizon=x_horizon, t_horizon=t_horizon,
-                tau_lower=0.0, first_failure=(bad[0], float(t), bad[1]),
-                overflow_frontier=None, n_x=n_x, n_t=n_t)
-        lo, hi, hi_bad = float(last_good), float(t), bad
-        while hi - lo > bisect_tol:
-            mid = 0.5 * (lo + hi)
-            mid_bad = _scan_row(evaluator.evaluate(xs, [mid], with_u=False), 0)
-            if mid_bad is None or mid_bad[2]:
-                lo = mid
-            else:
-                hi, hi_bad = mid, mid_bad
-        return PositivityWindow(
-            certified=False, x_horizon=x_horizon, t_horizon=t_horizon,
-            tau_lower=lo, first_failure=(hi_bad[0], hi, hi_bad[1]),
-            overflow_frontier=None, n_x=n_x, n_t=n_t)
-    return PositivityWindow(
-        certified=True, x_horizon=x_horizon, t_horizon=t_horizon,
-        tau_lower=t_horizon, first_failure=None, overflow_frontier=None,
-        n_x=n_x, n_t=n_t)
+    bad = scan.overflow | (scan.det_gamma <= 0.0)
+    rows = np.flatnonzero(np.any(bad, axis=1))
+    if not rows.size:
+        return window(certified=True, tau_lower=t_horizon)
+    i = int(rows[0])
+    j = int(np.argmax(bad[i]))
+    lo = float(ts[i - 1]) if i else 0.0   # t of the last row with every det > 0, or 0
+    if scan.overflow[i, j]:
+        return window(tau_lower=lo, overflow_frontier=float(ts[i]))
+    hi, x_bad, det_bad = float(ts[i]), float(xs[j]), float(scan.det_gamma[i, j])
+    while hi - lo > POSITIVITY_BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        row = evaluator.evaluate(xs, [mid], with_u=False)
+        row_bad = row.overflow[0] | (row.det_gamma[0] <= 0.0)
+        j = int(np.argmax(row_bad))
+        if not row_bad[j] or row.overflow[0, j]:
+            lo = mid
+        else:
+            hi, x_bad, det_bad = mid, float(xs[j]), float(row.det_gamma[0, j])
+    return window(tau_lower=lo, first_failure=(x_bad, hi, det_bad))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 """Command-line surface: subcommands, exit codes, byte determinism."""
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kdvexact import BoundState, ScatteringSpec, build_triplet, make_evaluator
+from kdvexact import BoundState, ScatteringSpec, build_triplet, cli, make_evaluator
 from kdvexact.cli import main
 
 import helpers
@@ -196,6 +199,49 @@ def test_verify_vacuum_raw_triplet_trivial_pass(tmp_path):
     assert report["pdeResidualMax"] == 0.0
     assert by_name["omegaQuadratureCheck"]["detail"].startswith("skipped:")
     assert by_name["solitonEquivalence"]["detail"].startswith("skipped:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tol-pde", "1"], ["verify", "--tol-marchenko", "1"],
+    ["verify", "--tol-omega", "1"], ["verify", "--tol-soliton", "1"],
+    ["soliton", "--tol-soliton", "1"]])
+def test_check_thresholds_are_not_options(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", write_doc(tmp_path, ONE_SOLITON_DOC)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_reports_the_fixed_thresholds(tmp_path):
+    rc, out = run_to_file(tmp_path, ["verify", "--input", write_doc(tmp_path, ONE_SOLITON_DOC),
+                                     "--x", "0:2:3", "--t", "0:0.5:3"], "report.json")
+    tolerances = {c["name"]: c["tolerance"] for c in json.loads(out.read_text())["perCheckStatus"]}
+    assert tolerances == {"positivityScan": 0.5, "pdeResidual": cli.PDE_TOL,
+                          "marchenkoResidual": cli.MARCHENKO_TOL,
+                          "omegaQuadratureCheck": cli.OMEGA_TOL,
+                          "solitonEquivalence": cli.SOLITON_TOL}
+
+
+def _readme_synopsis() -> dict[str, set[str]]:
+    """The --options of each subcommand in the README's CLI synopsis block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    options: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("kdvexact "):
+            command = line.split()[1]
+        if line.strip():
+            options.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    return options
+
+
+def test_readme_synopsis_lists_every_option():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    parsed = {name: {s for a in sp._actions for s in a.option_strings
+                     if s.startswith("--") and s != "--help"}
+              for name, sp in commands.items()}
+    assert _readme_synopsis() == parsed
 
 
 def test_soliton_subcommand(tmp_path, capsys):

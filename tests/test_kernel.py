@@ -99,6 +99,28 @@ def test_det_gamma_is_a_batch_of_one():
         README_EV.det_gamma(0.0, 30.0)
 
 
+def test_grid_without_u_keeps_both_gates():
+    # det Gamma(0, t) = 1 - exp(8 t) / 2 vanishes at t = ln 2 / 8
+    flip = make_evaluator(Triplet(A=np.array([[1.0]]), B=np.array([1.0]), C=np.array([-1.0])))
+    bare = flip.evaluate([0.0], [np.log(2.0) / 8.0], with_u=False)
+    assert bare.flags.tolist() == [[FLAG_NEAR_SINGULAR]] and not bare.all_ok
+    rng = np.random.default_rng(11)
+    evaluators = [flip, README_EV, make_evaluator(helpers.rotation_triplet(3.0, 0.0)),
+                  make_evaluator(helpers.rotation_triplet(0.5, 0.5, eta=1.0))]
+    evaluators += [make_evaluator(build_triplet(helpers.random_calm_spec(rng)))
+                   for _ in range(4)]
+    xs = np.linspace(0.0, 10.0, 21)
+    ts = [0.0, np.log(2.0) / 8.0, 0.3, 1.0, 5.0, 11.0, 30.0, 3000.0]
+    seen = set()
+    for ev in evaluators:
+        full, bare = ev.evaluate(xs, ts), ev.evaluate(xs, ts, with_u=False)
+        assert np.array_equal(bare.flags, full.flags)
+        assert bare.det_gamma.tobytes() == full.det_gamma.tobytes()
+        assert np.all(np.isnan(bare.u))
+        seen |= set(bare.flags.ravel())
+    assert seen == {FLAG_OK, FLAG_NEAR_SINGULAR, FLAG_OVERFLOW}
+
+
 def test_pde_residual_evaluator_equals_plain_callable():
     for ev, x_window, t_window in [(README_EV, (0.0, 10.0), (0.0, 0.1)),
                                    (make_evaluator(helpers.rotation_triplet(0.5, 0.5, 1.0)),

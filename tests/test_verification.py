@@ -15,6 +15,7 @@ from kdvexact import (
     linalg,
     make_evaluator,
     n_soliton_gamma_direct,
+    verification,
 )
 from kdvexact.verification import (
     CheckResult,
@@ -115,12 +116,15 @@ def test_marchenko_residual_oscillatory():
         assert abs(marchenko_residual(ev, x, y, t)) <= 1e-8, (x, y, t)
 
 
-def test_marchenko_budget_controls_accuracy():
+def test_marchenko_budget_controls_accuracy(monkeypatch):
     ev = make_evaluator(build_triplet(
         ScatteringSpec(bound_states=(BoundState(0.5, 1.0),))))
-    loose = abs(marchenko_residual(ev, 0.5, 1.0, 0.0, tail_floor=1e-2))
-    mid = abs(marchenko_residual(ev, 0.5, 1.0, 0.0, tail_floor=1e-6))
-    tight = abs(marchenko_residual(ev, 0.5, 1.0, 0.0, tail_floor=1e-14))
+
+    def residual(tail_floor):
+        monkeypatch.setattr(verification, "MARCHENKO_TAIL_FLOOR", tail_floor)
+        return abs(marchenko_residual(ev, 0.5, 1.0, 0.0))
+
+    loose, mid, tight = residual(1e-2), residual(1e-6), residual(1e-14)
     # truncation error tracks the tail cut until quadrature noise wins
     assert loose > 100.0 * mid > 0.0
     assert mid > 100.0 * tight
