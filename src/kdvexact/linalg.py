@@ -385,13 +385,14 @@ def eigenvalues(m: np.ndarray) -> Spectrum:
 
 @dataclass(frozen=True)
 class Resolvent:
-    """c (k I - i A)^{-1} b for any number of k, from one complex Schur form.
+    """c (k I - i A)^{-1} b from one complex Schur form of A.
 
     reduce_resolvent writes A = Z T Z^H with T upper triangular (Jordan
     chains included), so c (k I - i A)^{-1} b = (c Z) (k I - i T)^{-1} (Z^H b)
-    and each k costs one triangular solve. The pivots of k I - i T are
-    its diagonal k - i T_jj; apply gates them with the test
-    LuFactors.singular applies to an LU.
+    and apply(k) is one triangular solve. Its callers, resolvent_apply
+    and realization.eval_reflection, reduce and apply at one k per call.
+    The pivots of k I - i T are its diagonal k - i T_jj; apply gates
+    them with the test LuFactors.singular applies to an LU.
     """
 
     shifted: np.ndarray   # -i T, upper triangular, Fortran order for LAPACK

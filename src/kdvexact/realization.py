@@ -6,8 +6,10 @@ k = i*beta +/- alpha, purely imaginary poles at k = i*omega), plus
 bound states (kappa, c), is realized as a matrix triplet (A, B, C)
 with A of size P x P, B a column, C a row. The rational function
 itself is recovered as -i C (k I - i A)^{-1} B over the non-bound-state
-blocks; the bound-state blocks contribute the discrete part of the
-associated integral kernel.
+blocks (eval_reflection), and independently of the matrices as the
+partial-fraction sum over the poles (reflection_partial_fractions); the
+bound-state blocks contribute the discrete part of the associated
+integral kernel.
 """
 from __future__ import annotations
 
@@ -256,37 +258,55 @@ def build_reflection_triplet(spec: ScatteringSpec) -> Triplet:
     return _assemble(blocks, spec.eta)
 
 
-def reflection_resolvent(triplet: Triplet) -> linalg.Resolvent:
-    """-i C (k I - i A)^{-1} B with A reduced once; apply(k) is a 1 x 1 array.
+def eval_reflection(triplet: Triplet, k: complex) -> complex:
+    """Evaluate -i C (k I - i A)^{-1} B at a single complex k.
 
     The empty triplet gives the identically zero function.
     """
-    return linalg.reduce_resolvent(triplet.A, triplet.B, -1j * triplet.C)
+    return complex(linalg.reduce_resolvent(triplet.A, triplet.B, -1j * triplet.C).apply(k)[0, 0])
 
 
-def eval_reflection(triplet: Triplet, k: complex) -> complex:
-    """Evaluate -i C (k I - i A)^{-1} B at a single complex k."""
-    return complex(reflection_resolvent(triplet).apply(k)[0, 0])
+def _partial_fraction_terms(spec: ScatteringSpec) -> tuple:
+    """(z, (c_m, .., c_1)) for every pole z of the reflection data.
+
+    The reflection function is sum_z sum_s c_s / (k - z)^s, with the
+    factor (-i)^s folded into c_s; coefficients are listed highest order
+    first, in Horner order. A pair contributes its two poles
+    i*beta + alpha (coefficients eps + i gamma) and i*beta - alpha
+    (eps - i gamma).
+    """
+    terms = []
+    for pole in spec.complex_poles:
+        for sign in (1.0, -1.0):
+            coeffs = [(-1j) ** s * complex(eps, sign * gam)
+                      for s, (eps, gam) in enumerate(pole.coefficients, start=1)]
+            terms.append((complex(sign * pole.alpha, pole.beta), tuple(coeffs[::-1])))
+    for pole in spec.imaginary_poles:
+        coeffs = [(-1j) ** s * r for s, r in enumerate(pole.coefficients, start=1)]
+        terms.append((1j * pole.omega, tuple(coeffs[::-1])))
+    return tuple(terms)
+
+
+def _partial_fraction_sum(terms, k) -> complex:
+    """sum_z inv (c_1 + inv (c_2 + .. + inv c_m)), inv = 1 / (k - z), over a term table."""
+    total = 0j
+    for z, coeffs in terms:
+        inv = 1.0 / (k - z)
+        acc = 0j
+        for c in coeffs:
+            acc = inv * (c + acc)
+        total += acc
+    return total
 
 
 def reflection_partial_fractions(spec: ScatteringSpec, k: complex) -> complex:
     """Direct partial-fraction sum of the reflection data at k.
 
     Independent of the realization matrices; used as the oracle the
-    resolvent route is checked against.
+    resolvent route is checked against, and as the integrand of
+    verification.omega_quadrature_check.
     """
-    k = complex(k)
-    total = 0j
-    for pole in spec.complex_poles:
-        z = k - 1j * pole.beta
-        for s, (eps, gam) in enumerate(pole.coefficients, start=1):
-            total += (-1j) ** s * ((eps + 1j * gam) / (z - pole.alpha) ** s
-                                   + (eps - 1j * gam) / (z + pole.alpha) ** s)
-    for pole in spec.imaginary_poles:
-        z = k - 1j * pole.omega
-        for s, r in enumerate(pole.coefficients, start=1):
-            total += (-1j) ** s * r / z ** s
-    return total
+    return _partial_fraction_sum(_partial_fraction_terms(spec), complex(k))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ algebra it is checking:
 * finite-difference residual of u_t + eta u_x - 6 u u_x + u_xxx,
 * the integral-equation residual of the kernel K against its
   separable driver Omega,
-* a Fourier quadrature cross-check of Omega(y; 0) against the
-  reflection function on the real line,
+* a Fourier quadrature cross-check of Omega(y; 0) = C exp(-yA) B
+  against the spec's partial-fraction reflection function on the real
+  line,
 * determinant positivity scans and the classical N-soliton
   determinant comparison.
 """
@@ -377,12 +378,14 @@ def omega_quadrature_check(spec: realization.ScatteringSpec,
     (1/2 pi) int_R r(k) exp(i k y) dk is computed as oscillatory
     half-line quadratures of Re r and Im r (r(-k) = conj r(k) folds the
     line onto (0, inf)) and compared with C exp(-yA) B over the
-    non-bound-state blocks. Bound states carry no continuous spectrum,
-    so specs without reflection data compare 0 against 0. Every y is
-    checked before any quadrature runs. A is reduced to Schur form once
-    per call and r(k) is memoized, so the cos and sin halves (and every
-    y) share one triangular solve per distinct node; the quadratures are
-    unchanged by the memo.
+    non-bound-state blocks. r(k) is summed from the spec's own partial
+    fractions (realization.reflection_partial_fractions, bit for bit),
+    so an error in the realization shows as a mismatch. Bound states
+    carry no continuous spectrum, so specs without reflection data
+    compare 0 against 0. Every y is checked before any quadrature runs.
+    The pole table is built once per call and r(k) is memoized, so the
+    cos and sin halves (and every y) share one Horner sum per distinct
+    node; the quadratures are unchanged by the memo.
     """
     ys = [float(y) for y in np.atleast_1d(np.asarray(ys, dtype=float))]
     for y in ys:
@@ -396,11 +399,11 @@ def omega_quadrature_check(spec: realization.ScatteringSpec,
             return 0.0
         return (refl.C @ linalg.expm(refl.A, -y) @ refl.B).item()
 
-    resolvent = realization.reflection_resolvent(refl)
+    terms = realization._partial_fraction_terms(spec)
 
     @functools.cache
     def r(k: float) -> complex:
-        return complex(resolvent.apply(k)[0, 0])
+        return realization._partial_fraction_sum(terms, complex(k))
 
     out = []
     for y in ys:

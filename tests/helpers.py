@@ -87,3 +87,30 @@ def random_calm_spec(rng: np.random.Generator) -> ScatteringSpec:
                 for k in kappas)
     return ScatteringSpec(complex_poles=cps, bound_states=bss,
                           eta=float(rng.choice([0.0, 4.0, 8.0])))
+
+
+def random_rational_spec(rng: np.random.Generator) -> ScatteringSpec:
+    """Random spec with up to two pairs, two imaginary poles and three bound states.
+
+    Every pole has multiplicity 1 to 3 and coefficients in [-1, 1]; pole
+    locations are spread so no two coincide. At least one pole is drawn.
+    """
+    n_cp = int(rng.integers(0, 3))
+    n_ip = int(rng.integers(0, 3))
+    n_bs = int(rng.integers(0, 4))
+    if n_cp + n_ip == 0:
+        n_cp = 1
+    cps = tuple(ComplexPolePair(
+        alpha=float(rng.uniform(0.3, 3.0) + 3.5 * i),
+        beta=float(rng.uniform(0.3, 2.0)),
+        coefficients=tuple((float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+                           for _ in range(int(rng.integers(1, 4)))))
+        for i in range(n_cp))
+    ips = tuple(ImaginaryPole(
+        omega=float(rng.uniform(0.3, 1.0) + 1.2 * i),
+        coefficients=tuple(float(rng.uniform(-1, 1))
+                           for _ in range(int(rng.integers(1, 4)))))
+        for i in range(n_ip))
+    bss = tuple(BoundState(kappa=0.4 + 0.5 * i, c=float(rng.uniform(0.3, 2.0)))
+                for i in range(n_bs))
+    return ScatteringSpec(complex_poles=cps, imaginary_poles=ips, bound_states=bss)

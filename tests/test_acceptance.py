@@ -6,6 +6,8 @@ the assertion message.
 """
 from __future__ import annotations
 
+import dataclasses
+import json
 import re
 import time
 from pathlib import Path
@@ -14,10 +16,13 @@ import numpy as np
 
 from kdvexact import (
     BoundState,
+    ImaginaryPole,
     build_reflection_triplet,
     build_triplet,
+    cli,
     eval_reflection,
     make_evaluator,
+    realization,
     reflection_partial_fractions,
     sample_grid,
 )
@@ -182,35 +187,12 @@ def test_u_route_equivalence():
             f"10 random triplets")
 
 
-def _random_rational_spec(rng):
-    n_cp = int(rng.integers(0, 3))
-    n_ip = int(rng.integers(0, 3))
-    n_bs = int(rng.integers(0, 4))
-    if n_cp + n_ip == 0:
-        n_cp = 1
-    cps = tuple(helpers.ComplexPolePair(
-        alpha=float(rng.uniform(0.3, 3.0) + 3.5 * i),
-        beta=float(rng.uniform(0.3, 2.0)),
-        coefficients=tuple((float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-                           for _ in range(int(rng.integers(1, 4)))))
-        for i in range(n_cp))
-    ips = tuple(helpers.ImaginaryPole(
-        omega=float(rng.uniform(0.3, 1.0) + 1.2 * i),
-        coefficients=tuple(float(rng.uniform(-1, 1))
-                           for _ in range(int(rng.integers(1, 4)))))
-        for i in range(n_ip))
-    bss = tuple(BoundState(kappa=0.4 + 0.5 * i, c=float(rng.uniform(0.3, 2.0)))
-                for i in range(n_bs))
-    return helpers.ScatteringSpec(complex_poles=cps, imaginary_poles=ips,
-                                  bound_states=bss)
-
-
 def test_reflection_partial_fractions():
     rng = np.random.default_rng(733)
     worst = 0.0
     mults = set()
     for _ in range(8):
-        spec = _random_rational_spec(rng)
+        spec = helpers.random_rational_spec(rng)
         mults.update(p.multiplicity for p in spec.complex_poles)
         mults.update(p.multiplicity for p in spec.imaginary_poles)
         refl = build_reflection_triplet(spec)
@@ -222,6 +204,58 @@ def test_reflection_partial_fractions():
     _report("reflection-partial-fractions", ok,
             f"max rel {worst:.3e} (tol 1e-10) at 100 real k x 8 specs, "
             f"multiplicities {sorted(mults)}")
+
+
+def _scaled_c(block):
+    """A realization block builder whose C is off by 1 %."""
+    def scaled(pole):
+        a, b, c = block(pole)
+        return a, b, 1.01 * c
+    return scaled
+
+
+def _verify_omega_check(tmp_path, doc) -> dict:
+    """verify's omegaQuadratureCheck entry for a document, on the README ranges."""
+    src, out = tmp_path / "doc.json", tmp_path / "report.json"
+    src.write_text(json.dumps(doc))
+    cli.main(["verify", "--input", str(src), "--x", "1.5:4:6", "--t", "0:0.02:3",
+              "--output", str(out)])
+    checks = json.loads(out.read_text())["perCheckStatus"]
+    return next(c for c in checks if c["name"] == "omegaQuadratureCheck")
+
+
+def test_omega_realization_independence(monkeypatch, tmp_path):
+    # A 1 % error in C of one realization block leaves the triplet
+    # self-consistent; only the Fourier check, which integrates the spec's
+    # own partial fractions, can see it.
+    pole = ImaginaryPole(omega=1.2, coefficients=(0.8,))
+    specs = {"rotation": helpers.rotation_spec(0.5, 0.5, 1.0),
+             "readme": helpers.three_block_spec(eta=1.0)}
+    specs.update({f"{name}+imaginary": dataclasses.replace(spec, imaginary_poles=(pole,))
+                  for name, spec in list(specs.items())})
+    readme_doc = {"eta": 1.0,
+                  "complexPoles": [{"alpha": float(helpers.S3 / 2), "beta": 0.5,
+                                    "coeffs": [{"eps": 0.5, "gamma": 0.5}]}],
+                  "boundStates": [{"kappa": 2.0, "c": 3.0}]}
+    docs = {"_complex_pair_block": readme_doc,
+            "_imaginary_pole_block": dict(readme_doc, imagPoles=[{"omega": 1.2, "r": [0.8]}])}
+    ys = (0.5, 1.0, 2.0)
+    ok, parts = True, []
+    for block, doc in docs.items():
+        exact = _verify_omega_check(tmp_path, doc)
+        with monkeypatch.context() as m:
+            m.setattr(realization, block, _scaled_c(getattr(realization, block)))
+            errors = {name: max(c.error for c in omega_quadrature_check(spec, ys))
+                      for name, spec in specs.items()
+                      if block == "_complex_pair_block" or name.endswith("+imaginary")}
+            scaled = _verify_omega_check(tmp_path, doc)
+        ok &= min(errors.values()) > cli.OMEGA_TOL
+        ok &= exact["passed"] and not scaled["passed"]
+        parts.append(f"{block}: min error {min(errors.values()):.3e} over {len(errors)} specs, "
+                     f"verify {'PASS' if exact['passed'] else 'FAIL'} -> "
+                     f"{'PASS' if scaled['passed'] else 'FAIL'}")
+    _report("omega-realization-independence", ok,
+            f"C x 1.01 in {'; in '.join(parts)} (need > {cli.OMEGA_TOL:.0e}, PASS -> FAIL)")
 
 
 def test_readme_library_example():

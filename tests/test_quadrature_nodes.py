@@ -66,13 +66,15 @@ def test_marchenko_array_call_matches_scalar_calls(triplet, box_t):
 @pytest.mark.parametrize("spec", [helpers.three_block_spec(eta=1.0),
                                   helpers.rotation_spec(0.25, 0.75, eta=1.0)])
 def test_omega_quadrature_bit_identical_to_uncached_quadrature(spec):
-    resolvent = realization.reflection_resolvent(realization.build_reflection_triplet(spec))
+    def r(k):
+        return realization.reflection_partial_fractions(spec, k)
+
     ys = (0.5, 1.0, 2.0)
     for chk, y in zip(omega_quadrature_check(spec, ys), ys):
-        cos_half, _ = integrate.quad(lambda k: resolvent.apply(k)[0, 0].real,
+        cos_half, _ = integrate.quad(lambda k: r(k).real,
                                      0.0, np.inf, weight="cos", wvar=y,
                                      epsabs=OMEGA_EPSABS, limlst=80, limit=200)
-        sin_half, _ = integrate.quad(lambda k: resolvent.apply(k)[0, 0].imag,
+        sin_half, _ = integrate.quad(lambda k: r(k).imag,
                                      0.0, np.inf, weight="sin", wvar=y,
                                      epsabs=OMEGA_EPSABS, limlst=80, limit=200)
         assert chk.quadrature == (cos_half - sin_half) / math.pi
@@ -89,26 +91,29 @@ def test_omega_quadrature_evaluates_each_distinct_node_once(monkeypatch):
         return real_quad(recorded, *args, **kwargs)
 
     monkeypatch.setattr(integrate, "quad", recording_quad)
-    evaluated = counter(monkeypatch, linalg.Resolvent, "apply")
+    evaluated = counter(monkeypatch, realization, "_partial_fraction_sum")
     omega_quadrature_check(helpers.three_block_spec(eta=1.0), (0.5, 1.0, 2.0))
     assert len(evaluated) == len(set(nodes))
     assert len(nodes) > len(evaluated)  # the cos and sin halves shared nodes
 
 
 @pytest.mark.parametrize("ys", [(1.0,), (0.5, 1.0, 2.0, 4.0)])
-def test_omega_quadrature_reduces_a_once_per_call(monkeypatch, ys):
+def test_omega_quadrature_makes_no_reduction_or_solve(monkeypatch, ys):
     reductions = counter(monkeypatch, linalg.sla, "schur")
+    solves = counter(monkeypatch, linalg.Resolvent, "apply")
+    tables = counter(monkeypatch, realization, "_partial_fraction_terms")
     omega_quadrature_check(helpers.three_block_spec(eta=1.0), ys)
-    assert len(reductions) == 1
+    assert reductions == [] and solves == []
+    assert len(tables) == 1
 
 
 def test_omega_rejects_bad_y_before_any_quadrature(monkeypatch):
-    reductions = counter(monkeypatch, linalg.sla, "schur")
-    evaluated = counter(monkeypatch, linalg.Resolvent, "apply")
+    tables = counter(monkeypatch, realization, "_partial_fraction_terms")
+    evaluated = counter(monkeypatch, realization, "_partial_fraction_sum")
     quads = counter(monkeypatch, integrate, "quad")
     with pytest.raises(SpecValidationError, match="-2.0"):
         omega_quadrature_check(helpers.rotation_spec(0.5, 0.5), [1.0, -2.0])
-    assert reductions == [] and evaluated == [] and quads == []
+    assert tables == [] and evaluated == [] and quads == []
 
 
 @pytest.mark.parametrize("x, y, index", [

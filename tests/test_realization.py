@@ -1,8 +1,13 @@
 """Realization of rational reflection data as matrix triplets."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
 from kdvexact import (
     BoundState,
@@ -16,6 +21,7 @@ from kdvexact import (
     build_triplet,
     eval_reflection,
     reflection_partial_fractions,
+    omega_quadrature_check,
     validate_triplet,
 )
 
@@ -173,6 +179,41 @@ def test_reflection_round_trip_random_specs():
             got = eval_reflection(refl, complex(k))
             want = reflection_partial_fractions(spec, complex(k))
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (spec, k)
+
+
+_seeds = st.integers(0, 2 ** 32 - 1)
+_reflection_specs = st.one_of(
+    st.builds(helpers.rotation_spec, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.just(helpers.three_block_spec()),
+    _seeds.map(lambda seed: helpers.random_calm_spec(np.random.default_rng(seed))),
+    _seeds.map(lambda seed: helpers.random_rational_spec(np.random.default_rng(seed))).filter(
+        lambda spec: max(p.multiplicity
+                         for p in spec.complex_poles + spec.imaginary_poles) == 3))
+
+
+def omega_integrands(spec):
+    """The cos- and sin-half integrands omega_quadrature_check hands to quad."""
+    funcs = []
+
+    def capture(func, *args, **kwargs):
+        funcs.append(func)
+        return 0.0, 0.0
+
+    with mock.patch.object(integrate, "quad", capture):
+        omega_quadrature_check(spec, (1.0,))
+    return funcs
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_reflection_specs, ks=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8))
+def test_partial_fractions_match_realization_and_omega_integrand(spec, ks):
+    refl = build_reflection_triplet(spec)
+    cos_half, sin_half = omega_integrands(spec)
+    for k in ks:
+        want = reflection_partial_fractions(spec, k)
+        got = eval_reflection(refl, k)
+        assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)), (spec, k)
+        assert cos_half(k) == want.real and sin_half(k) == want.imag, (spec, k)
 
 
 def test_reflection_reality_symmetry():
