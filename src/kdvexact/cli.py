@@ -136,11 +136,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _apply_eta(parsed, eta):
-    if eta is None:
-        return parsed
-    if isinstance(parsed, realization.Triplet):
-        return realization.Triplet(A=parsed.A, B=parsed.B, C=parsed.C, eta=eta)
-    return dataclasses.replace(parsed, eta=eta)
+    return parsed if eta is None else dataclasses.replace(parsed, eta=eta)
 
 
 def _evaluator_from_args(args):

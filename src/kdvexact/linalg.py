@@ -9,8 +9,8 @@ of the matrix, so each is an independent check of the other), the
 Lyapunov solve A Q + Q A = RHS by
 Bartels-Stewart (scipy's Schur-based Sylvester solver) with a residual
 check, pivoted LU with determinant and solve helpers, eigenvalue
-extraction, and the resolvent c (k I - i A)^{-1} b, reduced once to a
-complex Schur form and then applied with one triangular solve per k.
+extraction, and the resolvent (k I - i A)^{-1} b, by one complex Schur
+reduction and one triangular solve per call.
 
 All single-matrix routines detect overflow instead of propagating NaN,
 work on real float64 (the resolvent returns complex values) and raise
@@ -383,61 +383,28 @@ def eigenvalues(m: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=vals, min_real_part=float(np.min(vals.real)))
 
 
-@dataclass(frozen=True)
-class Resolvent:
-    """c (k I - i A)^{-1} b from one complex Schur form of A.
+def resolvent_apply(a: np.ndarray, k: complex, b: np.ndarray) -> np.ndarray:
+    """Solve (k I - i A) z = b for complex k, real P x P A and P x r b.
 
-    reduce_resolvent writes A = Z T Z^H with T upper triangular (Jordan
-    chains included), so c (k I - i A)^{-1} b = (c Z) (k I - i T)^{-1} (Z^H b)
-    and apply(k) is one triangular solve. Its callers, resolvent_apply
-    and realization.eval_reflection, reduce and apply at one k per call.
-    The pivots of k I - i T are its diagonal k - i T_jj; apply gates
-    them with the test LuFactors.singular applies to an LU.
-    """
-
-    shifted: np.ndarray   # -i T, upper triangular, Fortran order for LAPACK
-    left: np.ndarray      # c Z
-    right: np.ndarray     # Z^H b
-    off_max: float        # largest |entry| of -i T above its diagonal
-
-    def apply(self, k: complex) -> np.ndarray:
-        """c (k I - i A)^{-1} b; k = i * an eigenvalue raises SingularMatrixError."""
-        pivots = complex(k) + np.diagonal(self.shifted)
-        if not pivots.size:
-            return self.left @ self.right
-        mags = np.abs(pivots).tolist()
-        pivot = min(mags)
-        if _pivot_gate(pivot, max(*mags, self.off_max)):
-            raise SingularMatrixError(
-                f"resolvent: k I - i A is singular to working precision (pivot {pivot:.3e})",
-                pivot=pivot)
-        m = self.shifted.copy(order="F")
-        np.fill_diagonal(m, pivots)
-        y, _ = sla.lapack.ztrtrs(m, self.right)
-        return _check_finite(self.left @ y, "resolvent")
-
-
-def reduce_resolvent(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> Resolvent:
-    """Reduce real A once for c (k I - i A)^{-1} b.
-
-    b is P x r; c is m x P and defaults to the identity.
+    A is reduced to complex Schur form A = Z T Z^H (Jordan chains
+    included), so z = Z (k I - i T)^{-1} Z^H b is one triangular solve.
+    The pivots of k I - i T are its diagonal k - i T_jj; they take the
+    test LuFactors.singular applies to an LU, so k equal to i times an
+    eigenvalue of A raises SingularMatrixError.
     """
     a = np.asarray(a, dtype=float)
     t, z = sla.schur(a, output="complex")
-    shifted = np.asfortranarray(-1j * t)
-    return Resolvent(
-        shifted=shifted,
-        left=z if c is None else c @ z,
-        right=z.conj().T @ b,
-        off_max=float(np.max(np.abs(np.triu(shifted, 1)), initial=0.0)),
-    )
-
-
-def resolvent_apply(a: np.ndarray, k: complex, b: np.ndarray) -> np.ndarray:
-    """Solve (k I - i A) z = b for complex k and real A, b.
-
-    The one-shot form of reduce_resolvent: k equal to i times an
-    eigenvalue of A makes the system singular and raises
-    SingularMatrixError.
-    """
-    return reduce_resolvent(a, b).apply(k)
+    shifted = -1j * t
+    pivots = complex(k) + np.diagonal(shifted)
+    if not pivots.size:
+        return np.zeros((0, np.shape(b)[-1]), dtype=complex)
+    mags = np.abs(pivots).tolist()
+    pivot = min(mags)
+    off_max = float(np.max(np.abs(np.triu(shifted, 1))))
+    if _pivot_gate(pivot, max(*mags, off_max)):
+        raise SingularMatrixError(
+            f"resolvent: k I - i A is singular to working precision (pivot {pivot:.3e})",
+            pivot=pivot)
+    np.fill_diagonal(shifted, pivots)
+    y, _ = sla.lapack.ztrtrs(np.asfortranarray(shifted), z.conj().T @ b)
+    return _check_finite(z @ y, "resolvent")

@@ -6,10 +6,11 @@ k = i*beta +/- alpha, purely imaginary poles at k = i*omega), plus
 bound states (kappa, c), is realized as a matrix triplet (A, B, C)
 with A of size P x P, B a column, C a row. The rational function
 itself is recovered as -i C (k I - i A)^{-1} B over the non-bound-state
-blocks (eval_reflection), and independently of the matrices as the
-partial-fraction sum over the poles (reflection_partial_fractions); the
-bound-state blocks contribute the discrete part of the associated
-integral kernel.
+blocks (eval_reflection: one complex Schur reduction of A and one
+triangular solve per k, in linalg.resolvent_apply), and independently
+of the matrices as the partial-fraction sum over the poles
+(reflection_partial_fractions); the bound-state blocks contribute the
+discrete part of the associated integral kernel.
 """
 from __future__ import annotations
 
@@ -263,7 +264,7 @@ def eval_reflection(triplet: Triplet, k: complex) -> complex:
 
     The empty triplet gives the identically zero function.
     """
-    return complex(linalg.reduce_resolvent(triplet.A, triplet.B, -1j * triplet.C).apply(k)[0, 0])
+    return -1j * (triplet.C @ linalg.resolvent_apply(triplet.A, k, triplet.B)).item()
 
 
 def _partial_fraction_terms(spec: ScatteringSpec) -> tuple:

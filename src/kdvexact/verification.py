@@ -147,6 +147,12 @@ def _stencil_values(u_source, xs, ts, offsets, h_x, h_t):
             for o, dt in keys}
 
 
+def _check_sample_counts(n_x: int, n_t: int) -> None:
+    for name, n in (("n_x", n_x), ("n_t", n_t)):
+        if not n >= 1:
+            raise SpecValidationError(f"{name} must be at least 1, got {n!r}")
+
+
 def pde_residual(u_source, x_window, t_window, n_x: int = 11, n_t: int = 5,
                  h_x: float = 1e-3, h_t: float | None = None,
                  eta: float | None = None) -> ResidualScan:
@@ -160,6 +166,7 @@ def pde_residual(u_source, x_window, t_window, n_x: int = 11, n_t: int = 5,
     SpecValidationError, naming the point; choose windows inside the
     region where every sample is ok.
     """
+    _check_sample_counts(n_x, n_t)
     u_source, eta_val, rate_x, rate_t = _resolve_u_source(u_source, eta)
     if h_t is None:
         h_t = _auto_h_t(h_x, rate_x, rate_t)
@@ -203,6 +210,8 @@ def pde_residual_refinement(u_source, x_window, t_window,
     16 between successive halvings confirm the fourth-order design.
     """
     levels = tuple(sorted(levels, reverse=True))
+    if not levels:
+        raise SpecValidationError(f"levels must hold at least one h_x, got {levels!r}")
     _, _, rate_x, rate_t = _resolve_u_source(u_source, eta)
     h_t_coarse = _auto_h_t(levels[0], rate_x, rate_t)
     x_lo = max(float(x_window[0]), X_STENCIL_REACH * levels[0])
@@ -389,9 +398,9 @@ def omega_quadrature_check(spec: realization.ScatteringSpec,
     """
     ys = [float(y) for y in np.atleast_1d(np.asarray(ys, dtype=float))]
     for y in ys:
-        if y <= 0.0:
+        if not (math.isfinite(y) and y > 0.0):
             raise SpecValidationError(
-                f"omega quadrature check needs y > 0 (contour closure), got {y!r}")
+                f"omega quadrature check needs a finite y > 0 (contour closure), got {y!r}")
     refl = realization.build_reflection_triplet(spec)
 
     def reference(y: float) -> float:
@@ -455,8 +464,13 @@ def positivity_scan(evaluator: solution.GammaEvaluator,
             f"half plane; min Re = {evaluator.diagnostics.spectrum.min_real_part:.6g}")
     x_horizon = float(x_horizon)
     t_horizon = float(t_horizon)
-    if x_horizon < 0.0 or t_horizon < 0.0:
-        raise SpecValidationError("horizons must be nonnegative")
+    samples_per_unit = float(samples_per_unit)
+    for name, value in (("x_horizon", x_horizon), ("t_horizon", t_horizon)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise SpecValidationError(f"{name} must be finite and nonnegative, got {value!r}")
+    if not (math.isfinite(samples_per_unit) and samples_per_unit > 0.0):
+        raise SpecValidationError(
+            f"samples_per_unit must be finite and positive, got {samples_per_unit!r}")
     n_x = max(2, int(round(x_horizon * samples_per_unit)) + 1)
     n_t = max(2, int(round(t_horizon * samples_per_unit)) + 1)
     xs = np.linspace(0.0, x_horizon, n_x)
@@ -512,6 +526,7 @@ def soliton_equivalence(bound_states, eta: float = 0.0,
     triplet side overflowed, with the per-point error of the first of
     those three to fail there.
     """
+    _check_sample_counts(n_x, n_t)
     states = tuple(bound_states)
     spec = realization.ScatteringSpec(bound_states=states, eta=eta)
     ev = solution.make_evaluator(realization.build_triplet(spec))

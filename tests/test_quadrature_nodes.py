@@ -100,7 +100,7 @@ def test_omega_quadrature_evaluates_each_distinct_node_once(monkeypatch):
 @pytest.mark.parametrize("ys", [(1.0,), (0.5, 1.0, 2.0, 4.0)])
 def test_omega_quadrature_makes_no_reduction_or_solve(monkeypatch, ys):
     reductions = counter(monkeypatch, linalg.sla, "schur")
-    solves = counter(monkeypatch, linalg.Resolvent, "apply")
+    solves = counter(monkeypatch, linalg, "resolvent_apply")
     tables = counter(monkeypatch, realization, "_partial_fraction_terms")
     omega_quadrature_check(helpers.three_block_spec(eta=1.0), ys)
     assert reductions == [] and solves == []
@@ -111,8 +111,10 @@ def test_omega_rejects_bad_y_before_any_quadrature(monkeypatch):
     tables = counter(monkeypatch, realization, "_partial_fraction_terms")
     evaluated = counter(monkeypatch, realization, "_partial_fraction_sum")
     quads = counter(monkeypatch, integrate, "quad")
-    with pytest.raises(SpecValidationError, match="-2.0"):
-        omega_quadrature_check(helpers.rotation_spec(0.5, 0.5), [1.0, -2.0])
+    # a non-finite y must not reach scipy's QAWF, which crashes the interpreter on it
+    for bad, named in ((-2.0, "-2.0"), (math.nan, "nan"), (math.inf, "inf")):
+        with pytest.raises(SpecValidationError, match=named):
+            omega_quadrature_check(helpers.rotation_spec(0.5, 0.5), [1.0, bad])
     assert tables == [] and evaluated == [] and quads == []
 
 

@@ -15,6 +15,7 @@ from kdvexact import (
     linalg,
     make_evaluator,
     n_soliton_gamma_direct,
+    solution,
     verification,
 )
 from kdvexact.verification import (
@@ -224,6 +225,45 @@ def test_positivity_rejects_formal_mode():
                                     B=np.array([1.0]), C=np.array([1.0])))
     with pytest.raises(FormalModeError):
         positivity_scan(formal, 1.0, 1.0)
+
+
+def forbid(monkeypatch, owner, name):
+    """Make owner.name fail the test if anything calls it."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} called before the arguments were checked")
+    monkeypatch.setattr(owner, name, called)
+
+
+@pytest.mark.parametrize("args, named", [
+    ((np.nan, 1.0), "x_horizon must be finite and nonnegative, got nan"),
+    ((1.0, np.inf), "t_horizon must be finite and nonnegative, got inf"),
+    ((1.0, 1.0, np.nan), "samples_per_unit must be finite and positive, got nan"),
+], ids=["nan-x-horizon", "inf-t-horizon", "nan-samples-per-unit"])
+def test_positivity_rejects_degenerate_arguments_before_any_work(monkeypatch, args, named):
+    ev = make_evaluator(helpers.rotation_triplet(0.5, 0.5, eta=1.0))
+    forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
+    with pytest.raises(SpecValidationError, match=named):
+        positivity_scan(ev, *args)
+
+
+def test_soliton_equivalence_rejects_empty_grid_before_any_work(monkeypatch):
+    forbid(monkeypatch, solution, "make_evaluator")
+    with pytest.raises(SpecValidationError, match="n_x must be at least 1, got 0"):
+        soliton_equivalence((BoundState(1.0, 2.0),), n_x=0)
+
+
+def test_pde_residual_rejects_empty_grid_before_any_work(monkeypatch):
+    ev = make_evaluator(helpers.rotation_triplet(0.5, 0.5, eta=1.0))
+    forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
+    with pytest.raises(SpecValidationError, match="n_x must be at least 1, got 0"):
+        pde_residual(ev, (0.5, 1.0), (0.1, 0.2), n_x=0)
+
+
+def test_refinement_rejects_no_levels_before_any_work(monkeypatch):
+    ev = make_evaluator(helpers.rotation_triplet(0.5, 0.5, eta=1.0))
+    forbid(monkeypatch, verification, "pde_residual")
+    with pytest.raises(SpecValidationError, match=r"levels must hold at least one h_x, got \(\)"):
+        pde_residual_refinement(ev, (0.5, 1.0), (0.1, 0.2), levels=())
 
 
 def test_soliton_equivalence_small_cases():
