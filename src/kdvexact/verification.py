@@ -153,6 +153,11 @@ def _check_sample_counts(n_x: int, n_t: int) -> None:
             raise SpecValidationError(f"{name} must be at least 1, got {n!r}")
 
 
+def _check_step(name: str, h: float) -> None:
+    if not (math.isfinite(h) and h > 0.0):
+        raise SpecValidationError(f"{name} must be finite and > 0, got {h!r}")
+
+
 def pde_residual(u_source, x_window, t_window, n_x: int = 11, n_t: int = 5,
                  h_x: float = 1e-3, h_t: float | None = None,
                  eta: float | None = None) -> ResidualScan:
@@ -164,9 +169,13 @@ def pde_residual(u_source, x_window, t_window, n_x: int = 11, n_t: int = 5,
     stencil node satisfies x >= 0 and t >= 0. A flagged or non-finite
     sample anywhere in a stencil rejects the window with
     SpecValidationError, naming the point; choose windows inside the
-    region where every sample is ok.
+    region where every sample is ok. An h_x, or a given h_t, that is not
+    finite and > 0 raises SpecValidationError before any sampling.
     """
     _check_sample_counts(n_x, n_t)
+    _check_step("h_x", h_x)
+    if h_t is not None:
+        _check_step("h_t", h_t)
     u_source, eta_val, rate_x, rate_t = _resolve_u_source(u_source, eta)
     if h_t is None:
         h_t = _auto_h_t(h_x, rate_x, rate_t)
@@ -208,10 +217,17 @@ def pde_residual_refinement(u_source, x_window, t_window,
     The window is clipped once, for the coarsest level, so every level
     samples the same points and the maxima are comparable. Ratios near
     16 between successive halvings confirm the fourth-order design.
+    A level that is repeated, or not finite and > 0, raises
+    SpecValidationError before any residual is computed.
     """
-    levels = tuple(sorted(levels, reverse=True))
+    levels = tuple(levels)
     if not levels:
         raise SpecValidationError(f"levels must hold at least one h_x, got {levels!r}")
+    for h in levels:
+        _check_step("refinement level", h)
+        if levels.count(h) > 1:
+            raise SpecValidationError(f"refinement level {h!r} is repeated in {levels!r}")
+    levels = tuple(sorted(levels, reverse=True))
     _, _, rate_x, rate_t = _resolve_u_source(u_source, eta)
     h_t_coarse = _auto_h_t(levels[0], rate_x, rate_t)
     x_lo = max(float(x_window[0]), X_STENCIL_REACH * levels[0])

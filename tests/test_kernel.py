@@ -170,8 +170,16 @@ def test_lu_factor_stack_matches_lapack(n):
     m = rng.standard_normal((40, n, n))
     m[0] = 0.0                                   # exactly singular members
     m[1, :, n // 2] = 0.0
+    m[2, :, 0] = 0.5                             # pivot tie: LAPACK takes the first
+    m[2, -2:, 0] = [-2.0, 2.0][-n:]
+    for r in range(n):                           # step 0 swaps member 3 + r with row r
+        m[3 + r, r, 0] = 10.0
     f = linalg.lu_factor_stack(m)
     assert np.all(np.isfinite(f.lu))
+    assert f.piv[3:3 + n, 0].tolist() == list(range(n))
+    single = m[2 + n:3 + n].copy()               # a stack of one that swaps at step 0
+    linalg.lu_factor_stack(single)
+    assert np.array_equal(single, m[2 + n:3 + n])   # the input is left intact
     for k in range(m.shape[0]):
         lu, piv = sla.lu_factor(m[k], check_finite=False)
         assert np.array_equal(f.piv[k], piv), k
@@ -184,6 +192,32 @@ def test_lu_factor_stack_matches_lapack(n):
     sub = linalg.LuFactors(lu=f.lu[2:], piv=f.piv[2:], max_abs=f.max_abs[2:])
     x = linalg.lu_solve_stack(sub, rhs)
     assert np.allclose(m[2:] @ x, rhs, rtol=0.0, atol=1e-10)
+    empty = linalg.lu_factor_stack(np.zeros((0, n, n)))
+    assert empty.lu.shape == (0, n, n) and empty.piv.shape == (0, n)
+    assert linalg.lu_solve_stack(empty, np.zeros((0, n, 2))).shape == (0, n, 2)
+
+
+# small integers and signs give pivot ties and exactly singular members
+_entries = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, linalg.ELIMINATION_MAX_N + 2), k=st.integers(1, 6))
+def test_lu_stack_member_equals_batch_of_one(data, n, k):
+    m = np.array(data.draw(st.lists(_entries, min_size=k * n * n, max_size=k * n * n)))
+    m = m.reshape(k, n, n)
+    rhs = np.array(data.draw(st.lists(_entries, min_size=k * n * 2, max_size=k * n * 2)))
+    rhs = rhs.reshape(k, n, 2)
+    before = m.copy()
+    f = linalg.lu_factor_stack(m)
+    x = linalg.lu_solve_stack(f, rhs)
+    for i in range(k):
+        one = linalg.lu_factor_stack(m[i:i + 1])
+        assert f.lu[i].tobytes() == one.lu[0].tobytes()
+        assert f.piv[i].tobytes() == one.piv[0].tobytes()
+        assert f.max_abs[i] == one.max_abs[0]
+        assert x[i].tobytes() == linalg.lu_solve_stack(one, rhs[i:i + 1])[0].tobytes()
+    assert m.tobytes() == before.tobytes()
 
 
 def test_expm_stack_matches_expm_member_by_member():

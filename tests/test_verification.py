@@ -266,6 +266,28 @@ def test_refinement_rejects_no_levels_before_any_work(monkeypatch):
         pde_residual_refinement(ev, (0.5, 1.0), (0.1, 0.2), levels=())
 
 
+@pytest.mark.parametrize("levels, named", [
+    ((1e-2, 1e-2), r"refinement level 0\.01 is repeated in \(0\.01, 0\.01\)"),
+    ((1e-2, 0.0), "refinement level must be finite and > 0, got 0.0"),
+    ((1e-2, -5e-3), "refinement level must be finite and > 0, got -0.005"),
+    ((np.nan, 1e-2), "refinement level must be finite and > 0, got nan"),
+], ids=["repeated", "zero", "negative", "nan"])
+def test_refinement_rejects_bad_levels_before_any_work(monkeypatch, levels, named):
+    ev = make_evaluator(helpers.rotation_triplet(0.5, 0.5, eta=1.0))
+    forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
+    with pytest.raises(SpecValidationError, match=named):
+        pde_residual_refinement(ev, (0.5, 1.0), (0.1, 0.2), levels=levels)
+
+
+@pytest.mark.parametrize("step", ["h_x", "h_t"])
+@pytest.mark.parametrize("value", [0.0, -1e-3, np.nan], ids=["zero", "negative", "nan"])
+def test_pde_residual_rejects_bad_steps_before_any_work(monkeypatch, step, value):
+    ev = make_evaluator(helpers.rotation_triplet(0.5, 0.5, eta=1.0))
+    forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
+    with pytest.raises(SpecValidationError, match=f"{step} must be finite and > 0, got {value!r}"):
+        pde_residual(ev, (0.5, 1.0), (0.1, 0.2), **{step: value})
+
+
 def test_soliton_equivalence_small_cases():
     one = soliton_equivalence((BoundState(1.0, 2.0),))
     assert one.max_deviation <= 1e-12, one
