@@ -166,7 +166,7 @@ def _sample(args, evaluator) -> solution.SolutionGrid | None:
 
 
 def _write_grid(args, grid: solution.SolutionGrid) -> None:
-    if getattr(args, "format", "csv") == "structured-document":
+    if args.format == "structured-document":
         _write_text(args.output, documents.dumps_document(documents.grid_document(grid)))
         return
     if args.output is None:

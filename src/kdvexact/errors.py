@@ -35,17 +35,9 @@ class NumericalError(KdvExactError, RuntimeError):
 class OverflowDetectedError(NumericalError):
     """A computed quantity left the finite float64 range."""
 
-    def __init__(self, message: str, magnitude: float = float("inf")):
-        self.magnitude = magnitude
-        super().__init__(message)
-
 
 class SingularMatrixError(NumericalError):
-    """A pivot fell below the singularity threshold. Carries the pivot."""
-
-    def __init__(self, message: str, pivot: float = 0.0):
-        self.pivot = pivot
-        super().__init__(message)
+    """A pivot fell below the singularity threshold."""
 
 
 class LyapunovSolveError(NumericalError):

@@ -340,13 +340,9 @@ def validate_triplet(triplet: Triplet) -> TripletDiagnostics:
     apply. A pair lambda_i + lambda_j near zero makes the Lyapunov
     system unsolvable and the triplet unusable.
     """
-    if triplet.P == 0:
-        return TripletDiagnostics(
-            spectrum=linalg.Spectrum(np.zeros(0, complex), float("inf")),
-            formal_mode=False, resonant_pairs=(), lyapunov_solvable=True)
     spectrum = linalg.eigenvalues(triplet.A)
     vals = spectrum.eigenvalues
-    scale = max(1.0, float(np.max(np.abs(vals))))
+    scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
     mag = np.abs(vals[:, None] + vals)
     i, j = np.nonzero(np.triu(mag < RESONANCE_TOL * scale))  # pairs i <= j, row-major
     resonant = [(int(a), int(b), float(mag[a, b])) for a, b in zip(i, j)]

@@ -94,11 +94,6 @@ class SolutionGrid:
         mask.setflags(write=False)
         return mask
 
-    def overflow_error(self, i: int, j: int) -> OverflowDetectedError:
-        """The error det Gamma at (t[i], x[j]) raises when it overflowed."""
-        return OverflowDetectedError(
-            f"overflow in Gamma or det Gamma at x={float(self.x[j])!r}, t={float(self.t[i])!r}")
-
 
 @dataclass(frozen=True, eq=False)
 class GammaEvaluator:
@@ -127,16 +122,19 @@ class GammaEvaluator:
         return self.diagnostics.formal_mode
 
     def propagator(self, t: float) -> np.ndarray:
-        """E(t) = expm((8 A^3 + 2 eta A) t)."""
-        return linalg.expm(self.flow, float(t))
+        """E(t) = expm((8 A^3 + 2 eta A) t); a non-finite t raises SpecValidationError."""
+        t = float(t)
+        if not np.isfinite(t):
+            raise SpecValidationError(f"t must be finite, got {t!r}")
+        return linalg.expm(self.flow, t)
 
     def _reference(self, x: float, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(exp(-x A), E(t), Gamma(x, t)) on scipy's expm, x >= 0 only."""
         x = float(x)
         if not np.isfinite(x) or x < 0.0:
             raise SpecValidationError(f"x must be finite and >= 0, got {x!r}")
-        exa = linalg.expm(self.triplet.A, -x)
         e = self.propagator(t)
+        exa = linalg.expm(self.triplet.A, -x)
         return exa, e, np.eye(self.P) + exa @ self.Q @ exa @ e
 
     def gamma(self, x: float, t: float) -> np.ndarray:
@@ -147,7 +145,8 @@ class GammaEvaluator:
         """det Gamma(x, t) through the batched kernel; overflow raises."""
         e = self.evaluate([float(x)], [float(t)], with_u=False)
         if e.overflow[0, 0]:
-            raise e.overflow_error(0, 0)
+            raise OverflowDetectedError(
+                f"overflow in Gamma or det Gamma at x={float(e.x[0])!r}, t={float(e.t[0])!r}")
         return float(e.det_gamma[0, 0])
 
     def evaluate(self, xs, ts, with_u: bool = True) -> SolutionGrid:
@@ -159,8 +158,8 @@ class GammaEvaluator:
         determinant below the near-singular gate or a factorization
         that fails the pivot gate (linalg.LuFactors.singular) gives
         near-singular. Otherwise, with_u, both resolvent solves run and a
-        non-finite solution or u is overflow again. No point raises;
-        negative or non-finite x raises SpecValidationError.
+        non-finite solution or u is overflow again. No point raises; a
+        negative or non-finite x or a non-finite t raises SpecValidationError.
         """
         xs = np.array(xs, dtype=float, ndmin=1)
         ts = np.array(ts, dtype=float, ndmin=1)
@@ -173,6 +172,9 @@ class GammaEvaluator:
             if bad.any():
                 raise SpecValidationError(
                     f"x must be finite and >= 0, got {float(xs[bad][0])!r}")
+            bad = ~np.isfinite(ts)
+            if bad.any():
+                raise SpecValidationError(f"t must be finite, got {float(ts[bad][0])!r}")
             self._fill(xs, ts, with_u, u, det, code)
         flags = _FLAG_NAMES[code]
         for arr in (xs, ts, u, det, flags):
@@ -324,18 +326,6 @@ def sample_grid(evaluator: GammaEvaluator, xs, ts) -> SolutionGrid:
     return evaluator.evaluate(xs, ts)
 
 
-def _n_soliton_gamma(states, eta: float, x, t) -> tuple[np.ndarray, np.ndarray]:
-    """n_soliton_gamma_direct and theta, unchecked: overflow stays non-finite."""
-    kap = np.array([s.kappa for s in states], dtype=float)
-    c = np.array([s.c for s in states], dtype=float)
-    x, t = (np.asarray(v, dtype=float)[..., None] for v in (x, t))
-    theta = -2.0 * kap * x + (8.0 * kap ** 3 + 2.0 * float(eta) * kap) * t
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = c * np.exp(theta)
-        gamma = np.eye(kap.size) + weights[..., :, None] / (kap[:, None] + kap[None, :])
-    return gamma, theta
-
-
 def n_soliton_gamma_direct(bound_states, eta: float, x, t) -> np.ndarray:
     """Classical N-soliton matrix, bypassing the triplet machinery.
 
@@ -344,18 +334,26 @@ def n_soliton_gamma_direct(bound_states, eta: float, x, t) -> np.ndarray:
     determinant as the triplet route (the two matrices are conjugate
     by a diagonal similarity). x and t are scalars (an N x N matrix is
     returned) or arrays that broadcast together (a (..., N, N) stack
-    whose members equal the scalar calls bit for bit). Overflow raises
-    OverflowDetectedError naming the first overflowing point in C order.
+    whose members equal the scalar calls bit for bit). A non-finite x or
+    t raises SpecValidationError, and overflow OverflowDetectedError,
+    each naming the first such point in C order.
     """
     states = tuple(bound_states)
     if not states:
         raise SpecValidationError("need at least one bound state")
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    gamma, theta = _n_soliton_gamma(states, eta, x, t)
+    bad = ~(np.isfinite(x) & np.isfinite(t))
+    if bad.any():
+        raise SpecValidationError(f"x and t must be finite, got x={float(x[bad][0])!r}, "
+                                  f"t={float(t[bad][0])!r}")
+    kap = np.array([s.kappa for s in states], dtype=float)
+    c = np.array([s.c for s in states], dtype=float)
+    theta = -2.0 * kap * x[..., None] + (8.0 * kap ** 3 + 2.0 * float(eta) * kap) * t[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = c * np.exp(theta)
+        gamma = np.eye(kap.size) + weights[..., :, None] / (kap[:, None] + kap[None, :])
     bad = ~np.all(np.isfinite(gamma), axis=(-2, -1))
     if bad.any():
         at = np.unravel_index(np.argmax(bad), bad.shape)
-        raise OverflowDetectedError(
-            f"n-soliton exponentials overflowed at x={x[at]}, t={t[at]}",
-            magnitude=float(np.max(theta[at])))
+        raise OverflowDetectedError(f"n-soliton exponentials overflowed at x={x[at]}, t={t[at]}")
     return gamma

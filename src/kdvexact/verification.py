@@ -147,10 +147,14 @@ def _stencil_values(u_source, xs, ts, offsets, h_x, h_t):
             for o, dt in keys}
 
 
-def _check_sample_counts(n_x: int, n_t: int) -> None:
+def _check_grid(x_window, t_window, n_x: int, n_t: int) -> None:
     for name, n in (("n_x", n_x), ("n_t", n_t)):
         if not n >= 1:
             raise SpecValidationError(f"{name} must be at least 1, got {n!r}")
+    for name, window in (("x_window", x_window), ("t_window", t_window)):
+        for bound in window:
+            if not math.isfinite(bound):
+                raise SpecValidationError(f"{name} bounds must be finite, got {bound!r}")
 
 
 def _check_step(name: str, h: float) -> None:
@@ -169,10 +173,10 @@ def pde_residual(u_source, x_window, t_window, n_x: int = 11, n_t: int = 5,
     stencil node satisfies x >= 0 and t >= 0. A flagged or non-finite
     sample anywhere in a stencil rejects the window with
     SpecValidationError, naming the point; choose windows inside the
-    region where every sample is ok. An h_x, or a given h_t, that is not
-    finite and > 0 raises SpecValidationError before any sampling.
+    region where every sample is ok. A non-finite window bound, or an
+    h_x or given h_t not finite and > 0, raises it before any sampling.
     """
-    _check_sample_counts(n_x, n_t)
+    _check_grid(x_window, t_window, n_x, n_t)
     _check_step("h_x", h_x)
     if h_t is not None:
         _check_step("h_t", h_t)
@@ -217,9 +221,10 @@ def pde_residual_refinement(u_source, x_window, t_window,
     The window is clipped once, for the coarsest level, so every level
     samples the same points and the maxima are comparable. Ratios near
     16 between successive halvings confirm the fourth-order design.
-    A level that is repeated, or not finite and > 0, raises
-    SpecValidationError before any residual is computed.
+    A non-finite window bound, or a level repeated or not finite and
+    > 0, raises SpecValidationError before any residual is computed.
     """
+    _check_grid(x_window, t_window, n_x, n_t)
     levels = tuple(levels)
     if not levels:
         raise SpecValidationError(f"levels must hold at least one h_x, got {levels!r}")
@@ -313,11 +318,11 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t):
 
     x, y and t are scalars (a float is returned) or equal-length 1-D
     arrays (an array of residuals is returned). Every sample is checked
-    for finite 0 <= x <= y before any work is done. Valid only when all
-    eigenvalues of A have positive real part (the integrand then decays
-    like exp(-2 mu z)); otherwise the integral diverges and
-    FormalModeError is raised. Each sample's infinite tail is cut where
-    its decay envelope falls below MARCHENKO_TAIL_FLOOR.
+    for finite 0 <= x <= y and finite t before any work is done. Valid
+    only when all eigenvalues of A have positive real part (the
+    integrand then decays like exp(-2 mu z)); otherwise the integral
+    diverges and FormalModeError is raised. Each sample's infinite tail
+    is cut where its decay envelope falls below MARCHENKO_TAIL_FLOOR.
 
     The set-up takes two stacked exponentials over the samples:
     exp(-xA), exp(-(x+y)A) and exp(-yA) in one, E(t) in the other.
@@ -345,12 +350,12 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t):
     if not (x.ndim == 1 and x.size and x.shape == y.shape == t.shape):
         raise SpecValidationError(f"x, y and t must be scalars or nonempty 1-D arrays of "
                                   f"one length, got shapes {x.shape}, {y.shape}, {t.shape}")
-    bad = np.flatnonzero(~((0.0 <= x) & (x <= y) & np.isfinite(y)))
+    bad = np.flatnonzero(~((0.0 <= x) & (x <= y) & np.isfinite(y) & np.isfinite(t)))
     if bad.size:
         i = bad[0]
         where = "" if scalar else f"sample {i}: "
-        raise SpecValidationError(
-            f"need finite 0 <= x <= y, {where}got x={float(x[i])!r}, y={float(y[i])!r}")
+        raise SpecValidationError(f"need finite 0 <= x <= y and finite t, {where}got "
+                                  f"x={float(x[i])!r}, y={float(y[i])!r}, t={float(t[i])!r}")
     trip = evaluator.triplet
     a, b, c = trip.A, trip.B.reshape(-1), trip.C.reshape(-1)
     exa, exya, eya = np.split(linalg.expm(a, -np.concatenate([x, x + y, y])), 3)
@@ -535,41 +540,32 @@ def soliton_equivalence(bound_states, eta: float = 0.0,
     The deviation is |det_triplet - det_direct| / (1 + |det_direct|),
     maximized over the grid; worst_point is its first maximum in t-major
     order. Both sides are batched: the triplet side is one kernel call,
-    the direct side one N-soliton matrix stack over the grid (x and t
-    arrays) and numpy's det over it, so no factorization is shared with
-    the kernel. Overflow raises OverflowDetectedError at the first point,
-    in t-major order, where the direct matrix, its determinant or the
-    triplet side overflowed, with the per-point error of the first of
-    those three to fail there.
+    the direct side one n_soliton_gamma_direct stack over the grid and
+    numpy's det over it, so no factorization is shared with the kernel.
+    Each stage checks its own output: a direct matrix that overflows
+    anywhere raises n_soliton_gamma_direct's error; otherwise the first
+    point, in t-major order, where the triplet side or the direct det
+    overflowed raises OverflowDetectedError naming it. A non-finite
+    window bound raises SpecValidationError before any work.
     """
-    _check_sample_counts(n_x, n_t)
-    states = tuple(bound_states)
-    spec = realization.ScatteringSpec(bound_states=states, eta=eta)
+    _check_grid(x_window, t_window, n_x, n_t)
+    spec = realization.ScatteringSpec(bound_states=tuple(bound_states), eta=eta)
     ev = solution.make_evaluator(realization.build_triplet(spec))
     xs = np.linspace(float(x_window[0]), float(x_window[1]), n_x)
     ts = np.linspace(float(t_window[0]), float(t_window[1]), n_t)
     triplet_side = ev.evaluate(xs, ts, with_u=False)
-    at_t, at_x = np.divmod(np.arange(ts.size * xs.size), xs.size)   # t-major points
-    direct, _ = solution._n_soliton_gamma(spec.bound_states, eta, xs[at_x], ts[at_t])
-    finite = np.all(np.isfinite(direct), axis=(-2, -1))
+    direct = solution.n_soliton_gamma_direct(spec.bound_states, eta, xs, ts[:, None])
     with np.errstate(over="ignore"):
-        det_direct = np.linalg.det(np.where(finite[:, None, None], direct, np.eye(len(states))))
-    # The first failing point in t-major order raises the error the
-    # per-point route raises there: direct matrix, determinant, triplet side.
-    failed = ~finite | ~np.isfinite(det_direct) | triplet_side.overflow.reshape(-1)
+        det_direct = np.linalg.det(direct)
+    failed = triplet_side.overflow | ~np.isfinite(det_direct)
     if failed.any():
-        k = int(np.argmax(failed))
-        if not finite[k]:
-            solution.n_soliton_gamma_direct(spec.bound_states, eta, xs[at_x[k]], ts[at_t[k]])
-        if not np.isfinite(det_direct[k]):
-            linalg.determinant(linalg.lu_factor(direct[k]))
-        raise triplet_side.overflow_error(at_t[k], at_x[k])
-    dev = (np.abs(triplet_side.det_gamma.reshape(-1) - det_direct)
-           / (1.0 + np.abs(det_direct)))
-    worst = int(np.argmax(dev))
-    return SolitonEquivalence(max_deviation=float(dev[worst]),
-                              worst_point=(float(xs[at_x[worst]]), float(ts[at_t[worst]])),
-                              n_x=n_x, n_t=n_t)
+        i, j = np.unravel_index(np.argmax(failed), failed.shape)
+        raise OverflowDetectedError(
+            f"overflow in Gamma or det Gamma at x={float(xs[j])!r}, t={float(ts[i])!r}")
+    dev = np.abs(triplet_side.det_gamma - det_direct) / (1.0 + np.abs(det_direct))
+    i, j = np.unravel_index(np.argmax(dev), dev.shape)
+    return SolitonEquivalence(max_deviation=float(dev[i, j]),
+                              worst_point=(float(xs[j]), float(ts[i])), n_x=n_x, n_t=n_t)
 
 
 @dataclass(frozen=True)

@@ -274,6 +274,29 @@ def test_negative_x_rejected():
         ev.marchenko_kernel(-0.5, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("route, args, named", [
+    ("sample", (1.0, np.inf), "t must be finite, got inf"),
+    ("evaluate", ([1.0], [0.0, np.nan]), "t must be finite, got nan"),
+    ("det_gamma", (1.0, -np.inf), "t must be finite, got -inf"),
+    ("gamma", (0.5, np.nan), "t must be finite, got nan"),
+    ("u_log_det", (0.5, np.inf), "t must be finite, got inf"),
+    ("marchenko_kernel", (0.5, 1.0, np.nan), "t must be finite, got nan"),
+    ("propagator", (np.nan,), "t must be finite, got nan"),
+])
+def test_non_finite_t_rejected_before_any_work(monkeypatch, route, args, named):
+    ev = one_soliton_evaluator()
+    for name in ("expm", "expm_stack"):
+        monkeypatch.setattr(linalg, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+    with pytest.raises(SpecValidationError, match=named):
+        getattr(ev, route)(*args)
+
+
+def test_negative_t_allowed():
+    ev = one_soliton_evaluator()
+    assert ev.sample(1.0, -0.5).flag == FLAG_OK
+    assert np.isfinite(ev.u_log_det(1.0, -0.5))
+
+
 @pytest.mark.parametrize("route, args, calls", [
     ("u_log_det", (1.0, 0.05), 2),             # exp(-xA) and E(t)
     ("marchenko_kernel", (1.0, 1.5, 0.05), 3),  # plus exp(-yA)
@@ -329,3 +352,7 @@ def test_n_soliton_direct_matrix():
     assert np.max(np.abs(g - want)) < 1e-15
     with pytest.raises(SpecValidationError):
         n_soliton_gamma_direct((), 0.0, 0.0, 0.0)
+    with pytest.raises(SpecValidationError, match="finite, got x=nan, t=0.0"):
+        n_soliton_gamma_direct(states, 1.0, np.nan, 0.0)
+    with pytest.raises(SpecValidationError, match="finite, got x=0.0, t=inf"):
+        n_soliton_gamma_direct(states, 1.0, 0.0, [0.0, np.inf])

@@ -1,6 +1,8 @@
 """Verification layer: residual scans, Marchenko checks, positivity."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,15 @@ def test_marchenko_rejects_bad_arguments():
         marchenko_residual(formal, 0.0, 1.0, 0.0)
 
 
+def test_marchenko_rejects_non_finite_t_before_any_work(monkeypatch):
+    ev = one_soliton_evaluator()
+    forbid(monkeypatch, linalg, "expm")
+    with pytest.raises(SpecValidationError, match="got x=0.5, y=1.0, t=nan"):
+        marchenko_residual(ev, 0.5, 1.0, np.nan)
+    with pytest.raises(SpecValidationError, match="sample 1: got x=0.5, y=1.0, t=inf"):
+        marchenko_residual(ev, [0.5, 0.5], [1.0, 1.0], [0.0, np.inf])
+
+
 def test_omega_quadrature_rotation():
     spec = helpers.rotation_spec(0.5, 0.5, eta=1.0)
     for chk in omega_quadrature_check(spec, [0.5, 1.0, 2.0]):
@@ -279,6 +290,37 @@ def test_refinement_rejects_bad_levels_before_any_work(monkeypatch, levels, name
         pde_residual_refinement(ev, (0.5, 1.0), (0.1, 0.2), levels=levels)
 
 
+@pytest.mark.parametrize("x_window, t_window, named", [
+    ((0.5, np.inf), (0.1, 0.2), "x_window bounds must be finite, got inf"),
+    ((np.nan, 1.0), (0.1, 0.2), "x_window bounds must be finite, got nan"),
+    ((0.5, 1.0), (0.1, np.inf), "t_window bounds must be finite, got inf"),
+], ids=["inf-x", "nan-x", "inf-t"])
+def test_pde_residual_rejects_non_finite_windows_before_any_work(monkeypatch, x_window,
+                                                                 t_window, named):
+    ev = make_evaluator(helpers.rotation_triplet(0.5, 0.5, eta=1.0))
+    forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
+    with pytest.raises(SpecValidationError, match=named):
+        pde_residual(ev, x_window, t_window)
+
+
+def test_refinement_rejects_non_finite_windows_before_any_work(monkeypatch):
+    ev = make_evaluator(helpers.rotation_triplet(0.5, 0.5, eta=1.0))
+    forbid(monkeypatch, verification, "pde_residual")
+    with pytest.raises(SpecValidationError, match="t_window bounds must be finite, got inf"):
+        pde_residual_refinement(ev, (0.5, 1.0), (0.1, np.inf))
+
+
+@pytest.mark.parametrize("windows, named", [
+    (((0.0, np.inf), (0.0, 1.0)), "x_window bounds must be finite, got inf"),
+    (((0.0, 5.0), (np.nan, 1.0)), "t_window bounds must be finite, got nan"),
+], ids=["inf-x", "nan-t"])
+def test_soliton_equivalence_rejects_non_finite_windows_before_any_work(monkeypatch, windows,
+                                                                        named):
+    forbid(monkeypatch, solution, "make_evaluator")
+    with pytest.raises(SpecValidationError, match=named):
+        soliton_equivalence((BoundState(1.0, 2.0),), 0.0, *windows)
+
+
 @pytest.mark.parametrize("step", ["h_x", "h_t"])
 @pytest.mark.parametrize("value", [0.0, -1e-3, np.nan], ids=["zero", "negative", "nan"])
 def test_pde_residual_rejects_bad_steps_before_any_work(monkeypatch, step, value):
@@ -327,17 +369,17 @@ def soliton_equivalence_per_point(bound_states, eta, x_window, t_window, n_x, n_
     xs = np.linspace(float(x_window[0]), float(x_window[1]), n_x)
     ts = np.linspace(float(t_window[0]), float(t_window[1]), n_t)
     triplet_side = ev.evaluate(xs, ts, with_u=False)
+    # every direct matrix first: one that overflows anywhere on the grid wins
+    direct = [[n_soliton_gamma_direct(spec.bound_states, eta, x, t) for x in xs] for t in ts]
     worst = 0.0
     worst_point = (float(xs[0]), float(ts[0]))
     for i, t in enumerate(ts):
         for j, x in enumerate(xs):
-            direct = n_soliton_gamma_direct(spec.bound_states, eta, x, t)
             with np.errstate(over="ignore"):
-                det_direct = float(np.linalg.det(direct))
-            if not np.isfinite(det_direct):
-                linalg.determinant(linalg.lu_factor(direct))
-            if triplet_side.overflow[i, j]:
-                raise triplet_side.overflow_error(i, j)
+                det_direct = float(np.linalg.det(direct[i][j]))
+            if triplet_side.overflow[i, j] or not np.isfinite(det_direct):
+                raise OverflowDetectedError(
+                    f"overflow in Gamma or det Gamma at x={float(x)!r}, t={float(t)!r}")
             det_triplet = float(triplet_side.det_gamma[i, j])
             dev = abs(det_triplet - det_direct) / (1.0 + abs(det_direct))
             if dev > worst:
@@ -356,20 +398,20 @@ def test_batched_soliton_equivalence_matches_per_point_loop(seed):
 
 
 @pytest.mark.parametrize("states, x_window, t_window, match", [
-    # the direct matrix overflows first, at x = 0 of the first bad row
+    # a direct matrix overflows: its own error, at x = 0 of the first bad row
     ((BoundState(2.0, 1e10),), (0.0, 1.0), (2.0, 12.0),
-     "n-soliton exponentials overflowed at x=0.0"),
-    # from x = 1 on, E(t) of the triplet side overflows before the direct matrix
-    ((BoundState(2.0, 1e-10),), (1.0, 2.0), (11.0, 11.2),
-     "overflow in Gamma or det Gamma at x=1.0"),
-    # three finite direct entries whose determinant overflows
+     "n-soliton exponentials overflowed at x=0.0, t=10.75"),
+    # E(t) of the triplet side overflows while every direct matrix stays finite
+    ((BoundState(2.0, 1e-10),), (1.0, 2.0), (11.0, 11.1),
+     "overflow in Gamma or det Gamma at x=1.0, t=11.0925"),
+    # every direct matrix finite; det Gamma overflows on both sides first at x = 0
     ((BoundState(2.0, 1.0), BoundState(2.1, 1.0), BoundState(2.2, 1.0)), (0.0, 1.0),
-     (2.0, 12.0), "determinant overflow"),
+     (2.0, 8.0), "overflow in Gamma or det Gamma at x=0.0, t=3.3499999999999996"),
 ])
 def test_batched_soliton_equivalence_raises_at_first_overflow(states, x_window, t_window,
                                                               match):
     args = (states, 0.0, x_window, t_window, 5, 41)
-    with pytest.raises(OverflowDetectedError, match=match) as batched:
+    with pytest.raises(OverflowDetectedError, match=f"^{re.escape(match)}$") as batched:
         soliton_equivalence(*args)
     with pytest.raises(OverflowDetectedError) as per_point:
         soliton_equivalence_per_point(*args)
