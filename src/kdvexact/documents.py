@@ -13,6 +13,7 @@ round-trip floats, LF newlines. Identical inputs give identical bytes.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -224,16 +225,17 @@ def write_frame_csv(stream, xs, us) -> None:
 
 
 def grid_document(grid) -> dict:
-    """Structured-document form of an evaluated grid."""
+    """Structured-document form of an evaluated grid; non-finite values become null."""
     return {
-        "x": [float(v) for v in grid.x],
-        "t": [float(v) for v in grid.t],
-        "u": [[_json_float(v) for v in row] for row in grid.u],
-        "detGamma": [[_json_float(v) for v in row] for row in grid.det_gamma],
-        "flags": [[str(v) for v in row] for row in grid.flags],
+        "x": np.asarray(grid.x, dtype=float).tolist(),
+        "t": np.asarray(grid.t, dtype=float).tolist(),
+        "u": _json_rows(grid.u),
+        "detGamma": _json_rows(grid.det_gamma),
+        "flags": np.asarray(grid.flags, dtype=str).tolist(),
     }
 
 
-def _json_float(value):
-    v = float(value)
-    return v if np.isfinite(v) else None
+def _json_rows(values) -> list[list]:
+    """Nested float lists from one tolist() per array, NaN and inf as None."""
+    return [[v if math.isfinite(v) else None for v in row]
+            for row in np.asarray(values, dtype=float).tolist()]

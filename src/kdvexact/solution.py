@@ -274,8 +274,11 @@ class GammaEvaluator:
         return float(-2.0 * (np.trace(gi_gxx) - np.trace(gi_gx @ gi_gx)))
 
     def marchenko_omega(self, y: float, t: float) -> float:
-        """Separable integral kernel Omega(y; t) = C E(t) exp(-y A) B."""
-        eya = linalg.expm(self.triplet.A, -float(y))
+        """Separable integral kernel Omega(y; t) = C E(t) exp(-y A) B; y and t must be finite."""
+        y = float(y)
+        if not np.isfinite(y):
+            raise SpecValidationError(f"y must be finite, got {y!r}")
+        eya = linalg.expm(self.triplet.A, -y)
         return (self.triplet.C @ self.propagator(t) @ eya @ self.triplet.B).item()
 
     def marchenko_kernel(self, x: float, y: float, t: float) -> float:

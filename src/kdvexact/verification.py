@@ -11,6 +11,9 @@ algebra it is checking:
   line,
 * determinant positivity scans and the classical N-soliton
   determinant comparison.
+
+scipy.integrate is imported inside omega_quadrature_check, so only the
+processes that run the Fourier cross-check (verify) pay for loading it.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import linalg, realization, solution
 from .errors import FormalModeError, NumericalError, OverflowDetectedError, SpecValidationError
@@ -434,6 +436,10 @@ def omega_quadrature_check(spec: realization.ScatteringSpec,
     @functools.cache
     def r(k: float) -> complex:
         return realization._partial_fraction_sum(terms, complex(k))
+
+    # deferred: at module level it costs every eval/frames/build/soliton process ~23 MB
+    # of peak memory and ~0.3 s of start-up (BENCH_16.json)
+    from scipy import integrate
 
     out = []
     for y in ys:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import re
 import shutil
 import subprocess
@@ -320,3 +322,44 @@ def test_console_script_smoke(tmp_path):
         capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.splitlines()[1] == "0.0,0.0,-2.0,2.0,ok"
+
+
+_IMPORT_FOOTPRINT_SCRIPT = """
+import json, sys
+import numpy, scipy.linalg
+
+def integrate_modules():
+    return {m for m in sys.modules if m == "scipy.integrate" or m.startswith("scipy.integrate.")}
+
+baseline = integrate_modules()
+from kdvexact import cli
+readme, soliton, out = sys.argv[1:4]
+grid = ["--x", "0:1:3", "--t", "0:0.1:2"]
+codes = [cli.main(["build", "--input", readme, "--output", out + "/triplet.json"]),
+         cli.main(["eval", "--input", readme, "--output", out + "/grid.csv"] + grid),
+         cli.main(["frames", "--input", readme, "--output", out + "/frames"] + grid),
+         cli.main(["soliton", "--input", soliton, "--output", out + "/soliton.csv"] + grid)]
+added = sorted(integrate_modules() - baseline)
+cli.main(["verify", "--input", readme, "--output", out + "/report.json"])
+report = json.load(open(out + "/report.json"))
+print(json.dumps({"codes": codes, "added": added,
+                  "verify_loaded": "scipy.integrate" in sys.modules,
+                  "omega": report["omegaQuadratureError"]}))
+"""
+
+
+def test_only_verify_loads_scipy_integrate(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme_doc = tmp_path / "readme.json"
+    readme_doc.write_text(re.search(r"^```json\n(.*?)^```", readme, re.M | re.S).group(1))
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_FOOTPRINT_SCRIPT, str(readme_doc),
+         write_doc(tmp_path, ONE_SOLITON_DOC), str(tmp_path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert got["codes"] == [0, 0, 0, 0]
+    assert got["added"] == []
+    assert got["verify_loaded"] and math.isfinite(got["omega"])

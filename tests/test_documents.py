@@ -281,3 +281,30 @@ def test_grid_document_nan_becomes_null():
     assert doc["flags"][0][0] == "overflow"
     text = dumps_document(doc)
     assert json.loads(text)["u"][0][0] is None
+
+
+def _grid_document_per_element(grid) -> dict:
+    """The per-element build grid_document must reproduce byte for byte."""
+    def cell(v):
+        v = float(v)
+        return v if np.isfinite(v) else None
+    return {
+        "x": [float(v) for v in grid.x],
+        "t": [float(v) for v in grid.t],
+        "u": [[cell(v) for v in row] for row in grid.u],
+        "detGamma": [[cell(v) for v in row] for row in grid.det_gamma],
+        "flags": [[str(v) for v in row] for row in grid.flags],
+    }
+
+
+def test_grid_document_bytes_match_per_element_build():
+    nan, inf = float("nan"), float("inf")
+    grid = SolutionGrid(
+        x=np.array([0.0, 0.1, 2.5]), t=np.array([-0.0, 1e-3]),
+        u=np.array([[-2.0, nan, 5e-324], [nan, -0.0, 1.7976931348623157e308]]),
+        det_gamma=np.array([[2.0, 1e-14, nan], [inf, 1.0, -inf]]),
+        flags=np.array([[FLAG_OK, FLAG_NEAR_SINGULAR, FLAG_OK],
+                        [FLAG_OVERFLOW, FLAG_OK, FLAG_OVERFLOW]]))
+    text = dumps_document(grid_document(grid))
+    assert text == dumps_document(_grid_document_per_element(grid))
+    assert '"u": [\n    [\n      -2.0,\n      null,\n      5e-324\n' in text

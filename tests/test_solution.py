@@ -291,6 +291,18 @@ def test_non_finite_t_rejected_before_any_work(monkeypatch, route, args, named):
         getattr(ev, route)(*args)
 
 
+@pytest.mark.parametrize("y, named", [
+    (np.inf, "y must be finite, got inf"),
+    (np.nan, "y must be finite, got nan"),
+    (-np.inf, "y must be finite, got -inf"),
+])
+def test_marchenko_omega_non_finite_y_rejected_before_any_work(monkeypatch, y, named):
+    ev = one_soliton_evaluator()
+    monkeypatch.setattr(linalg, "expm", lambda *a: pytest.fail("expm called"))
+    with pytest.raises(SpecValidationError, match=named):
+        ev.marchenko_omega(y, 0.0)
+
+
 def test_negative_t_allowed():
     ev = one_soliton_evaluator()
     assert ev.sample(1.0, -0.5).flag == FLAG_OK
