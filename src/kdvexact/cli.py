@@ -1,11 +1,12 @@
 """Command-line surface.
 
-Subcommands: build (spec document -> triplet document), eval (grid of
-u and det Gamma as CSV or a structured document), verify (independent
-check suite -> report document), soliton (bound-states-only grid plus
-the classical-matrix determinant comparison), frames (one x,u file per
-t value). Exit codes: 0 success, 2 parse or validation failure, 3
-numerical failure, 4 verification failure.
+Subcommands, one row each of the COMMANDS table: build (spec document
+-> triplet document), eval (grid of u and det Gamma as CSV or a
+structured document), verify (independent check suite -> report
+document), soliton (bound-states-only grid plus the classical-matrix
+determinant comparison), frames (one x,u file per t value). Exit codes:
+0 success, 2 parse or validation failure or unwritable output, 3
+numerical failure (every grid point flagged too), 4 verification failure.
 
 Outputs are deterministic: identical input documents and flags give
 byte-identical bytes (sorted JSON keys, shortest round-trip floats,
@@ -14,6 +15,7 @@ LF newlines, no timestamps).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -66,56 +68,13 @@ def _nonneg_float(text: str) -> float:
     return v
 
 
-def _add_io(sp) -> None:
-    sp.add_argument("--input", required=True, help="input document path")
-    sp.add_argument("--output", help="output path (default: stdout)")
-
-
-def _add_grid(sp) -> None:
-    sp.add_argument("--x", type=_parse_range, default=DEFAULT_X,
-                    metavar="START:STOP:COUNT", help="x range (default 0:10:201)")
-    sp.add_argument("--t", type=_parse_range, default=DEFAULT_T,
-                    metavar="START:STOP:COUNT", help="t range (default 0:2:101)")
-    sp.add_argument("--eta", type=_nonneg_float, default=None,
-                    help="override the document's transformation drift")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="kdvexact",
-        description="Half-line KdV solutions from matrix triplets: build, "
-                    "evaluate, and verify.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("build", help="assemble a triplet document from scattering data")
-    _add_io(b)
-    b.add_argument("--eta", type=_nonneg_float, default=None)
-    b.set_defaults(func=cmd_build)
-
-    e = sub.add_parser("eval", help="evaluate u and det Gamma on a grid")
-    _add_io(e)
-    _add_grid(e)
-    e.add_argument("--format", choices=("csv", "structured-document"), default="csv")
-    e.set_defaults(func=cmd_eval)
-
-    v = sub.add_parser("verify", help="run the independent check suite")
-    _add_io(v)
-    _add_grid(v)
-    v.add_argument("--horizon", type=_nonneg_float, default=None,
-                   help="positivity-scan time horizon (default: t range stop)")
-    v.set_defaults(func=cmd_verify)
-
-    s = sub.add_parser("soliton", help="bound-states-only grid plus determinant comparison")
-    _add_io(s)
-    _add_grid(s)
-    s.add_argument("--format", choices=("csv", "structured-document"), default="csv")
-    s.set_defaults(func=cmd_soliton)
-
-    f = sub.add_parser("frames", help="write one x,u file per t value")
-    _add_io(f)
-    _add_grid(f)
-    f.set_defaults(func=cmd_frames)
-    return p
+# add_argument keywords shared by the COMMANDS table.
+_NONNEG = dict(type=_nonneg_float, default=None)
+_RANGE = dict(type=_parse_range, metavar="START:STOP:COUNT")
+_GRID = {"--x": dict(_RANGE, default=DEFAULT_X, help="x range (default 0:10:201)"),
+         "--t": dict(_RANGE, default=DEFAULT_T, help="t range (default 0:2:101)"),
+         "--eta": dict(_NONNEG, help="override the document's transformation drift")}
+_FORMAT = dict(choices=("csv", "structured-document"), default="csv")
 
 
 def _read_document(path: str) -> dict:
@@ -127,11 +86,20 @@ def _read_document(path: str) -> dict:
     return documents.loads_document(text)
 
 
+@contextlib.contextmanager
+def _output_errors():
+    """Report an OSError from creating or writing --output as "cannot write output"."""
+    try:
+        yield
+    except OSError as exc:
+        raise SpecValidationError(f"cannot write output: {exc}") from None
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output_errors(), open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -152,8 +120,8 @@ def _evaluator_from_args(args):
     return spec, solution.make_evaluator(triplet)
 
 
-def _sample(args, evaluator) -> solution.SolutionGrid | None:
-    """Sample the --x/--t grid; None, after a note on stderr, if every point is flagged."""
+def _sample(args, evaluator) -> solution.SolutionGrid:
+    """Sample the --x/--t grid; NumericalError if every point is flagged."""
     x0, x1, nx = args.x
     t0, t1, nt = args.t
     grid = solution.sample_grid(evaluator, np.linspace(x0, x1, nx), np.linspace(t0, t1, nt))
@@ -161,8 +129,7 @@ def _sample(args, evaluator) -> solution.SolutionGrid | None:
         return grid
     labels, counts = np.unique(grid.flags, return_counts=True)
     summary = ", ".join(f"{label}: {count}" for label, count in zip(labels, counts))
-    print(f"every grid point is flagged ({summary})", file=sys.stderr)
-    return None
+    raise NumericalError(f"every grid point is flagged ({summary})")
 
 
 def _write_grid(args, grid: solution.SolutionGrid) -> None:
@@ -172,7 +139,7 @@ def _write_grid(args, grid: solution.SolutionGrid) -> None:
     if args.output is None:
         documents.write_grid_csv(sys.stdout, grid)
         return
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
+    with _output_errors(), open(args.output, "w", encoding="utf-8", newline="") as fh:
         documents.write_grid_csv(fh, grid)
 
 
@@ -190,10 +157,7 @@ def cmd_build(args) -> int:
 
 def cmd_eval(args) -> int:
     _, evaluator = _evaluator_from_args(args)
-    grid = _sample(args, evaluator)
-    if grid is None:
-        return 3
-    _write_grid(args, grid)
+    _write_grid(args, _sample(args, evaluator))
     return 0
 
 
@@ -343,8 +307,6 @@ def cmd_soliton(args) -> int:
         raise SpecValidationError(
             "soliton needs a bound-states-only spec (no reflection poles)")
     grid = _sample(args, evaluator)
-    if grid is None:
-        return 3
     x0, x1, nx = args.x
     t0, t1, nt = args.t
     eq = verification.soliton_equivalence(
@@ -362,14 +324,42 @@ def cmd_frames(args) -> int:
         raise SpecValidationError("frames needs --output as a directory")
     _, evaluator = _evaluator_from_args(args)
     grid = _sample(args, evaluator)
-    if grid is None:
-        return 3
-    os.makedirs(args.output, exist_ok=True)
-    for i in range(grid.t.size):
-        path = os.path.join(args.output, f"frame_{i:04d}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            documents.write_frame_csv(fh, grid.x, grid.u[i])
+    with _output_errors():
+        os.makedirs(args.output, exist_ok=True)
+        for i in range(grid.t.size):
+            path = os.path.join(args.output, f"frame_{i:04d}.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                documents.write_frame_csv(fh, grid.x, grid.u[i])
     return 0
+
+
+# Each subcommand: (help, handler, add_argument keywords of each option
+# besides --input/--output, in --help order).
+COMMANDS = {
+    "build": ("assemble a triplet document from scattering data", cmd_build, {"--eta": _NONNEG}),
+    "eval": ("evaluate u and det Gamma on a grid", cmd_eval, {**_GRID, "--format": _FORMAT}),
+    "verify": ("run the independent check suite", cmd_verify, {**_GRID, "--horizon": dict(
+        _NONNEG, help="positivity-scan time horizon (default: t range stop)")}),
+    "soliton": ("bound-states-only grid plus determinant comparison", cmd_soliton,
+                {**_GRID, "--format": _FORMAT}),
+    "frames": ("write one x,u file per t value", cmd_frames, _GRID),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="kdvexact",
+        description="Half-line KdV solutions from matrix triplets: build, "
+                    "evaluate, and verify.")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--input", required=True, help="input document path")
+        sp.add_argument("--output", help="output path (default: stdout)")
+        for flag, kwargs in options.items():
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=func)
+    return p
 
 
 def main(argv=None) -> int:

@@ -129,13 +129,15 @@ class GammaEvaluator:
         return linalg.expm(self.flow, t)
 
     def _reference(self, x: float, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(exp(-x A), E(t), Gamma(x, t)) on scipy's expm, x >= 0 only."""
+        """(exp(-x A), E(t), Gamma(x, t)) on scipy's expm, x >= 0 only; overflow raises."""
         x = float(x)
         if not np.isfinite(x) or x < 0.0:
             raise SpecValidationError(f"x must be finite and >= 0, got {x!r}")
         e = self.propagator(t)
         exa = linalg.expm(self.triplet.A, -x)
-        return exa, e, np.eye(self.P) + exa @ self.Q @ exa @ e
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma = np.eye(self.P) + exa @ self.Q @ exa @ e
+        return exa, e, linalg._check_finite(gamma, "Gamma")
 
     def gamma(self, x: float, t: float) -> np.ndarray:
         """Gamma(x, t) = I + exp(-x A) Q exp(-x A) E(t), x >= 0 only."""
@@ -265,21 +267,25 @@ class GammaEvaluator:
             exa, e, gamma = self._reference(x, t)
             factors = linalg.lu_factor(gamma)
             a = self.triplet.A
-            w = exa @ (self.triplet.B @ self.triplet.C) @ exa
-            gxx = (a @ w + w @ a) @ e
-            gi_gx = linalg.solve(factors, -(w @ e))
-            gi_gxx = linalg.solve(factors, gxx)
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = exa @ (self.triplet.B @ self.triplet.C) @ exa
+                gxx = (a @ w + w @ a) @ e
+                gi_gx = linalg.solve(factors, -(w @ e))
+                gi_gxx = linalg.solve(factors, gxx)
+                u = float(-2.0 * (np.trace(gi_gxx) - np.trace(gi_gx @ gi_gx)))
         except (OverflowDetectedError, SingularMatrixError):
             return float("nan")
-        return float(-2.0 * (np.trace(gi_gxx) - np.trace(gi_gx @ gi_gx)))
+        return u if np.isfinite(u) else float("nan")
 
     def marchenko_omega(self, y: float, t: float) -> float:
-        """Separable integral kernel Omega(y; t) = C E(t) exp(-y A) B; y and t must be finite."""
+        """Separable kernel Omega(y; t) = C E(t) exp(-y A) B, y and t finite; overflow raises."""
         y = float(y)
         if not np.isfinite(y):
             raise SpecValidationError(f"y must be finite, got {y!r}")
         eya = linalg.expm(self.triplet.A, -y)
-        return (self.triplet.C @ self.propagator(t) @ eya @ self.triplet.B).item()
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega = self.triplet.C @ self.propagator(t) @ eya @ self.triplet.B
+        return linalg._check_finite(omega, "Omega").item()
 
     def marchenko_kernel(self, x: float, y: float, t: float) -> float:
         """K(x, y; t) = -C E(t) exp(-xA) Gamma(x,t)^{-1} exp(-yA) B, y >= x >= 0.

@@ -138,10 +138,26 @@ def test_eval_structured_document_with_flagged_cells(tmp_path):
 
 
 def test_eval_all_flagged_exits_3(tmp_path, capsys):
-    doc = {"boundStates": [{"kappa": 2.0, "c": 3.0}]}
-    rc = main(["eval", "--input", write_doc(tmp_path, doc), "--t", "30:31:2"])
-    assert rc == 3
-    assert "every grid point is flagged" in capsys.readouterr().err
+    src = write_doc(tmp_path, {"boundStates": [{"kappa": 2.0, "c": 3.0}]})
+    outdir = tmp_path / "frames"
+    for argv in (["eval"], ["soliton"], ["frames", "--output", str(outdir)]):
+        assert main(argv + ["--input", src, "--t", "30:31:2"]) == 3, argv
+        assert capsys.readouterr().err == (
+            "numerical failure: every grid point is flagged (overflow: 402)\n")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("build", []), ("eval", ["--x", "0:1:2", "--t", "0:1:2"]),
+    ("verify", ["--x", "0:1:3", "--t", "0:0.5:3"]), ("frames", ["--x", "0:1:2", "--t", "0:1:2"]),
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, extra):
+    src = write_doc(tmp_path, ONE_SOLITON_DOC)
+    # frames cannot make a directory over a file; the others cannot open a
+    # file in a missing directory.
+    target = src if command == "frames" else str(tmp_path / "missing" / "out")
+    assert main([command, "--input", src, "--output", target] + extra) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
 
 def test_bad_range_arguments_exit_2(tmp_path):
@@ -235,6 +251,20 @@ def _readme_synopsis() -> dict[str, set[str]]:
         if line.strip():
             options.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
     return options
+
+
+@pytest.mark.parametrize("command, func", [
+    ("build", cli.cmd_build), ("eval", cli.cmd_eval), ("verify", cli.cmd_verify),
+    ("soliton", cli.cmd_soliton), ("frames", cli.cmd_frames),
+])
+def test_subcommand_defaults(command, func):
+    args = vars(cli.build_parser().parse_args([command, "--input", "doc.json"]))
+    assert args.pop("func") is func
+    grid = {"x": (0.0, 10.0, 201), "t": (0.0, 2.0, 101)} if command != "build" else {}
+    extra = {"eval": {"format": "csv"}, "soliton": {"format": "csv"},
+             "verify": {"horizon": None}}.get(command, {})
+    assert args == {"command": command, "input": "doc.json", "output": None, "eta": None,
+                    **grid, **extra}
 
 
 def test_readme_synopsis_lists_every_option():

@@ -14,6 +14,7 @@ from kdvexact import (
     FLAG_OVERFLOW,
     BoundState,
     LyapunovSolveError,
+    OverflowDetectedError,
     ScatteringSpec,
     SpecValidationError,
     Triplet,
@@ -307,6 +308,26 @@ def test_negative_t_allowed():
     ev = one_soliton_evaluator()
     assert ev.sample(1.0, -0.5).flag == FLAG_OK
     assert np.isfinite(ev.u_log_det(1.0, -0.5))
+
+
+def formal_overflow_evaluator():
+    # exp(-x A) = e^x I stays finite where exp(-x A) Q exp(-x A) overflows.
+    return make_evaluator(Triplet(A=-np.eye(2), B=np.array([1.0, 1.0]),
+                                  C=np.array([-2.0, -2.0])))
+
+
+def test_u_log_det_overflow_gives_nan_without_warning():
+    assert np.isnan(formal_overflow_evaluator().u_log_det(354.6, 0.0))
+
+
+@pytest.mark.parametrize("route, args, named", [
+    ("gamma", (354.9, 0.0), "overflow in Gamma"),
+    ("marchenko_kernel", (354.9, 355.4, 0.0), "overflow in Gamma"),
+    ("marchenko_omega", (354.6, -50.0), "overflow in Omega"),  # E(t) = e^400 I, finite
+])
+def test_reference_routes_raise_on_overflow_without_warning(route, args, named):
+    with pytest.raises(OverflowDetectedError, match=named):
+        getattr(formal_overflow_evaluator(), route)(*args)
 
 
 @pytest.mark.parametrize("route, args, calls", [
