@@ -38,7 +38,6 @@ from .solution import (
     SolutionGrid,
     SolutionSample,
     make_evaluator,
-    n_soliton_gamma_direct,
     sample_grid,
 )
 from .verification import (
@@ -92,7 +91,6 @@ __all__ = [
     "eval_reflection",
     "make_evaluator",
     "marchenko_residual",
-    "n_soliton_gamma_direct",
     "omega_quadrature_check",
     "pde_residual",
     "pde_residual_refinement",

@@ -3,8 +3,8 @@
 Subcommands, one row each of the COMMANDS table: build (spec document
 -> triplet document), eval (grid of u and det Gamma as CSV or a
 structured document), verify (independent check suite -> report
-document), soliton (bound-states-only grid plus the classical-matrix
-determinant comparison), frames (one x,u file per t value). Exit codes:
+document), soliton (bound-states-only grid plus det Gamma against
+Hirota's tau-function), frames (one x,u file per t value). Exit codes:
 0 success, 2 parse or validation failure or unwritable output, 3
 numerical failure (every grid point flagged too), 4 verification failure.
 

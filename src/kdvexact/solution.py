@@ -309,7 +309,8 @@ def make_evaluator(triplet: realization.Triplet) -> GammaEvaluator:
     Raises LyapunovSolveError when eigenvalue pairs of A are resonant
     (some lambda_i + lambda_j ~ 0), in which case no unique Q exists.
     The Lyapunov residual check alone does not catch this when B C
-    happens to lie in the range of the singular system.
+    happens to lie in the range of the singular system. A flow
+    8 A^3 + 2 eta A that overflows raises SpecValidationError naming eta.
     """
     diagnostics = realization.validate_triplet(triplet)
     if not diagnostics.lyapunov_solvable:
@@ -319,10 +320,14 @@ def make_evaluator(triplet: realization.Triplet) -> GammaEvaluator:
             f"no unique Lyapunov solution: eigenvalues {vals[i]:.6g} and {vals[j]:.6g} "
             f"sum to {mag:.3e} in modulus")
     a = triplet.A
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = 8.0 * (a @ a @ a) + (2.0 * triplet.eta) * a
+    if not np.isfinite(flow).all():
+        raise SpecValidationError(f"flow 8 A^3 + 2 eta A is not finite for eta={triplet.eta!r} "
+                                  f"and max |A| = {np.max(np.abs(a)):.6g}")
+    flow.setflags(write=False)
     q = linalg.lyapunov_solve(a, triplet.B @ triplet.C)
     q.setflags(write=False)
-    flow = 8.0 * (a @ a @ a) + (2.0 * triplet.eta) * a
-    flow.setflags(write=False)
     return GammaEvaluator(triplet=triplet, Q=q, diagnostics=diagnostics, flow=flow)
 
 
@@ -334,35 +339,3 @@ def sample_grid(evaluator: GammaEvaluator, xs, ts) -> SolutionGrid:
     """
     return evaluator.evaluate(xs, ts)
 
-
-def n_soliton_gamma_direct(bound_states, eta: float, x, t) -> np.ndarray:
-    """Classical N-soliton matrix, bypassing the triplet machinery.
-
-    Gamma_jl = delta_jl + c_j exp(theta_j) / (kappa_j + kappa_l) with
-    theta_j = -2 kappa_j x + (8 kappa_j^3 + 2 eta kappa_j) t. Same
-    determinant as the triplet route (the two matrices are conjugate
-    by a diagonal similarity). x and t are scalars (an N x N matrix is
-    returned) or arrays that broadcast together (a (..., N, N) stack
-    whose members equal the scalar calls bit for bit). A non-finite x or
-    t raises SpecValidationError, and overflow OverflowDetectedError,
-    each naming the first such point in C order.
-    """
-    states = tuple(bound_states)
-    if not states:
-        raise SpecValidationError("need at least one bound state")
-    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    bad = ~(np.isfinite(x) & np.isfinite(t))
-    if bad.any():
-        raise SpecValidationError(f"x and t must be finite, got x={float(x[bad][0])!r}, "
-                                  f"t={float(t[bad][0])!r}")
-    kap = np.array([s.kappa for s in states], dtype=float)
-    c = np.array([s.c for s in states], dtype=float)
-    theta = -2.0 * kap * x[..., None] + (8.0 * kap ** 3 + 2.0 * float(eta) * kap) * t[..., None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = c * np.exp(theta)
-        gamma = np.eye(kap.size) + weights[..., :, None] / (kap[:, None] + kap[None, :])
-    bad = ~np.all(np.isfinite(gamma), axis=(-2, -1))
-    if bad.any():
-        at = np.unravel_index(np.argmax(bad), bad.shape)
-        raise OverflowDetectedError(f"n-soliton exponentials overflowed at x={x[at]}, t={t[at]}")
-    return gamma

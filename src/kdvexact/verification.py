@@ -9,8 +9,8 @@ algebra it is checking:
 * a Fourier quadrature cross-check of Omega(y; 0) = C exp(-yA) B
   against the spec's partial-fraction reflection function on the real
   line,
-* determinant positivity scans and the classical N-soliton
-  determinant comparison.
+* determinant positivity scans, and det Gamma of bound states against
+  Hirota's N-soliton tau-function, a finite sum of exponentials.
 
 scipy.integrate is imported inside omega_quadrature_check, so only the
 processes that run the Fourier cross-check (verify) pay for loading it.
@@ -45,6 +45,7 @@ MARCHENKO_QUAD_LIMIT = 200   # adaptive subdivisions of the Marchenko integral
 MARCHENKO_TAIL_FLOOR = 1e-14  # decay envelope where each Marchenko tail is cut
 OMEGA_EPSABS = 1e-10         # absolute tolerance of the Fourier half-line quadratures
 POSITIVITY_BISECT_TOL = 1e-8  # width to which a positivity crossing time is bisected
+SOLITON_MAX_STATES = 12       # bound states the soliton check takes (2^N tau terms per point)
 
 # QUADPACK's qk21 (Piessens et al., 1983): the nonnegative 21-point
 # Kronrod nodes on [-1, 1], their weights, and the 10-point Gauss weights
@@ -530,7 +531,7 @@ def positivity_scan(evaluator: solution.GammaEvaluator,
 
 @dataclass(frozen=True)
 class SolitonEquivalence:
-    """Triplet-route vs classical N-soliton determinant comparison."""
+    """Triplet-route det Gamma vs Hirota's N-soliton tau-function."""
 
     max_deviation: float
     worst_point: tuple[float, float]
@@ -538,37 +539,62 @@ class SolitonEquivalence:
     n_t: int
 
 
+def _log_tau(bound_states, eta: float, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """log of Hirota's N-soliton tau-function on the grid ts x xs (t-major).
+
+    tau is the sum over the 2^N subsets S of the bound states of
+    T_S = prod_{j in S} (c_j / 2 kappa_j) exp(theta_j)
+          prod_{i<j in S} ((kappa_i - kappa_j) / (kappa_i + kappa_j))^2,
+    theta_j = -2 kappa_j x + (8 kappa_j^3 + 2 eta kappa_j) t: the
+    determinant of the N-soliton matrix in closed form. Every T_S is
+    positive and T_{} = 1, so the sum is taken as a log-sum-exp.
+    """
+    kap = np.array([s.kappa for s in bound_states])
+    c = np.array([s.c for s in bound_states])
+    member = (np.arange(2 ** kap.size)[:, None] >> np.arange(kap.size)) & 1   # (2^N, N)
+    pair = np.triu(2.0 * np.log(np.abs(kap[:, None] - kap) / (kap[:, None] + kap)
+                                + np.eye(kap.size)), 1)
+    with np.errstate(over="ignore"):   # -2 kappa x past the float range: T_S = 0
+        log_t = (member @ np.log(c / (2.0 * kap)) + np.einsum("si,ij,sj->s", member, pair, member)
+                 + ts[:, None, None] * (member @ (8.0 * kap ** 3 + 2.0 * eta * kap))
+                 - xs[:, None] * (member @ (2.0 * kap)))              # (n_t, n_x, 2^N)
+    top = np.max(log_t, axis=-1)
+    log_t -= top[..., None]
+    return top + np.log(np.sum(np.exp(log_t, out=log_t), axis=-1))
+
+
 def soliton_equivalence(bound_states, eta: float = 0.0,
                         x_window=(0.0, 5.0), t_window=(0.0, 1.0),
                         n_x: int = 26, n_t: int = 11) -> SolitonEquivalence:
-    """Compare det Gamma from the triplet route against the classical matrix.
+    """Compare det Gamma from the triplet route against Hirota's tau.
 
-    The deviation is |det_triplet - det_direct| / (1 + |det_direct|),
-    maximized over the grid; worst_point is its first maximum in t-major
-    order. Both sides are batched: the triplet side is one kernel call,
-    the direct side one n_soliton_gamma_direct stack over the grid and
-    numpy's det over it, so no factorization is shared with the kernel.
-    Each stage checks its own output: a direct matrix that overflows
-    anywhere raises n_soliton_gamma_direct's error; otherwise the first
-    point, in t-major order, where the triplet side or the direct det
-    overflowed raises OverflowDetectedError naming it. A non-finite
-    window bound raises SpecValidationError before any work.
+    The deviation is |det_triplet / tau - 1|, maximized over the grid;
+    worst_point is its first maximum in t-major order. The triplet side
+    is one kernel call; tau is the N-soliton determinant in closed form
+    (a sum of 2^N positive exponentials), so it shares no matrix,
+    exponential or factorization with the kernel it checks. The first
+    point, in t-major order, where the triplet side overflowed raises
+    OverflowDetectedError naming it, before tau is formed. A non-finite
+    window bound, or more than SOLITON_MAX_STATES bound states, raises
+    SpecValidationError before any work.
     """
     _check_grid(x_window, t_window, n_x, n_t)
     spec = realization.ScatteringSpec(bound_states=tuple(bound_states), eta=eta)
+    if len(spec.bound_states) > SOLITON_MAX_STATES:
+        raise SpecValidationError(
+            f"the soliton check takes at most {SOLITON_MAX_STATES} bound states "
+            f"(2^N terms per point), got {len(spec.bound_states)}")
     ev = solution.make_evaluator(realization.build_triplet(spec))
     xs = np.linspace(float(x_window[0]), float(x_window[1]), n_x)
     ts = np.linspace(float(t_window[0]), float(t_window[1]), n_t)
     triplet_side = ev.evaluate(xs, ts, with_u=False)
-    direct = solution.n_soliton_gamma_direct(spec.bound_states, eta, xs, ts[:, None])
-    with np.errstate(over="ignore"):
-        det_direct = np.linalg.det(direct)
-    failed = triplet_side.overflow | ~np.isfinite(det_direct)
+    failed = triplet_side.overflow
     if failed.any():
         i, j = np.unravel_index(np.argmax(failed), failed.shape)
         raise OverflowDetectedError(
             f"overflow in Gamma or det Gamma at x={float(xs[j])!r}, t={float(ts[i])!r}")
-    dev = np.abs(triplet_side.det_gamma - det_direct) / (1.0 + np.abs(det_direct))
+    tau_inv = np.exp(-_log_tau(spec.bound_states, spec.eta, xs, ts))   # tau >= 1: no overflow
+    dev = np.abs(triplet_side.det_gamma * tau_inv - 1.0)
     i, j = np.unravel_index(np.argmax(dev), dev.shape)
     return SolitonEquivalence(max_deviation=float(dev[i, j]),
                               worst_point=(float(xs[j]), float(ts[i])), n_x=n_x, n_t=n_t)

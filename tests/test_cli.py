@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,11 @@ THREE_BLOCK_DOC = {
 }
 
 ONE_SOLITON_DOC = {"boundStates": [{"kappa": 1.0, "c": 2.0}]}
+
+THREE_BOUND_DOC = {"eta": 1.0, "boundStates": [{"kappa": 0.5, "c": 1.0}, {"kappa": 0.7, "c": 1.5},
+                                               {"kappa": 0.9, "c": 0.8}]}
+
+THIRTEEN_STATES_DOC = {"boundStates": [{"kappa": 0.3 + 0.1 * i, "c": 1.0} for i in range(13)]}
 
 VACUUM_DOC = {"rawTriplet": {"A": [[1.0]], "B": [1.0], "C": [0.0]}}
 
@@ -290,6 +296,34 @@ def test_soliton_subcommand(tmp_path, capsys):
     bad = write_doc(tmp_path, THREE_BLOCK_DOC, "mixed.json")
     assert main(["soliton", "--input", bad]) == 2
     assert "bound-states-only" in capsys.readouterr().err
+
+
+def test_soliton_check_above_the_bound_state_cap_is_bad_input(tmp_path, capsys):
+    src = write_doc(tmp_path, THIRTEEN_STATES_DOC)
+    small = ["--x", "4:8:3", "--t", "0:0.1:2"]   # every point ok, so the check is reached
+    assert main(["soliton", "--input", src] + small) == 2
+    assert capsys.readouterr().err == (
+        "error: the soliton check takes at most 12 bound states (2^N terms per point), got 13\n")
+    rc, out = run_to_file(tmp_path, ["verify", "--input", src] + small, "report.json")
+    by_name = {c["name"]: c for c in json.loads(out.read_text())["perCheckStatus"]}
+    assert rc == 4 and by_name["solitonEquivalence"]["passed"] is False
+    assert by_name["solitonEquivalence"]["detail"] == (
+        "unsupported: the soliton check takes at most 12 bound states (2^N terms per point), "
+        "got 13")
+
+
+@pytest.mark.parametrize("doc, eta, named", [
+    (THREE_BOUND_DOC, ["--eta", "1e308"], "eta=1e+308 and max |A| = 0.9"),
+    ({"rawTriplet": {"A": [[1e103]], "B": [1.0], "C": [2.0]}}, [], "eta=0.0 and max |A| = 1e+103"),
+], ids=["three-bound-eta", "raw-triplet-cubed"])
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_non_finite_flow_exits_2_without_warning(tmp_path, capsys, doc, eta, named, command):
+    argv = [command, "--input", write_doc(tmp_path, doc), "--x", "0:1:3", "--t", "0:0.1:2"] + eta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: flow 8 A^3 + 2 eta A is not finite for {named}\n")
 
 
 def test_frames_directory_layout(tmp_path):

@@ -2,18 +2,23 @@
 
 expm_stack is compared with a 40-digit matrix exponential and the
 kernel's u with a 50-digit log-det route, on the README spec, the
-benchmark's P = 64 many-poles spec and seeded dense matrices.
+benchmark's P = 64 many-poles spec and seeded dense matrices. The
+soliton check's Hirota tau-function is compared with a 60-digit
+determinant of the N-soliton matrix.
 """
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kdvexact import FLAG_OK, build_triplet, documents, linalg, make_evaluator
+from kdvexact import (FLAG_OK, BoundState, ScatteringSpec, build_triplet, documents, linalg,
+                      make_evaluator, verification)
+from kdvexact.cli import main
 
 import helpers
 
@@ -125,3 +130,57 @@ def test_kernel_u_matches_log_det_oracle_at_readme_points():
         assert abs(s.u - want) <= 1e-13 * (1.0 + abs(want)), (x, t, s.u, want)
         checked += 1
     assert checked >= 30
+
+
+def _mp_n_soliton_det(states, eta: float, x: float, t: float, dps: int = 60):
+    """det of the N-soliton matrix delta_jl + c_j e^theta_j / (kappa_j + kappa_l),
+    theta_j = -2 kappa_j x + (8 kappa_j^3 + 2 eta kappa_j) t, as an mpf."""
+    with mp.workdps(dps):
+        kap = [mp.mpf(s.kappa) for s in states]
+        w = [mp.mpf(s.c) * mp.exp(-2 * k * mp.mpf(x) + (8 * k ** 3 + 2 * mp.mpf(eta) * k) * mp.mpf(t))
+             for s, k in zip(states, kap)]
+        n = len(states)
+        return mp.det(mp.matrix([[int(j == m) + w[j] / (kap[j] + kap[m]) for m in range(n)]
+                                 for j in range(n)]))
+
+
+CLOSE_STATES = (BoundState(2.0, 1.0), BoundState(2.1, 1.0), BoundState(2.2, 1.0))
+
+
+@pytest.mark.parametrize("states, eta, x_window, t_window", [
+    ((BoundState(0.5, 1.0), BoundState(0.7, 1.5), BoundState(0.9, 0.8)), 1.0, (0, 10), (0, 2)),
+    (CLOSE_STATES, 0.0, (0, 10), (0, 2)),
+    (CLOSE_STATES, 1.0, (0, 10), (0, 2)),
+    # one state, where the N-soliton matrix overflows float64 from t = 10.75:
+    # log tau = log1p((c / 2 kappa) e^theta) and stays finite
+    ((BoundState(2.0, 1e10),), 0.0, (0, 2), (10.5, 11)),
+], ids=["three-bound", "close-kappa", "close-kappa-eta-1", "one-state-past-overflow"])
+def test_log_tau_matches_n_soliton_determinant_oracle(states, eta, x_window, t_window):
+    rng = np.random.default_rng(18)
+    xs = np.sort(rng.uniform(*x_window, 20))
+    ts = np.sort(rng.uniform(*t_window, 10))
+    got = verification._log_tau(states, eta, xs, ts)
+    want = np.array([[float(mp.log(_mp_n_soliton_det(states, eta, x, t))) for x in xs]
+                     for t in ts])
+    assert np.all(np.isfinite(got))
+    # 1e-13, or two ulps of log tau where one ulp is above it (log tau near 724 here)
+    bound = np.maximum(1e-13, 2.0 * np.spacing(np.abs(want)))
+    assert np.all(np.abs(got - want) <= bound), np.max(np.abs(got - want) / bound)
+
+
+def test_soliton_report_measures_the_kernel_error_alone(tmp_path, capsys):
+    """The close-kappa 3-soliton still fails on the default grid, and its
+    reported deviation is the kernel's own error against a 60-digit det."""
+    doc = tmp_path / "close.json"
+    doc.write_text('{"boundStates": [{"kappa": 2.0, "c": 1.0}, {"kappa": 2.1, "c": 1.0}, '
+                   '{"kappa": 2.2, "c": 1.0}]}')
+    assert main(["soliton", "--input", str(doc)]) == 4
+    err = capsys.readouterr().err
+    got = re.fullmatch(r"soliton determinant deviation (\S+) \(threshold 1\.0e-10\) "
+                       r"at x=(\S+), t=(\S+)\n", err)
+    deviation, x, t = (float(v) for v in got.groups())
+    ev = make_evaluator(build_triplet(ScatteringSpec(bound_states=CLOSE_STATES)))
+    det_kernel = ev.evaluate([x], [t], with_u=False).det_gamma[0, 0]
+    with mp.workdps(60):
+        want = float(abs(mp.mpf(det_kernel) / _mp_n_soliton_det(CLOSE_STATES, 0.0, x, t) - 1))
+    assert deviation > 1e-10 and abs(deviation - want) <= 1e-13, (deviation, want)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from kdvexact import (
     build_triplet,
     linalg,
     make_evaluator,
-    n_soliton_gamma_direct,
     sample_grid,
 )
 
@@ -377,15 +377,17 @@ def test_solution_arrays_immutable():
             arr[(0,) * arr.ndim] = 1
 
 
-def test_n_soliton_direct_matrix():
-    states = (BoundState(0.5, 1.0), BoundState(1.0, 2.0))
-    g = n_soliton_gamma_direct(states, 0.0, 0.0, 0.0)
-    # row convention: entry (j, l) weighs c_j, not c_l
-    want = np.array([[1.0 + 1.0 / 1.0, 1.0 / 1.5], [2.0 / 1.5, 1.0 + 2.0 / 2.0]])
-    assert np.max(np.abs(g - want)) < 1e-15
-    with pytest.raises(SpecValidationError):
-        n_soliton_gamma_direct((), 0.0, 0.0, 0.0)
-    with pytest.raises(SpecValidationError, match="finite, got x=nan, t=0.0"):
-        n_soliton_gamma_direct(states, 1.0, np.nan, 0.0)
-    with pytest.raises(SpecValidationError, match="finite, got x=0.0, t=inf"):
-        n_soliton_gamma_direct(states, 1.0, 0.0, [0.0, np.inf])
+@pytest.mark.parametrize("triplet, named", [
+    (Triplet(A=np.diag([0.5, 0.7]), B=np.ones(2), C=np.ones(2), eta=1e308),
+     r"eta=1e\+308 and max \|A\| = 0\.7$"),                # inf * 0 off the diagonal
+    (Triplet(A=np.array([[1e103]]), B=np.ones(1), C=np.ones(1)),
+     r"eta=0\.0 and max \|A\| = 1e\+103$"),                # A^3 overflows
+    (Triplet(A=np.array([[1.0]]), B=np.ones(1), C=np.ones(1), eta=1e308),
+     r"eta=1e\+308 and max \|A\| = 1$"),                    # finite A, infinite flow
+], ids=["nan-flow", "cubed-a", "inf-flow"])
+def test_non_finite_flow_raises_without_warning(triplet, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpecValidationError,
+                           match=r"flow 8 A\^3 \+ 2 eta A is not finite for " + named):
+            make_evaluator(triplet)

@@ -16,13 +16,11 @@ from kdvexact import (
     build_triplet,
     linalg,
     make_evaluator,
-    n_soliton_gamma_direct,
     solution,
     verification,
 )
 from kdvexact.verification import (
     CheckResult,
-    SolitonEquivalence,
     VerificationReport,
     marchenko_residual,
     omega_quadrature_check,
@@ -358,74 +356,26 @@ def test_check_result_formatting():
     assert report.lines()[1].startswith("FAIL positivity:")
 
 
-def soliton_equivalence_per_point(bound_states, eta, x_window, t_window, n_x, n_t):
-    """soliton_equivalence as the per-point loop it was before batching.
-
-    Each determinant is numpy's det of one member, so the values match
-    the batched route bit for bit and only the looping differs.
-    """
-    spec = ScatteringSpec(bound_states=tuple(bound_states), eta=eta)
-    ev = make_evaluator(build_triplet(spec))
-    xs = np.linspace(float(x_window[0]), float(x_window[1]), n_x)
-    ts = np.linspace(float(t_window[0]), float(t_window[1]), n_t)
-    triplet_side = ev.evaluate(xs, ts, with_u=False)
-    # every direct matrix first: one that overflows anywhere on the grid wins
-    direct = [[n_soliton_gamma_direct(spec.bound_states, eta, x, t) for x in xs] for t in ts]
-    worst = 0.0
-    worst_point = (float(xs[0]), float(ts[0]))
-    for i, t in enumerate(ts):
-        for j, x in enumerate(xs):
-            with np.errstate(over="ignore"):
-                det_direct = float(np.linalg.det(direct[i][j]))
-            if triplet_side.overflow[i, j] or not np.isfinite(det_direct):
-                raise OverflowDetectedError(
-                    f"overflow in Gamma or det Gamma at x={float(x)!r}, t={float(t)!r}")
-            det_triplet = float(triplet_side.det_gamma[i, j])
-            dev = abs(det_triplet - det_direct) / (1.0 + abs(det_direct))
-            if dev > worst:
-                worst = dev
-                worst_point = (float(x), float(t))
-    return SolitonEquivalence(max_deviation=worst, worst_point=worst_point, n_x=n_x, n_t=n_t)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_batched_soliton_equivalence_matches_per_point_loop(seed):
-    rng = np.random.default_rng(seed)
-    spec = helpers.random_calm_spec(rng)
-    windows = ((0.0, 5.0), (0.0, 1.0)) if seed % 2 else ((0.5, 8.0), (0.2, 3.0))
-    args = (spec.bound_states, spec.eta) + windows + (13, 7)
-    assert soliton_equivalence(*args) == soliton_equivalence_per_point(*args)
-
-
 @pytest.mark.parametrize("states, x_window, t_window, match", [
-    # a direct matrix overflows: its own error, at x = 0 of the first bad row
+    # Gamma = 1 + (c / 2 kappa) e^{64 t - 4 x} leaves the float range first at t = 11
     ((BoundState(2.0, 1e10),), (0.0, 1.0), (2.0, 12.0),
-     "n-soliton exponentials overflowed at x=0.0, t=10.75"),
-    # E(t) of the triplet side overflows while every direct matrix stays finite
+     "overflow in Gamma or det Gamma at x=0.0, t=11.0"),
+    # E(t) = e^{64 t} of the triplet side overflows while det Gamma stays finite
     ((BoundState(2.0, 1e-10),), (1.0, 2.0), (11.0, 11.1),
      "overflow in Gamma or det Gamma at x=1.0, t=11.0925"),
-    # every direct matrix finite; det Gamma overflows on both sides first at x = 0
+    # det Gamma overflows first at x = 0
     ((BoundState(2.0, 1.0), BoundState(2.1, 1.0), BoundState(2.2, 1.0)), (0.0, 1.0),
      (2.0, 8.0), "overflow in Gamma or det Gamma at x=0.0, t=3.3499999999999996"),
 ])
-def test_batched_soliton_equivalence_raises_at_first_overflow(states, x_window, t_window,
-                                                              match):
-    args = (states, 0.0, x_window, t_window, 5, 41)
-    with pytest.raises(OverflowDetectedError, match=f"^{re.escape(match)}$") as batched:
-        soliton_equivalence(*args)
-    with pytest.raises(OverflowDetectedError) as per_point:
-        soliton_equivalence_per_point(*args)
-    assert str(batched.value) == str(per_point.value)
+def test_batched_soliton_equivalence_raises_at_first_overflow(monkeypatch, states, x_window,
+                                                              t_window, match):
+    forbid(monkeypatch, verification, "_log_tau")
+    with pytest.raises(OverflowDetectedError, match=f"^{re.escape(match)}$"):
+        soliton_equivalence(states, 0.0, x_window, t_window, 5, 41)
 
 
-def test_n_soliton_gamma_direct_broadcasts_bit_for_bit():
-    states = (BoundState(0.5, 1.0), BoundState(0.8, 2.0), BoundState(1.1, 0.3))
-    xs = np.linspace(0.0, 4.0, 9)
-    ts = np.linspace(0.0, 1.0, 5)
-    stack = n_soliton_gamma_direct(states, 2.0, xs, ts[:, None])
-    assert stack.shape == (5, 9, 3, 3)
-    for i, t in enumerate(ts):
-        for j, x in enumerate(xs):
-            assert np.array_equal(stack[i, j], n_soliton_gamma_direct(states, 2.0, x, t))
-    with pytest.raises(OverflowDetectedError, match="x=0.5, t=300.0"):
-        n_soliton_gamma_direct(states, 0.0, [1.0, 0.5, 0.0], [0.0, 300.0, 300.0])
+def test_soliton_equivalence_caps_the_bound_states_before_any_work(monkeypatch):
+    states = tuple(BoundState(0.3 + 0.1 * i, 1.0) for i in range(13))
+    forbid(monkeypatch, solution, "make_evaluator")
+    with pytest.raises(SpecValidationError, match="at most 12 bound states .*, got 13$"):
+        soliton_equivalence(states)
