@@ -20,7 +20,7 @@ eta = 0.0
 spec = ScatteringSpec(bound_states=states, eta=eta)
 ev = make_evaluator(build_triplet(spec))
 
-eq = soliton_equivalence(states, eta, (0.0, 8.0), (0.0, 1.5), n_x=33, n_t=13)
+eq = soliton_equivalence(ev, (0.0, 8.0), (0.0, 1.5), n_x=33, n_t=13)
 print(f"triplet determinant vs Hirota tau: max deviation {eq.max_deviation:.3e} "
       f"at (x, t) = {eq.worst_point}")
 

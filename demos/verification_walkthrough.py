@@ -4,14 +4,13 @@ Spec: one oscillatory pole pair plus one bound state, eta = 1. Checks,
 in order: pointwise PDE residual, h-refinement of that residual, the
 Marchenko integral equation at random (x, y, t), the Fourier quadrature
 cross-check of the kernel generator, and a determinant positivity scan.
-The same outcomes are then packed into a VerificationReport.
+Each outcome is then printed as a PASS/FAIL line against its threshold.
 """
 import numpy as np
 
 from kdvexact import BoundState, ComplexPolePair, ScatteringSpec
 from kdvexact import build_triplet, make_evaluator
-from kdvexact.verification import (CheckResult, VerificationReport,
-                                   marchenko_residual, omega_quadrature_check,
+from kdvexact.verification import (marchenko_residual, omega_quadrature_check,
                                    pde_residual, pde_residual_refinement,
                                    positivity_scan)
 
@@ -55,17 +54,17 @@ for c in omega_checks:
 pos = positivity_scan(ev, x_horizon=15.0, t_horizon=10.0, samples_per_unit=4)
 print(f"positivity: certified={pos.certified} up to t={pos.tau_lower}")
 
-report = VerificationReport(checks=(
-    CheckResult("pdeResidual", scan.max_abs <= 1e-5, scan.max_abs, 1e-5),
-    CheckResult("pdeRefinement", ref.fourth_order,
-                min(ref.orders), 3.0, detail="observed order, want >= 3"),
-    CheckResult("marchenkoResidual", worst <= 1e-8, worst, 1e-8),
-    CheckResult("omegaQuadrature", max(c.error for c in omega_checks) <= 1e-6,
-                max(c.error for c in omega_checks), 1e-6),
-    CheckResult("positivityScan", pos.certified, pos.tau_lower, 10.0,
-                detail="tau lower bound, want horizon"),
-))
+# (name, passed, measured, threshold, detail)
+checks = (
+    ("pdeResidual", scan.max_abs <= 1e-5, scan.max_abs, 1e-5, ""),
+    ("pdeRefinement", ref.fourth_order, min(ref.orders), 3.0, "observed order, want >= 3"),
+    ("marchenkoResidual", worst <= 1e-8, worst, 1e-8, ""),
+    ("omegaQuadrature", max(c.error for c in omega_checks) <= 1e-6,
+     max(c.error for c in omega_checks), 1e-6, ""),
+    ("positivityScan", pos.certified, pos.tau_lower, 10.0, "tau lower bound, want horizon"),
+)
 print()
-for line in report.lines():
-    print(line)
-print(f"overall: {'PASS' if report.passed else 'FAIL'}")
+for name, passed, measured, threshold, detail in checks:
+    extra = f" ({detail})" if detail else ""
+    print(f"{'PASS' if passed else 'FAIL'} {name}: {measured:.6e} vs {threshold:.1e}{extra}")
+print(f"overall: {'PASS' if all(c[1] for c in checks) else 'FAIL'}")

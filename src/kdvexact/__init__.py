@@ -41,13 +41,11 @@ from .solution import (
     sample_grid,
 )
 from .verification import (
-    CheckResult,
     OmegaQuadratureCheck,
     PositivityWindow,
     RefinementReport,
     ResidualScan,
     SolitonEquivalence,
-    VerificationReport,
     marchenko_residual,
     omega_quadrature_check,
     pde_residual,
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundState",
-    "CheckResult",
     "ComplexPolePair",
     "FLAG_NEAR_SINGULAR",
     "FLAG_OK",
@@ -85,7 +82,6 @@ __all__ = [
     "SpecValidationError",
     "Triplet",
     "TripletDiagnostics",
-    "VerificationReport",
     "build_reflection_triplet",
     "build_triplet",
     "eval_reflection",

@@ -7,6 +7,8 @@ document), soliton (bound-states-only grid plus det Gamma against
 Hirota's tau-function), frames (one x,u file per t value). Exit codes:
 0 success, 2 parse or validation failure or unwritable output, 3
 numerical failure (every grid point flagged too), 4 verification failure.
+Each subcommand but build works on one evaluator; the Fourier and soliton
+checks read the spec from its triplet (None for a raw triplet).
 
 Outputs are deterministic: identical input documents and flags give
 byte-identical bytes (sorted JSON keys, shortest round-trip floats,
@@ -107,17 +109,13 @@ def _apply_eta(parsed, eta):
     return parsed if eta is None else dataclasses.replace(parsed, eta=eta)
 
 
-def _evaluator_from_args(args):
-    """Parse the input document and build (spec or None, evaluator)."""
+def _evaluator_from_args(args) -> solution.GammaEvaluator:
+    """Parse the input document and build its evaluator (a spec's triplet keeps the spec)."""
     parsed = documents.parse_input_document(_read_document(args.input))
     parsed = _apply_eta(parsed, args.eta)
     if isinstance(parsed, realization.ScatteringSpec):
-        spec = parsed
-        triplet = realization.build_triplet(spec)
-    else:
-        spec = None
-        triplet = parsed
-    return spec, solution.make_evaluator(triplet)
+        parsed = realization.build_triplet(parsed)
+    return solution.make_evaluator(parsed)
 
 
 def _sample(args, evaluator) -> solution.SolutionGrid:
@@ -156,8 +154,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _, evaluator = _evaluator_from_args(args)
-    _write_grid(args, _sample(args, evaluator))
+    _write_grid(args, _sample(args, _evaluator_from_args(args)))
     return 0
 
 
@@ -171,7 +168,6 @@ class _Verify:
     """
 
     args: argparse.Namespace
-    spec: realization.ScatteringSpec | None
     evaluator: solution.GammaEvaluator
     t_cap: float
     report: dict
@@ -232,20 +228,21 @@ def _check_marchenko(v: _Verify, tol: float):
 
 
 def _check_omega(v: _Verify, tol: float):
-    if v.spec is None:
+    spec = v.evaluator.triplet.spec
+    if spec is None:
         return None
-    error = max(r.error for r in verification.omega_quadrature_check(v.spec, (0.5, 1.0, 2.0)))
+    error = max(r.error for r in verification.omega_quadrature_check(spec, (0.5, 1.0, 2.0)))
     v.report["omegaQuadratureError"] = error
     return error <= tol, error, ""
 
 
 def _check_soliton(v: _Verify, tol: float):
-    if v.spec is None or not v.spec.is_bound_state_only:
+    spec = v.evaluator.triplet.spec
+    if spec is None or not spec.is_bound_state_only:
         return None
     x0, x1, _ = v.args.x
     t0, t1, _ = v.args.t
-    eq = verification.soliton_equivalence(
-        v.spec.bound_states, v.spec.eta, (x0, x1), (t0, t1), n_x=13, n_t=7)
+    eq = verification.soliton_equivalence(v.evaluator, (x0, x1), (t0, t1), n_x=13, n_t=7)
     return eq.max_deviation <= tol, eq.max_deviation, ""
 
 
@@ -266,9 +263,8 @@ VERIFY_CHECKS = (
 
 
 def cmd_verify(args) -> int:
-    spec, evaluator = _evaluator_from_args(args)
     horizon = args.t[1] if args.horizon is None else args.horizon
-    v = _Verify(args, spec, evaluator, t_cap=args.t[1], report=dict.fromkeys(
+    v = _Verify(args, _evaluator_from_args(args), t_cap=args.t[1], report=dict.fromkeys(
         ("pdeResidualMax", "pdeResidualGrid", "marchenkoResidualMax",
          "omegaQuadratureError", "positivityWindow")))
     checks = []
@@ -281,37 +277,24 @@ def cmd_verify(args) -> int:
         if outcome is None:
             outcome = (True, 0.0, f"skipped: {skip_reason}")
         passed, measured, detail = outcome
-        checks.append(verification.CheckResult(name, passed, measured, threshold, detail))
-    report = verification.VerificationReport(tuple(checks))
-    doc = dict(v.report, passed=report.passed, perCheckStatus=[_check_doc(c) for c in checks])
-    _write_text(args.output, documents.dumps_document(doc))
-    return 0 if report.passed else 4
-
-
-def _check_doc(check: verification.CheckResult) -> dict:
-    measured = float(check.measured)
-    return {
-        "name": check.name,
-        "passed": check.passed,
-        "measured": measured if math.isfinite(measured) else None,
-        "tolerance": check.threshold,
-        "detail": check.detail,
-    }
+        measured = float(measured)
+        checks.append({"name": name, "passed": passed,
+                       "measured": measured if math.isfinite(measured) else None,
+                       "tolerance": threshold, "detail": detail})
+    passed = all(c["passed"] for c in checks)
+    _write_text(args.output, documents.dumps_document(
+        dict(v.report, passed=passed, perCheckStatus=checks)))
+    return 0 if passed else 4
 
 
 def cmd_soliton(args) -> int:
-    spec, evaluator = _evaluator_from_args(args)
-    if spec is None:
-        raise SpecValidationError("soliton needs a scattering-data document")
-    if not spec.is_bound_state_only:
-        raise SpecValidationError(
-            "soliton needs a bound-states-only spec (no reflection poles)")
+    evaluator = _evaluator_from_args(args)
+    verification._soliton_spec(evaluator)   # reject what the check cannot take before sampling
     grid = _sample(args, evaluator)
     x0, x1, nx = args.x
     t0, t1, nt = args.t
-    eq = verification.soliton_equivalence(
-        spec.bound_states, spec.eta, (x0, x1), (t0, t1),
-        n_x=min(nx, 26), n_t=min(nt, 11))
+    eq = verification.soliton_equivalence(evaluator, (x0, x1), (t0, t1),
+                                          n_x=min(nx, 26), n_t=min(nt, 11))
     _write_grid(args, grid)
     print(f"soliton determinant deviation {eq.max_deviation:.6e} "
           f"(threshold {SOLITON_TOL:.1e}) at x={eq.worst_point[0]!r}, "
@@ -322,8 +305,7 @@ def cmd_soliton(args) -> int:
 def cmd_frames(args) -> int:
     if args.output is None:
         raise SpecValidationError("frames needs --output as a directory")
-    _, evaluator = _evaluator_from_args(args)
-    grid = _sample(args, evaluator)
+    grid = _sample(args, _evaluator_from_args(args))
     with _output_errors():
         os.makedirs(args.output, exist_ok=True)
         for i in range(grid.t.size):

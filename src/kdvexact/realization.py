@@ -152,13 +152,16 @@ class Triplet:
     """Realization matrices A (P x P), B (P x 1), C (1 x P) with drift eta.
 
     Raw triplets may carry any real matrices; use validate_triplet for
-    the diagnostics that gate the non-formal solution features.
+    the diagnostics that gate the non-formal solution features. spec is
+    the ScatteringSpec that build_triplet assembled the triplet from, and
+    None for every other triplet, dataclasses.replace copies included.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     eta: float = 0.0
+    spec: ScatteringSpec | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = linalg.as_matrix(self.A, "A")
@@ -238,12 +241,13 @@ def build_triplet(spec: ScatteringSpec) -> Triplet:
     produce 2m x 2m blocks with the rotation-scaling cell on the
     diagonal and -I2 on the superdiagonal; imaginary poles produce
     m x m bidiagonal blocks; bound states produce 1 x 1 blocks
-    ([kappa], 1, c).
+    ([kappa], 1, c). The triplet keeps spec as its spec field.
     """
     blocks = _reflection_blocks(spec) + [
         (np.array([[s.kappa]]), np.array([1.0]), np.array([s.c])) for s in spec.bound_states]
     triplet = _assemble(blocks, spec.eta)
     assert triplet.P == spec.matrix_dimension
+    object.__setattr__(triplet, "spec", spec)
     return triplet
 
 

@@ -277,16 +277,6 @@ class GammaEvaluator:
             return float("nan")
         return u if np.isfinite(u) else float("nan")
 
-    def marchenko_omega(self, y: float, t: float) -> float:
-        """Separable kernel Omega(y; t) = C E(t) exp(-y A) B, y and t finite; overflow raises."""
-        y = float(y)
-        if not np.isfinite(y):
-            raise SpecValidationError(f"y must be finite, got {y!r}")
-        eya = linalg.expm(self.triplet.A, -y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            omega = self.triplet.C @ self.propagator(t) @ eya @ self.triplet.B
-        return linalg._check_finite(omega, "Omega").item()
-
     def marchenko_kernel(self, x: float, y: float, t: float) -> float:
         """K(x, y; t) = -C E(t) exp(-xA) Gamma(x,t)^{-1} exp(-yA) B, y >= x >= 0.
 

@@ -563,31 +563,46 @@ def _log_tau(bound_states, eta: float, xs: np.ndarray, ts: np.ndarray) -> np.nda
     return top + np.log(np.sum(np.exp(log_t, out=log_t), axis=-1))
 
 
-def soliton_equivalence(bound_states, eta: float = 0.0,
-                        x_window=(0.0, 5.0), t_window=(0.0, 1.0),
-                        n_x: int = 26, n_t: int = 11) -> SolitonEquivalence:
-    """Compare det Gamma from the triplet route against Hirota's tau.
+def _soliton_spec(evaluator: solution.GammaEvaluator) -> realization.ScatteringSpec:
+    """The spec the soliton check compares against; SpecValidationError if it cannot.
 
-    The deviation is |det_triplet / tau - 1|, maximized over the grid;
-    worst_point is its first maximum in t-major order. The triplet side
-    is one kernel call; tau is the N-soliton determinant in closed form
-    (a sum of 2^N positive exponentials), so it shares no matrix,
-    exponential or factorization with the kernel it checks. The first
-    point, in t-major order, where the triplet side overflowed raises
-    OverflowDetectedError naming it, before tau is formed. A non-finite
-    window bound, or more than SOLITON_MAX_STATES bound states, raises
-    SpecValidationError before any work.
+    The evaluator's triplet must come from build_triplet on a spec of at
+    most SOLITON_MAX_STATES bound states and no reflection poles.
     """
-    _check_grid(x_window, t_window, n_x, n_t)
-    spec = realization.ScatteringSpec(bound_states=tuple(bound_states), eta=eta)
+    spec = evaluator.triplet.spec
+    if spec is None:
+        raise SpecValidationError("soliton needs a scattering-data document")
+    if not spec.is_bound_state_only:
+        raise SpecValidationError("soliton needs a bound-states-only spec (no reflection poles)")
     if len(spec.bound_states) > SOLITON_MAX_STATES:
         raise SpecValidationError(
             f"the soliton check takes at most {SOLITON_MAX_STATES} bound states "
             f"(2^N terms per point), got {len(spec.bound_states)}")
-    ev = solution.make_evaluator(realization.build_triplet(spec))
+    return spec
+
+
+def soliton_equivalence(evaluator: solution.GammaEvaluator,
+                        x_window=(0.0, 5.0), t_window=(0.0, 1.0),
+                        n_x: int = 26, n_t: int = 11) -> SolitonEquivalence:
+    """Compare the evaluator's det Gamma against Hirota's tau for its spec.
+
+    The deviation is |det_triplet / tau - 1|, maximized over the grid;
+    worst_point is its first maximum in t-major order. The triplet side
+    is one kernel call; tau is the N-soliton determinant in closed form
+    (a sum of 2^N positive exponentials) of the bound states the
+    evaluator's triplet was built from, so it shares no matrix,
+    exponential or factorization with the kernel it checks. The first
+    point, in t-major order, where the triplet side overflowed raises
+    OverflowDetectedError naming it, before tau is formed. A non-finite
+    window bound, or a triplet not built from a bound-states-only spec
+    of at most SOLITON_MAX_STATES states, raises SpecValidationError
+    before any work.
+    """
+    _check_grid(x_window, t_window, n_x, n_t)
+    spec = _soliton_spec(evaluator)
     xs = np.linspace(float(x_window[0]), float(x_window[1]), n_x)
     ts = np.linspace(float(t_window[0]), float(t_window[1]), n_t)
-    triplet_side = ev.evaluate(xs, ts, with_u=False)
+    triplet_side = evaluator.evaluate(xs, ts, with_u=False)
     failed = triplet_side.overflow
     if failed.any():
         i, j = np.unravel_index(np.argmax(failed), failed.shape)
@@ -598,31 +613,3 @@ def soliton_equivalence(bound_states, eta: float = 0.0,
     i, j = np.unravel_index(np.argmax(dev), dev.shape)
     return SolitonEquivalence(max_deviation=float(dev[i, j]),
                               worst_point=(float(xs[j]), float(ts[i])), n_x=n_x, n_t=n_t)
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One named verification outcome: measured value against threshold."""
-
-    name: str
-    passed: bool
-    measured: float
-    threshold: float
-    detail: str = ""
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        extra = f" ({self.detail})" if self.detail else ""
-        return f"{status} {self.name}: {self.measured:.6e} vs {self.threshold:.1e}{extra}"
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def lines(self) -> list[str]:
-        return [c.line() for c in self.checks]

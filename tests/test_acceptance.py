@@ -128,7 +128,8 @@ def test_n_soliton_reduction():
         states = tuple(BoundState(float(k), float(rng.uniform(0.3, 3.0)))
                        for k in kappas)
         eta = float(rng.choice([0.0, 1.0, 4.0]))
-        eq = soliton_equivalence(states, eta, (0.0, 5.0), (0.0, 1.0),
+        ev = make_evaluator(build_triplet(helpers.ScatteringSpec(bound_states=states, eta=eta)))
+        eq = soliton_equivalence(ev, (0.0, 5.0), (0.0, 1.0),
                                  n_x=26, n_t=11)
         worst = max(worst, eq.max_deviation)
 

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kdvexact import BoundState, ScatteringSpec, build_triplet, cli, make_evaluator
+from kdvexact import (BoundState, ScatteringSpec, build_triplet, cli, linalg, make_evaluator,
+                      solution)
 from kdvexact.cli import main
 
 import helpers
@@ -310,6 +311,31 @@ def test_soliton_check_above_the_bound_state_cap_is_bad_input(tmp_path, capsys):
     assert by_name["solitonEquivalence"]["detail"] == (
         "unsupported: the soliton check takes at most 12 bound states (2^N terms per point), "
         "got 13")
+
+
+def test_soliton_rejects_a_spec_above_the_cap_before_sampling(tmp_path, capsys, monkeypatch):
+    def evaluate(*args, **kwargs):
+        raise AssertionError("the grid was sampled before the spec was checked")
+
+    monkeypatch.setattr(solution.GammaEvaluator, "evaluate", evaluate)
+    assert main(["soliton", "--input", write_doc(tmp_path, THIRTEEN_STATES_DOC)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the soliton check takes at most 12 bound states (2^N terms per point), got 13\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "soliton"])
+def test_one_lyapunov_solve_per_run(tmp_path, capsys, monkeypatch, command):
+    calls = []
+    solve = linalg.lyapunov_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "lyapunov_solve", counted)
+    src = write_doc(tmp_path, THREE_BOUND_DOC)
+    rc, _ = run_to_file(tmp_path, [command, "--input", src, "--x", "0:3:7", "--t", "0:0.2:3"])
+    assert rc == 0 and len(calls) == 1
 
 
 @pytest.mark.parametrize("doc, eta, named", [

@@ -1,6 +1,7 @@
 """Realization of rational reflection data as matrix triplets."""
 from __future__ import annotations
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from kdvexact import (
     validate_triplet,
 )
 
+from kdvexact.documents import parse_input_document
 from kdvexact.realization import RESONANCE_TOL
 
 import helpers
@@ -88,6 +90,17 @@ def test_three_block_assembly():
     assert np.array_equal(trip.B, ref.B)
     assert np.array_equal(trip.C, ref.C)
     assert trip.eta == 1.0
+
+
+def test_only_build_triplet_keeps_the_spec():
+    spec = helpers.three_block_spec()
+    trip = build_triplet(spec)
+    assert trip.spec is spec
+    raw = parse_input_document({"rawTriplet": {"A": [[1.0]], "B": [1.0], "C": [2.0]}})
+    assert isinstance(raw, Triplet) and raw.spec is None
+    assert build_reflection_triplet(spec).spec is None
+    # an eta changed after the build must never reach the spec's tau
+    assert dataclasses.replace(trip, eta=2.0).spec is None
 
 
 def test_block_order_is_canonical():

@@ -156,20 +156,26 @@ def test_u_log_det_matches_fd_of_log_reference():
         assert abs(ev.u_log_det(x, t) - (-2.0 * d2)) < 1e-7, (x, t)
 
 
+def marchenko_omega(ev, y, t):
+    """Separable kernel Omega(y; t) = C E(t) exp(-y A) B from the realization."""
+    trip = ev.triplet
+    return (trip.C @ ev.propagator(t) @ linalg.expm(trip.A, -y) @ trip.B).item()
+
+
 def test_omega_closed_forms():
     eps, gam = 0.5, 0.25
     ev = make_evaluator(helpers.rotation_triplet(eps, gam))
-    assert abs(ev.marchenko_omega(0.0, 0.0) - 2 * eps) < 1e-15
+    assert abs(marchenko_omega(ev, 0.0, 0.0) - 2 * eps) < 1e-15
     for y in (0.3, 1.0, 2.4):
         want = helpers.rotation_omega_reference(y, eps, gam)
-        assert abs(ev.marchenko_omega(y, 0.0) - want) < 1e-14, y
+        assert abs(marchenko_omega(ev, y, 0.0) - want) < 1e-14, y
 
     kappa, c, eta = 0.8, 1.7, 4.0
     evb = one_soliton_evaluator(kappa, c, eta)
     for y, t in [(0.5, 0.0), (1.0, 0.2), (3.0, 0.1)]:
         want = c * np.exp((8 * kappa ** 3 + 2 * eta * kappa) * t - kappa * y)
-        assert abs(evb.marchenko_omega(y, t) - want) < 1e-13 * want
-    assert abs(evb.marchenko_omega(60.0, 0.0)) < 1e-20
+        assert abs(marchenko_omega(evb, y, t) - want) < 1e-13 * want
+    assert abs(marchenko_omega(evb, 60.0, 0.0)) < 1e-20
 
 
 def test_omega_reflectionless_sum():
@@ -186,7 +192,7 @@ def test_omega_reflectionless_sum():
             t = float(rng.uniform(0.0, 0.5))
             want = sum(s.c * np.exp((8 * s.kappa ** 3 + 2 * eta * s.kappa) * t
                                     - s.kappa * y) for s in states)
-            got = ev.marchenko_omega(y, t)
+            got = marchenko_omega(ev, y, t)
             assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
@@ -292,18 +298,6 @@ def test_non_finite_t_rejected_before_any_work(monkeypatch, route, args, named):
         getattr(ev, route)(*args)
 
 
-@pytest.mark.parametrize("y, named", [
-    (np.inf, "y must be finite, got inf"),
-    (np.nan, "y must be finite, got nan"),
-    (-np.inf, "y must be finite, got -inf"),
-])
-def test_marchenko_omega_non_finite_y_rejected_before_any_work(monkeypatch, y, named):
-    ev = one_soliton_evaluator()
-    monkeypatch.setattr(linalg, "expm", lambda *a: pytest.fail("expm called"))
-    with pytest.raises(SpecValidationError, match=named):
-        ev.marchenko_omega(y, 0.0)
-
-
 def test_negative_t_allowed():
     ev = one_soliton_evaluator()
     assert ev.sample(1.0, -0.5).flag == FLAG_OK
@@ -323,7 +317,6 @@ def test_u_log_det_overflow_gives_nan_without_warning():
 @pytest.mark.parametrize("route, args, named", [
     ("gamma", (354.9, 0.0), "overflow in Gamma"),
     ("marchenko_kernel", (354.9, 355.4, 0.0), "overflow in Gamma"),
-    ("marchenko_omega", (354.6, -50.0), "overflow in Omega"),  # E(t) = e^400 I, finite
 ])
 def test_reference_routes_raise_on_overflow_without_warning(route, args, named):
     with pytest.raises(OverflowDetectedError, match=named):

@@ -16,12 +16,11 @@ from kdvexact import (
     build_triplet,
     linalg,
     make_evaluator,
+    realization,
     solution,
     verification,
 )
 from kdvexact.verification import (
-    CheckResult,
-    VerificationReport,
     marchenko_residual,
     omega_quadrature_check,
     pde_residual,
@@ -34,8 +33,11 @@ import helpers
 
 
 def one_soliton_evaluator(kappa=1.0, c=2.0, eta=0.0):
-    spec = ScatteringSpec(bound_states=(BoundState(kappa, c),), eta=eta)
-    return make_evaluator(build_triplet(spec))
+    return bound_states_evaluator((BoundState(kappa, c),), eta)
+
+
+def bound_states_evaluator(states, eta=0.0):
+    return make_evaluator(build_triplet(ScatteringSpec(bound_states=tuple(states), eta=eta)))
 
 
 def test_vacuum_residual_is_exactly_zero():
@@ -256,9 +258,10 @@ def test_positivity_rejects_degenerate_arguments_before_any_work(monkeypatch, ar
 
 
 def test_soliton_equivalence_rejects_empty_grid_before_any_work(monkeypatch):
-    forbid(monkeypatch, solution, "make_evaluator")
+    ev = one_soliton_evaluator()
+    forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
     with pytest.raises(SpecValidationError, match="n_x must be at least 1, got 0"):
-        soliton_equivalence((BoundState(1.0, 2.0),), n_x=0)
+        soliton_equivalence(ev, n_x=0)
 
 
 def test_pde_residual_rejects_empty_grid_before_any_work(monkeypatch):
@@ -314,9 +317,10 @@ def test_refinement_rejects_non_finite_windows_before_any_work(monkeypatch):
 ], ids=["inf-x", "nan-t"])
 def test_soliton_equivalence_rejects_non_finite_windows_before_any_work(monkeypatch, windows,
                                                                         named):
-    forbid(monkeypatch, solution, "make_evaluator")
+    ev = one_soliton_evaluator()
+    forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
     with pytest.raises(SpecValidationError, match=named):
-        soliton_equivalence((BoundState(1.0, 2.0),), 0.0, *windows)
+        soliton_equivalence(ev, *windows)
 
 
 @pytest.mark.parametrize("step", ["h_x", "h_t"])
@@ -329,11 +333,8 @@ def test_pde_residual_rejects_bad_steps_before_any_work(monkeypatch, step, value
 
 
 def test_soliton_equivalence_small_cases():
-    one = soliton_equivalence((BoundState(1.0, 2.0),))
+    one = soliton_equivalence(one_soliton_evaluator())
     assert one.max_deviation <= 1e-12, one
-
-    with pytest.raises(SpecValidationError):
-        soliton_equivalence((BoundState(1.0, 1.0), BoundState(1.0, 2.0)))
 
     rng = np.random.default_rng(67)
     kappas = np.sort(rng.uniform(0.2, 2.8, size=3))
@@ -341,19 +342,8 @@ def test_soliton_equivalence_small_cases():
         kappas = np.sort(rng.uniform(0.2, 2.8, size=3))
     states = tuple(BoundState(float(k), float(rng.uniform(0.2, 4.8)))
                    for k in kappas)
-    three = soliton_equivalence(states, eta=float(rng.uniform(0.0, 2.0)))
+    three = soliton_equivalence(bound_states_evaluator(states, float(rng.uniform(0.0, 2.0))))
     assert three.max_deviation <= 1e-10, three
-
-
-def test_check_result_formatting():
-    ok = CheckResult(name="pde-residual", passed=True, measured=3.2e-7,
-                     threshold=1e-5, detail="11 x 5 grid")
-    line = ok.line()
-    assert line.startswith("PASS pde-residual:") and "11 x 5 grid" in line
-    bad = CheckResult(name="positivity", passed=False, measured=-1.0, threshold=0.0)
-    report = VerificationReport(checks=(ok, bad))
-    assert not report.passed
-    assert report.lines()[1].startswith("FAIL positivity:")
 
 
 @pytest.mark.parametrize("states, x_window, t_window, match", [
@@ -369,13 +359,33 @@ def test_check_result_formatting():
 ])
 def test_batched_soliton_equivalence_raises_at_first_overflow(monkeypatch, states, x_window,
                                                               t_window, match):
+    ev = bound_states_evaluator(states)
     forbid(monkeypatch, verification, "_log_tau")
     with pytest.raises(OverflowDetectedError, match=f"^{re.escape(match)}$"):
-        soliton_equivalence(states, 0.0, x_window, t_window, 5, 41)
+        soliton_equivalence(ev, x_window, t_window, 5, 41)
 
 
 def test_soliton_equivalence_caps_the_bound_states_before_any_work(monkeypatch):
-    states = tuple(BoundState(0.3 + 0.1 * i, 1.0) for i in range(13))
-    forbid(monkeypatch, solution, "make_evaluator")
+    ev = bound_states_evaluator(BoundState(0.3 + 0.1 * i, 1.0) for i in range(13))
+    forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
     with pytest.raises(SpecValidationError, match="at most 12 bound states .*, got 13$"):
-        soliton_equivalence(states)
+        soliton_equivalence(ev)
+
+
+@pytest.mark.parametrize("triplet, named", [
+    (Triplet(A=[[1.0]], B=[1.0], C=[2.0]), "needs a scattering-data document"),
+    (build_triplet(helpers.three_block_spec(eta=1.0)), r"bound-states-only spec \(no reflection"),
+], ids=["raw-triplet", "reflection-poles"])
+def test_soliton_equivalence_rejects_what_tau_cannot_check_before_any_work(monkeypatch, triplet,
+                                                                           named):
+    ev = make_evaluator(triplet)
+    forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
+    with pytest.raises(SpecValidationError, match=named):
+        soliton_equivalence(ev)
+
+
+def test_soliton_equivalence_reads_the_spec_of_the_callers_evaluator(monkeypatch):
+    ev = bound_states_evaluator((BoundState(0.5, 1.0), BoundState(0.9, 0.8)), eta=1.0)
+    forbid(monkeypatch, solution, "make_evaluator")
+    forbid(monkeypatch, realization, "build_triplet")
+    assert soliton_equivalence(ev).max_deviation <= 1e-10
