@@ -43,7 +43,10 @@ def _expect_list(value, path: str) -> list:
 def _expect_real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:   # an integer literal beyond the float range
+        v = math.inf
     if not np.isfinite(v):
         raise SchemaError(path, f"expected a finite number, got {value!r}")
     return v
@@ -77,7 +80,7 @@ def loads_document(text: str) -> dict:
     """Parse JSON text into the top-level object, or raise SchemaError."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer beyond int's digit limit
         raise SchemaError("$", f"not valid JSON: {exc}") from None
     return _expect_object(data, "$")
 

@@ -6,11 +6,15 @@ routes and the verification checks, and takes a scalar or a 1-D array
 of scales, the latter in one stacked scipy call; expm_stack, the
 batched kernel's, runs one vectorized Pade pass per diagonal block size
 of the matrix, so each is an independent check of the other), the
-Lyapunov solve A Q + Q A = RHS by
-Bartels-Stewart (scipy's Schur-based Sylvester solver) with a residual
-check, pivoted LU with determinant and solve helpers, eigenvalue
-extraction, and the resolvent (k I - i A)^{-1} b, by one complex Schur
-reduction and one triangular solve per call.
+Lyapunov solve A Q + Q A = RHS with a residual check (numpy's solve of
+the Kronecker system up to ELIMINATION_MAX_N, Bartels-Stewart through
+scipy's Sylvester solver above it), pivoted LU with determinant and
+solve helpers, eigenvalue extraction, and the resolvent
+(k I - i A)^{-1} b, by one complex Schur reduction and one triangular
+solve per call.
+
+scipy.linalg is imported only inside the routines and branches that
+call it, so the grid path never loads it up to ELIMINATION_MAX_N.
 
 All single-matrix routines detect overflow instead of propagating NaN,
 work on real float64 (the resolvent returns complex values) and raise
@@ -25,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     LyapunovSolveError,
@@ -39,12 +42,15 @@ from .errors import (
 RESIDUAL_TOL = 1e-12   # relative residual bound for verified solves
 PIVOT_TOL = 1e-14      # singularity threshold, times max |entry|
 
-# Stacked LU: members up to this size are eliminated all at once on a
-# points-last copy, one column per numpy step; larger ones go to LAPACK
-# one at a time, where the flops outweigh the per-call overhead. Factor
-# plus a two-column solve, best of 15 on 2,020-member stacks, one
-# thread of a 2-vCPU Xeon: elimination 0.22 us per member at n = 3 and
-# 0.88 us at n = 6, LAPACK 2.1 us and 2.7 us.
+# Numpy below, LAPACK through scipy above. Stacked LU: members up to
+# this size are eliminated all at once on a points-last copy, one column
+# per numpy step; larger ones go to LAPACK one at a time, where the
+# flops outweigh the per-call overhead. Factor plus a two-column solve,
+# best of 15 on 2,020-member stacks, one thread of a 2-vCPU Xeon:
+# elimination 0.22 us per member at n = 3 and 0.88 us at n = 6, LAPACK
+# 2.1 us and 2.7 us. Lyapunov solve, same thread: the P^2 x P^2
+# Kronecker system in numpy takes 12/15/34 us at P = 1/3/6 against
+# 54/49/51 us for scipy's solve_sylvester, which draws level at P = 8.
 ELIMINATION_MAX_N = 6
 
 
@@ -89,6 +95,7 @@ def expm(m: np.ndarray, s=1.0) -> np.ndarray:
         scaled = s[..., None, None] * m
     if not np.all(np.isfinite(scaled)):
         raise OverflowDetectedError("overflow scaling the expm argument")
+    import scipy.linalg as sla
     with np.errstate(over="ignore", invalid="ignore"):
         result = sla.expm(scaled)
     if s.ndim:
@@ -184,13 +191,16 @@ def expm_stack(m: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lyapunov_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A Q + Q A = RHS by Bartels-Stewart (scipy.linalg.solve_sylvester).
+    """Solve A Q + Q A = RHS.
 
-    A residual above RESIDUAL_TOL * max(1, max |RHS|) raises
-    LyapunovSolveError. That catches a spectrum with some
-    lambda_i + lambda_j = 0 unless RHS lies in the range of the singular
-    map, where a Q exists but is not unique; make_evaluator rejects
-    such spectra before solving.
+    Up to ELIMINATION_MAX_N this is one numpy solve of the P^2 x P^2
+    Kronecker system (A (x) I + I (x) A^T) vec(Q) = vec(RHS), row-major
+    vec; larger P takes Bartels-Stewart (scipy.linalg.solve_sylvester).
+    A residual above RESIDUAL_TOL * max(1, max |RHS|), or an exactly
+    singular Kronecker system, raises LyapunovSolveError. That catches a
+    spectrum with some lambda_i + lambda_j = 0 unless RHS lies in the
+    range of the singular map, where a Q exists but is not unique;
+    make_evaluator rejects such spectra before solving.
     """
     a = np.asarray(a, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -199,7 +209,17 @@ def lyapunov_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SpecValidationError(
             f"lyapunov_solve: shapes {a.shape} and {rhs.shape} must both be ({p}, {p})")
     with np.errstate(over="ignore", invalid="ignore"):
-        q = sla.solve_sylvester(a, a, rhs)
+        if p > ELIMINATION_MAX_N:
+            import scipy.linalg as sla
+            q = sla.solve_sylvester(a, a, rhs)
+        else:
+            eye = np.eye(p)
+            # A (x) I + I (x) A^T, equal to np.kron's bit for bit at a quarter of its cost
+            kron = np.einsum("ik,jl->ijkl", a, eye) + np.einsum("ik,jl->ijkl", eye, a.T)
+            try:
+                q = np.linalg.solve(kron.reshape(p * p, p * p), rhs.ravel()).reshape(p, p)
+            except np.linalg.LinAlgError:   # exactly singular: the residual check below reports it
+                q = np.full((p, p), np.nan)
         resid = float(np.max(np.abs(a @ q + q @ a - rhs)))
     scale = max(1.0, float(np.max(np.abs(rhs))))
     if not resid <= RESIDUAL_TOL * scale:
@@ -260,6 +280,7 @@ def lu_factor(m: np.ndarray) -> LuFactors:
         raise SpecValidationError(f"lu_factor: square matrix required, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise OverflowDetectedError("overflow in lu_factor input")
+    import scipy.linalg as sla
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns on exact singularity; we diagnose via pivots
         lu, piv = sla.lu_factor(m, check_finite=False)
@@ -285,6 +306,7 @@ def solve(factors: LuFactors, rhs: np.ndarray) -> np.ndarray:
         pivot = factors.min_pivot()
         raise SingularMatrixError(
             f"solve: matrix is singular to working precision (pivot {pivot:.3e})")
+    import scipy.linalg as sla
     out = sla.lu_solve((factors.lu, factors.piv), rhs, check_finite=False)
     return _check_finite(out, "solve")
 
@@ -320,6 +342,7 @@ def lu_factor_stack(m: np.ndarray) -> LuFactors:
     max_abs = np.max(np.abs(m), axis=(1, 2)) if n else np.zeros(k)
     piv = np.empty((k, n), dtype=np.intp)
     if n > ELIMINATION_MAX_N:
+        import scipy.linalg as sla
         lu = np.empty_like(m)
         for i in range(k):
             lu[i], piv[i], _ = sla.lapack.dgetrf(m[i])
@@ -349,6 +372,7 @@ def lu_solve_stack(factors: LuFactors, rhs: np.ndarray) -> np.ndarray:
     k, n, _ = lu.shape
     shape = (k, n, np.shape(rhs)[-1])
     if n > ELIMINATION_MAX_N:
+        import scipy.linalg as sla
         x = np.array(np.broadcast_to(rhs, shape), dtype=float)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for i in range(k):
@@ -400,6 +424,7 @@ def resolvent_apply(a: np.ndarray, k: complex, b: np.ndarray) -> np.ndarray:
     test LuFactors.singular applies to an LU, so k equal to i times an
     eigenvalue of A raises SingularMatrixError.
     """
+    import scipy.linalg as sla
     a = np.asarray(a, dtype=float)
     t, z = sla.schur(a, output="complex")
     shifted = -1j * t

@@ -397,6 +397,31 @@ def test_malformed_documents_exit_2(tmp_path, capsys):
         assert "error:" in err and "Traceback" not in err
 
 
+_BEYOND_FLOAT = "1" + "0" * 400      # parses to an int that float() cannot hold
+_BEYOND_INT_DIGITS = "1" + "0" * 5000  # beyond the interpreter's int parsing limit
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"eta": %s, "boundStates": [{"kappa": 1.0, "c": 2.0}]}' % _BEYOND_FLOAT,
+     "$.eta: expected a finite number"),
+    ('{"boundStates": [{"kappa": %s, "c": 2.0}]}' % _BEYOND_FLOAT,
+     "$.boundStates[0].kappa: expected a finite number"),
+    ('{"rawTriplet": {"A": [[%s]], "B": [1.0], "C": [2.0]}}' % _BEYOND_FLOAT,
+     "$.rawTriplet.A[0][0]: expected a finite number"),
+    ('{"eta": %s, "boundStates": [{"kappa": 1.0, "c": 2.0}]}' % _BEYOND_INT_DIGITS,
+     "$: not valid JSON"),
+], ids=["eta", "kappa", "raw-triplet", "int-digit-limit"])
+@pytest.mark.parametrize("command", ["build", "eval"])
+def test_huge_integer_literal_exits_2(tmp_path, capsys, command, text, message):
+    src = tmp_path / "huge.json"
+    src.write_text(text)
+    rc = main([command, "--input", str(src), "--output", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err[:200]
+    assert "Traceback" not in err
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     rc = main(["eval", "--input", str(tmp_path / "absent.json")])
     assert rc == 2
@@ -438,18 +463,74 @@ print(json.dumps({"codes": codes, "added": added,
 """
 
 
-def test_only_verify_loads_scipy_integrate(tmp_path):
+def write_readme_doc(tmp_path) -> str:
+    """The README's JSON document, written to tmp_path/readme.json."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     readme_doc = tmp_path / "readme.json"
     readme_doc.write_text(re.search(r"^```json\n(.*?)^```", readme, re.M | re.S).group(1))
+    return str(readme_doc)
+
+
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter that imports kdvexact from this checkout."""
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_FOOTPRINT_SCRIPT, str(readme_doc),
-         write_doc(tmp_path, ONE_SOLITON_DOC), str(tmp_path)],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+
+
+def test_only_verify_loads_scipy_integrate(tmp_path):
+    out = run_fresh(_IMPORT_FOOTPRINT_SCRIPT, write_readme_doc(tmp_path),
+                    write_doc(tmp_path, ONE_SOLITON_DOC), str(tmp_path))
     assert out.returncode == 0, out.stderr
     got = json.loads(out.stdout)
     assert got["codes"] == [0, 0, 0, 0]
     assert got["added"] == []
     assert got["verify_loaded"] and math.isfinite(got["omega"])
+
+
+_SCIPY_LINALG_SCRIPT = """
+import json, sys
+from kdvexact import cli
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    rc = cli.main(argv)
+    runs.append([rc, any(m.split(".")[:2] == ["scipy", "linalg"] for m in sys.modules)])
+print(json.dumps(runs))
+"""
+
+SEVEN_POLE_DOC = {"rawTriplet": {"A": np.diag(np.linspace(0.5, 1.1, 7)).tolist(),
+                                 "B": [1.0] * 7, "C": [0.1] * 7}}
+
+
+def scipy_linalg_runs(argvs) -> list:
+    """[exit code, scipy.linalg loaded yet] after each argv, in one fresh interpreter."""
+    out = run_fresh(_SCIPY_LINALG_SCRIPT, json.dumps(argvs))
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_grid_subcommands_up_to_six_poles_leave_scipy_linalg_unloaded(tmp_path):
+    docs = {"readme": write_readme_doc(tmp_path),
+            "library": write_doc(tmp_path, THREE_BLOCK_DOC, "library.json"),
+            "three-bound": write_doc(tmp_path, THREE_BOUND_DOC, "three.json"),
+            "raw": write_doc(tmp_path, {"rawTriplet": {"A": [[1.0]], "B": [1.0], "C": [2.0]}},
+                             "raw.json")}
+    grid = ["--x", "0:1:3", "--t", "0:0.1:2"]
+    argvs = []
+    for name, doc in docs.items():
+        out = str(tmp_path / name)
+        argvs += [["build", "--input", doc, "--output", out + ".triplet.json"],
+                  ["eval", "--input", doc, "--output", out + ".csv"] + grid,
+                  ["frames", "--input", doc, "--output", out + "-frames"] + grid,
+                  ["soliton", "--input", doc, "--output", out + ".soliton.csv"] + grid]
+    argvs.append(["verify", "--input", docs["readme"], "--output", str(tmp_path / "report.json")])
+    runs = scipy_linalg_runs(argvs)
+    # build rejects a raw triplet and soliton anything but bound states (exit 2); the
+    # README document fails two of verify's checks on its default windows (exit 4)
+    assert [rc for rc, _ in runs] == [0, 0, 0, 2] * 2 + [0, 0, 0, 0] + [2, 0, 0, 2] + [4]
+    assert not any(loaded for _, loaded in runs[:-1])
+    assert runs[-1][1], "verify needs scipy.linalg for expm and the resolvent"
+    seven = scipy_linalg_runs([["eval", "--input", write_doc(tmp_path, SEVEN_POLE_DOC),
+                                "--output", str(tmp_path / "seven.csv")] + grid])
+    assert seven == [[0, True]]

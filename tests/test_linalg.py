@@ -5,6 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvexact import (
     BoundState,
@@ -19,6 +22,8 @@ from kdvexact import (
     build_triplet,
 )
 from kdvexact import linalg
+
+import helpers
 
 
 def test_as_matrix_rejects_bad_inputs():
@@ -144,9 +149,11 @@ def test_lyapunov_random_stable_residual():
 
 
 def test_lyapunov_resonant_pair_raises():
-    a = np.diag([1.0, -1.0])
-    with pytest.raises(LyapunovSolveError):
-        linalg.lyapunov_solve(a, np.ones((2, 2)))
+    # exactly singular Kronecker systems: numpy's solve raises LinAlgError on them,
+    # and lyapunov_solve reports that through its residual check
+    for lam in ([1.0, -1.0], [0.0], [2.0, 0.5, -0.5]):
+        with pytest.raises(LyapunovSolveError, match=r"^Lyapunov residual \S+ exceeds"):
+            linalg.lyapunov_solve(np.diag(lam), np.ones((len(lam), len(lam))))
 
 
 def test_lyapunov_large_stable_residual():
@@ -171,6 +178,46 @@ def test_lyapunov_large_resonant_spectrum_raises():
     a = s @ np.diag(lam) @ np.linalg.inv(s)
     with pytest.raises(LyapunovSolveError):
         linalg.lyapunov_solve(a, rng.uniform(-1, 1, size=(p, p)))
+
+
+def _raw_lyapunov_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """A P <= 6 matrix with every eigenvalue real part in [0.4, 2], and a random RHS."""
+    p = int(rng.integers(1, linalg.ELIMINATION_MAX_N + 1))
+    lam = rng.uniform(0.4, 2.0, size=p)
+    if kind == "jordan":       # one eigenvalue, a single Jordan chain
+        a = lam[0] * np.eye(p) + np.eye(p, k=1)
+    elif kind == "non-normal":  # triangular, off-diagonal entries as large as the spectrum
+        a = np.diag(lam) + np.triu(rng.uniform(-2.0, 2.0, size=(p, p)), 1)
+    else:                      # dense, similar to a diagonal
+        s = rng.uniform(-1, 1, size=(p, p)) + 3.0 * np.eye(p)
+        a = s @ np.diag(lam) @ np.linalg.inv(s)
+    return a, rng.uniform(-2, 2, size=(p, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["calm-spec", "jordan", "non-normal", "dense"]))
+def test_lyapunov_kronecker_solve_matches_scipy(seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "calm-spec":
+        trip = build_triplet(helpers.random_calm_spec(rng))
+        a, rhs = trip.A, trip.B @ trip.C
+    else:
+        a, rhs = _raw_lyapunov_case(kind, rng)
+    assert a.shape[0] <= linalg.ELIMINATION_MAX_N
+    q = linalg.lyapunov_solve(a, rhs)
+    want = sla.solve_sylvester(a, a, rhs)
+    assert np.max(np.abs(q - want)) <= 1e-13 * np.max(np.abs(want))
+    resid = np.max(np.abs(a @ q + q @ a - rhs))
+    assert resid <= linalg.RESIDUAL_TOL * max(1.0, np.max(np.abs(rhs)))
+
+
+def test_lyapunov_above_the_elimination_size_is_scipys_solve():
+    rng = np.random.default_rng(47)
+    p = linalg.ELIMINATION_MAX_N + 1
+    a = np.diag(rng.uniform(0.4, 2.0, size=p)) + np.triu(rng.uniform(-1, 1, size=(p, p)), 1)
+    rhs = rng.uniform(-2, 2, size=(p, p))
+    assert np.array_equal(linalg.lyapunov_solve(a, rhs), sla.solve_sylvester(a, a, rhs))
 
 
 def test_determinant_matches_cofactor_expansion():

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import integrate
 
 from kdvexact import (BoundState, ComplexPolePair, ImaginaryPole, NumericalError, ScatteringSpec,
@@ -99,7 +100,7 @@ def test_omega_quadrature_evaluates_each_distinct_node_once(monkeypatch):
 
 @pytest.mark.parametrize("ys", [(1.0,), (0.5, 1.0, 2.0, 4.0)])
 def test_omega_quadrature_makes_no_reduction_or_solve(monkeypatch, ys):
-    reductions = counter(monkeypatch, linalg.sla, "schur")
+    reductions = counter(monkeypatch, scipy.linalg, "schur")
     solves = counter(monkeypatch, linalg, "resolvent_apply")
     tables = counter(monkeypatch, realization, "_partial_fraction_terms")
     omega_quadrature_check(helpers.three_block_spec(eta=1.0), ys)
