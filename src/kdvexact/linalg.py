@@ -1,11 +1,10 @@
 """Dense linear algebra kernels for the triplet solution machinery.
 
 Thin, contract-enforcing wrappers around LAPACK-backed numpy/scipy
-routines: matrix exponentials (expm is scipy's, for the per-point
-routes and the verification checks, and takes a scalar or a 1-D array
-of scales, the latter in one stacked scipy call; expm_stack, the
-batched kernel's, runs one vectorized Pade pass per diagonal block size
-of the matrix, so each is an independent check of the other), the
+routines: the matrix exponential (expm_stack runs one vectorized Pade
+pass per diagonal block size of the matrix and reports overflow as a
+mask; expm, for the per-point routes and the verification checks, is
+its checked front end for a scalar or a 1-D array of scales), the
 Lyapunov solve A Q + Q A = RHS with a residual check (numpy's solve of
 the Kronecker system up to ELIMINATION_MAX_N, Bartels-Stewart through
 scipy's Sylvester solver above it), pivoted LU with determinant and
@@ -14,7 +13,8 @@ solve helpers, eigenvalue extraction, and the resolvent
 solve per call.
 
 scipy.linalg is imported only inside the routines and branches that
-call it, so the grid path never loads it up to ELIMINATION_MAX_N.
+call it, so neither the grid path nor verify loads it up to
+ELIMINATION_MAX_N.
 
 All single-matrix routines detect overflow instead of propagating NaN,
 work on real float64 (the resolvent returns complex values) and raise
@@ -75,13 +75,12 @@ def _check_finite(m: np.ndarray, what: str) -> np.ndarray:
 
 
 def expm(m: np.ndarray, s=1.0) -> np.ndarray:
-    """Matrix exponential of s*m (scipy's scaling-and-squaring Pade).
+    """Matrix exponential of s*m, checked: expm_stack with its mask raised.
 
     A scalar s gives the n x n exponential; a 1-D array of scales gives
-    the (len(s), n, n) stack from one scipy.linalg.expm call over the
-    stack of s*m, each member equal bit for bit to the scalar call. A
-    zero scale gives the exact identity. Non-finite results, in any
-    member, raise OverflowDetectedError.
+    the (len(s), n, n) stack, each member equal bit for bit to the
+    scalar call. A zero scale gives the exact identity. A non-finite
+    member raises OverflowDetectedError.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -89,18 +88,12 @@ def expm(m: np.ndarray, s=1.0) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.ndim > 1:
         raise SpecValidationError(f"expm: scalar or 1-D scales required, got shape {s.shape}")
-    if s.ndim == 0 and s == 0.0:
-        return np.eye(m.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = s[..., None, None] * m
-    if not np.all(np.isfinite(scaled)):
-        raise OverflowDetectedError("overflow scaling the expm argument")
-    import scipy.linalg as sla
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = sla.expm(scaled)
-    if s.ndim:
-        result[s == 0.0] = np.eye(m.shape[0])
-    return _check_finite(result, f"expm with ||sM||={np.max(np.abs(scaled), initial=0.0):.3g}")
+    result, overflow = expm_stack(m, s)
+    if overflow.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.max(np.abs(s), initial=0.0) * np.max(np.abs(m), initial=0.0)
+        raise OverflowDetectedError(f"overflow in expm with ||sM||={norm:.3g}")
+    return result if s.ndim else result[0]
 
 
 def _diagonal_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,9 +156,7 @@ def expm_stack(m: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
     scalar exponentials, and each other block size takes one vectorized
     degree-13 Pade pass over every (scale, block) pair. A member depends
     only on its own scale, so a batch of one equals the same member of
-    any batch bit for bit; a zero scale gives the exact identity. This
-    is the batched kernel's exponential; expm stays on scipy, so the
-    per-point routes that use it are an independent reference.
+    any batch bit for bit; a zero scale gives the exact identity.
     """
     m = np.asarray(m, dtype=float)
     s = np.asarray(scales, dtype=float).reshape(-1)

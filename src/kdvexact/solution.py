@@ -18,8 +18,10 @@ point for det Gamma, both gates and both solves, and the flags as
 masks. A point that fails a gate is flagged, never raised for. Scalar
 sample() is a batch of one, so grid and scalar values agree bit for
 bit. Gamma, the log-det route and the kernel K stay per point and off
-the batched kernel, as independent checks of it: one builder forms
-exp(-x A), E(t) and Gamma on scipy's expm (linalg.expm) for all three.
+the batched kernel, as independent checks of its algebra: one builder
+forms exp(-x A), E(t) and Gamma for all three through linalg.expm, the
+checked front end of the kernel's exponential, and the log-det route
+and K factor Gamma per point through LAPACK (linalg.lu_factor).
 """
 from __future__ import annotations
 
@@ -129,7 +131,7 @@ class GammaEvaluator:
         return linalg.expm(self.flow, t)
 
     def _reference(self, x: float, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(exp(-x A), E(t), Gamma(x, t)) on scipy's expm, x >= 0 only; overflow raises."""
+        """(exp(-x A), E(t), Gamma(x, t)) through linalg.expm, x >= 0 only; overflow raises."""
         x = float(x)
         if not np.isfinite(x) or x < 0.0:
             raise SpecValidationError(f"x must be finite and >= 0, got {x!r}")

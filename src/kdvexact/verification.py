@@ -12,8 +12,10 @@ algebra it is checking:
 * determinant positivity scans, and det Gamma of bound states against
   Hirota's N-soliton tau-function, a finite sum of exponentials.
 
-scipy.integrate is imported inside omega_quadrature_check, so only the
-processes that run the Fourier cross-check (verify) pay for loading it.
+Everything here runs on numpy and the package's own kernels (the
+stacked exponential and LU, and one adaptive G10/K21 rule shared by the
+Marchenko and Fourier quadratures), so verify, like the grid path,
+loads no scipy module up to linalg.ELIMINATION_MAX_N.
 """
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, realization, solution
-from .errors import FormalModeError, NumericalError, OverflowDetectedError, SpecValidationError
+from .errors import (FormalModeError, NumericalError, OverflowDetectedError, SingularMatrixError,
+                     SpecValidationError)
 
 # fourth-order central first derivative: (f-2 - 8 f-1 + 8 f+1 - f+2) / (12 h)
 _D1_OFFSETS = (-2, -1, 1, 2)
@@ -41,9 +44,12 @@ X_STENCIL_REACH = 3  # x stencil spans x +/- 3 h_x
 REFINEMENT_LEVELS = (3.2e-2, 1.6e-2, 8e-3)
 REFINEMENT_RATIO_BAND = (8.0, 32.0)  # brackets ratio 16 = 2**4 for a 4th-order scheme
 
-MARCHENKO_QUAD_LIMIT = 200   # adaptive subdivisions of the Marchenko integral
+QUAD_LIMIT = 200             # adaptive subdivisions of the Marchenko and Fourier quadratures
 MARCHENKO_TAIL_FLOOR = 1e-14  # decay envelope where each Marchenko tail is cut
 OMEGA_EPSABS = 1e-10         # absolute tolerance of the Fourier half-line quadratures
+OMEGA_CYCLES = 48            # Fourier half-periods past the poles' real parts, averaged
+OMEGA_MAX_CYCLES = 512       # Fourier half-periods one check may integrate, over all y
+OMEGA_AVERAGINGS = 24        # rounds of partial-sum averaging (Euler's transform)
 POSITIVITY_BISECT_TOL = 1e-8  # width to which a positivity crossing time is bisected
 SOLITON_MAX_STATES = 12       # bound states the soliton check takes (2^N tau terms per point)
 
@@ -280,8 +286,9 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     return h * s_k, err, rounding
 
 
-def _adaptive_gk21(f, b: float, epsabs: float, epsrel: float, limit: int) -> np.ndarray:
-    """int_0^b f(s) ds for vector-valued f, by quad_vec's adaptive scheme.
+def _adaptive_gk21(f, b: float, epsabs: float, epsrel: float,
+                   limit: int) -> tuple[np.ndarray, float]:
+    """int_0^b f(s) ds for vector-valued f, and its error estimate, by quad_vec's scheme.
 
     Each round bisects the intervals of largest error estimate until
     their errors sum past global error - tol / 8 (at most 128), and
@@ -310,7 +317,7 @@ def _adaptive_gk21(f, b: float, epsabs: float, epsrel: float, limit: int) -> np.
         errs = np.concatenate([errs[keep], new_errs])
         tol = max(epsabs, epsrel * float(np.max(np.abs(total))))
         if error < tol / 8.0 or error < rounding:
-            return total
+            return total, error
     raise NumericalError(
         f"quadrature did not converge in {limit} subintervals: error estimate "
         f"{error:.3e} above {tol / 8.0:.3e}")
@@ -329,8 +336,10 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t):
 
     The set-up takes two stacked exponentials over the samples:
     exp(-xA), exp(-(x+y)A) and exp(-yA) in one, E(t) in the other.
-    Gamma(x, t) is factored per sample (linalg.lu_factor and solve, so
-    the pivot gate raises SingularMatrixError), giving
+    Gamma(x, t) is factored for all samples in one stacked LU
+    (linalg.lu_factor_stack; the first sample with a non-finite Gamma or
+    one failing the pivot gate raises OverflowDetectedError or
+    SingularMatrixError), giving
     K(x,y) = -C E(t) exp(-xA) Gamma^{-1} exp(-yA) B and the rows
     R = C E(t) exp(-xA) Gamma^{-1} exp(-xA), W = C E(t) exp(-(x+y)A).
     With z = x + s, exp(-zA) = exp(-xA) exp(-sA), so every sample's
@@ -339,7 +348,7 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t):
     error estimate and bisection), so each refinement round costs one
     stacked exponential over its new nodes whatever the sample count.
     Each sample's error is bounded by epsabs + epsrel max_i |I_i| (both
-    1e-12) under the max norm; reaching MARCHENKO_QUAD_LIMIT subintervals
+    1e-12) under the max norm; reaching QUAD_LIMIT subintervals
     first raises NumericalError instead of returning an unconverged
     integral.
     """
@@ -368,7 +377,15 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t):
         row = np.einsum("np,npq->nq", ce, exa)                  # C E(t) exp(-xA)
         gamma = np.eye(trip.P) + exa @ evaluator.Q @ exa @ prop
         rhs = np.concatenate([exa, (eya @ b)[..., None]], axis=-1)
-    sol = np.stack([linalg.solve(linalg.lu_factor(g), r) for g, r in zip(gamma, rhs)])
+    finite = np.all(np.isfinite(gamma), axis=(1, 2))
+    factors = linalg.lu_factor_stack(np.where(finite[:, None, None], gamma, np.eye(trip.P)))
+    bad = np.flatnonzero(~finite | factors.singular())   # the first bad sample raises
+    if bad.size and not finite[bad[0]]:
+        raise OverflowDetectedError("overflow in lu_factor input")
+    if bad.size:
+        raise SingularMatrixError("solve: matrix is singular to working precision "
+                                  f"(pivot {factors.min_pivot()[bad[0]]:.3e})")
+    sol = linalg.lu_solve_stack(factors, rhs)
     with np.errstate(over="ignore", invalid="ignore"):
         rg = np.einsum("np,npq->nq", row, sol)                  # C E exp(-xA) Gamma^{-1} [...]
         rows, kernel = rg[:, :-1], -rg[:, -1]
@@ -385,8 +402,8 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t):
         with np.errstate(over="ignore", invalid="ignore"):
             return np.where(s[:, None] <= cut, -(v @ rows.T) * (v @ weights.T), 0.0)
 
-    integral = _adaptive_gk21(integrand, float(cut.max()), epsabs=1e-12, epsrel=1e-12,
-                              limit=MARCHENKO_QUAD_LIMIT)
+    integral, _ = _adaptive_gk21(integrand, float(cut.max()), epsabs=1e-12, epsrel=1e-12,
+                                 limit=QUAD_LIMIT)
     residual = direct + integral
     return float(residual[0]) if scalar else residual
 
@@ -408,49 +425,63 @@ def omega_quadrature_check(spec: realization.ScatteringSpec,
                            ys) -> tuple[OmegaQuadratureCheck, ...]:
     """Check Omega(y; 0) against the Fourier transform of the reflection.
 
-    (1/2 pi) int_R r(k) exp(i k y) dk is computed as oscillatory
-    half-line quadratures of Re r and Im r (r(-k) = conj r(k) folds the
-    line onto (0, inf)) and compared with C exp(-yA) B over the
-    non-bound-state blocks. r(k) is summed from the spec's own partial
-    fractions (realization.reflection_partial_fractions, bit for bit),
-    so an error in the realization shows as a mismatch. Bound states
-    carry no continuous spectrum, so specs without reflection data
-    compare 0 against 0. Every y is checked before any quadrature runs.
-    The pole table is built once per call and r(k) is memoized, so the
-    cos and sin halves (and every y) share one Horner sum per distinct
-    node; the quadratures are unchanged by the memo.
+    (1/2 pi) int_R r(k) exp(i k y) dk, folded onto (0, inf) by
+    r(-k) = conj r(k), is (1/pi) Re int_0^inf r(k) exp(i k y) dk; it is
+    compared with C exp(-yA) B over the non-bound-state blocks. The half
+    line is cut into half-periods k = (n + s) pi / y, s in [0, 1], and
+    every (y, n) cycle is one component of a single vector integrand,
+    taken by one adaptive G10/K21 quadrature. The cycles below
+    n0 = ceil(y max|Re z| / pi), which hold every pole's real part, are
+    summed; the OMEGA_CYCLES past them form an alternating series whose
+    partial sums are averaged OMEGA_AVERAGINGS times (Euler's
+    transform). r(k) is summed from the spec's own partial fractions
+    (those of realization.reflection_partial_fractions, in one array
+    call per quadrature round), so an error in the realization shows
+    as a mismatch. Bound states carry no continuous spectrum, so specs
+    without reflection data compare 0 against 0. Every y is checked
+    before any quadrature runs. NumericalError is raised when the
+    cycles of all ys exceed OMEGA_MAX_CYCLES, on reaching QUAD_LIMIT
+    subintervals, or when the error estimate (a bound per cycle; a y's
+    value sums n0 + OMEGA_CYCLES cycles) or a last averaging step
+    exceeds OMEGA_EPSABS.
     """
-    ys = [float(y) for y in np.atleast_1d(np.asarray(ys, dtype=float))]
-    for y in ys:
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    for y in ys.tolist():
         if not (math.isfinite(y) and y > 0.0):
             raise SpecValidationError(
                 f"omega quadrature check needs a finite y > 0 (contour closure), got {y!r}")
-    refl = realization.build_reflection_triplet(spec)
-
-    def reference(y: float) -> float:
-        if refl.P == 0:
-            return 0.0
-        return (refl.C @ linalg.expm(refl.A, -y) @ refl.B).item()
-
     terms = realization._partial_fraction_terms(spec)
+    if not terms:
+        return tuple(OmegaQuadratureCheck(y=y, quadrature=0.0, reference=0.0) for y in ys.tolist())
+    reach = max(abs(z.real) for z, _ in terms)
+    need = np.ceil(ys * reach / math.pi) + OMEGA_CYCLES
+    if not need.sum() <= OMEGA_MAX_CYCLES:
+        raise NumericalError(f"Fourier quadrature needs {need.sum():.6g} half-periods (poles "
+                             f"out to |Re k| = {reach:.6g}), above {OMEGA_MAX_CYCLES}")
+    counts = need.astype(int)
+    n = np.concatenate([np.arange(count) for count in counts])
+    width = np.repeat(math.pi / ys, counts)
+    weight = np.where(n % 2, -width, width)   # dk/ds times exp(i n pi)
 
-    @functools.cache
-    def r(k: float) -> complex:
-        return realization._partial_fraction_sum(terms, complex(k))
+    def cycles(s: np.ndarray) -> np.ndarray:
+        r = realization._partial_fraction_sum(terms, (n + s[:, None]) * width)
+        return (r * np.exp(1j * math.pi * s)[:, None]).real * weight
 
-    # deferred: at module level it costs every eval/frames/build/soliton process ~23 MB
-    # of peak memory and ~0.3 s of start-up (BENCH_16.json)
-    from scipy import integrate
-
+    parts, error = _adaptive_gk21(cycles, 1.0, epsabs=OMEGA_EPSABS, epsrel=0.0, limit=QUAD_LIMIT)
+    if not error <= OMEGA_EPSABS:   # stopped on the rounding estimate above tolerance
+        raise NumericalError(f"Fourier quadrature error estimate {error:.3e} above "
+                             f"{OMEGA_EPSABS:.1e}")
+    refl = realization.build_reflection_triplet(spec)
+    reference = (refl.C @ linalg.expm(refl.A, -ys) @ refl.B).reshape(-1).tolist()
     out = []
-    for y in ys:
-        cos_half, _ = integrate.quad(lambda k: r(k).real, 0.0, np.inf, weight="cos", wvar=y,
-                                     epsabs=OMEGA_EPSABS, limlst=80, limit=200)
-        sin_half, _ = integrate.quad(lambda k: r(k).imag, 0.0, np.inf, weight="sin", wvar=y,
-                                     epsabs=OMEGA_EPSABS, limlst=80, limit=200)
-        quadrature = (cos_half - sin_half) / math.pi
-        out.append(OmegaQuadratureCheck(y=y, quadrature=quadrature,
-                                        reference=reference(y)))
+    for y, cyc, ref in zip(ys.tolist(), np.split(parts, np.cumsum(counts)[:-1]), reference):
+        sums = np.sum(cyc[:-OMEGA_CYCLES]) + np.cumsum(cyc[-OMEGA_CYCLES:])
+        for _ in range(OMEGA_AVERAGINGS):
+            sums, last = 0.5 * (sums[:-1] + sums[1:]), sums[-1]
+        if not abs(sums[-1] - last) <= OMEGA_EPSABS:
+            raise NumericalError(f"Fourier tail at y={y!r} did not settle: last averaging "
+                                 f"step {abs(sums[-1] - last):.3e} above {OMEGA_EPSABS:.1e}")
+        out.append(OmegaQuadratureCheck(y=y, quadrature=float(sums[-1]) / math.pi, reference=ref))
     return tuple(out)
 
 

@@ -25,6 +25,7 @@ from kdvexact import (
     realization,
     reflection_partial_fractions,
     sample_grid,
+    solution,
 )
 from kdvexact.verification import (
     marchenko_residual,
@@ -257,6 +258,62 @@ def test_omega_realization_independence(monkeypatch, tmp_path):
                      f"{'PASS' if scaled['passed'] else 'FAIL'}")
     _report("omega-realization-independence", ok,
             f"C x 1.01 in {'; in '.join(parts)} (need > {cli.OMEGA_TOL:.0e}, PASS -> FAIL)")
+
+
+def _verify_statuses(tmp_path, doc, window) -> tuple[int, dict]:
+    """verify's exit code and {check name: passed} for a document and window."""
+    src, out = tmp_path / "doc.json", tmp_path / "report.json"
+    src.write_text(json.dumps(doc))
+    rc = cli.main(["verify", "--input", str(src), "--output", str(out)] + window)
+    return rc, {c["name"]: c["passed"] for c in json.loads(out.read_text())["perCheckStatus"]}
+
+
+# Each row: a document, a window and, per evaluator mutation, the checks it
+# turns PASS -> FAIL; every other check keeps its outcome. C x 1.01 is
+# test_omega_realization_independence.
+_MUTATIONS = {"Q x (1+1e-9)": ("Q", 1.0 + 1e-9), "Q x (-3)": ("Q", -3.0),
+              "flow x (1+1e-5)": ("flow", 1.0 + 1e-5), "flow x (-1)": ("flow", -1.0)}
+_MUTATION_ROWS = {
+    "raw triplet, default window": (
+        {"rawTriplet": {"A": [[1.0]], "B": [1.0], "C": [2.0], "eta": 0.0}}, [],
+        {"Q x (1+1e-9)": {"marchenkoResidual"},
+         "Q x (-3)": {"positivityScan", "pdeResidual", "marchenkoResidual"},
+         "flow x (1+1e-5)": {"pdeResidual"}, "flow x (-1)": {"pdeResidual"}}),
+    "three-bound, --x 1:5:9 --t 0:1:5": (
+        {"eta": 1.0, "boundStates": [{"kappa": 0.5, "c": 1.0}, {"kappa": 0.7, "c": 1.5},
+                                     {"kappa": 0.9, "c": 0.8}]},
+        ["--x", "1:5:9", "--t", "0:1:5"],
+        {"Q x (1+1e-9)": {"marchenkoResidual", "solitonEquivalence"},
+         "Q x (-3)": {"positivityScan", "pdeResidual", "marchenkoResidual",
+                      "solitonEquivalence"},
+         "flow x (1+1e-5)": {"pdeResidual", "solitonEquivalence"},
+         "flow x (-1)": {"pdeResidual", "solitonEquivalence"}}),
+}
+
+
+def _mutating(make, field: str, factor: float):
+    """make_evaluator with one field of every evaluator it returns scaled by factor."""
+    def make_mutated(*args, **kwargs):
+        ev = make(*args, **kwargs)
+        return dataclasses.replace(ev, **{field: getattr(ev, field) * factor})
+    return make_mutated
+
+
+def test_verify_mutation_matrix(monkeypatch, tmp_path):
+    ok, parts = True, []
+    for row, (doc, window, caught) in _MUTATION_ROWS.items():
+        rc, exact = _verify_statuses(tmp_path, doc, window)
+        ok &= rc == 0 and all(exact.values())
+        for mutation, fails in caught.items():
+            with monkeypatch.context() as m:
+                m.setattr(solution, "make_evaluator",
+                          _mutating(solution.make_evaluator, *_MUTATIONS[mutation]))
+                _, got = _verify_statuses(tmp_path, doc, window)
+            failed = {name for name, passed in got.items() if not passed}
+            ok &= failed == fails
+            parts.append(f"{row}: {mutation} fails {sorted(failed)}")
+    _report("verify-mutation-matrix", ok,
+            f"unmutated rows exit 0; {'; '.join(parts)}")
 
 
 def test_readme_library_example():

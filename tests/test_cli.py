@@ -453,12 +453,10 @@ grid = ["--x", "0:1:3", "--t", "0:0.1:2"]
 codes = [cli.main(["build", "--input", readme, "--output", out + "/triplet.json"]),
          cli.main(["eval", "--input", readme, "--output", out + "/grid.csv"] + grid),
          cli.main(["frames", "--input", readme, "--output", out + "/frames"] + grid),
-         cli.main(["soliton", "--input", soliton, "--output", out + "/soliton.csv"] + grid)]
-added = sorted(integrate_modules() - baseline)
-cli.main(["verify", "--input", readme, "--output", out + "/report.json"])
+         cli.main(["soliton", "--input", soliton, "--output", out + "/soliton.csv"] + grid),
+         cli.main(["verify", "--input", readme, "--output", out + "/report.json"])]
 report = json.load(open(out + "/report.json"))
-print(json.dumps({"codes": codes, "added": added,
-                  "verify_loaded": "scipy.integrate" in sys.modules,
+print(json.dumps({"codes": codes, "added": sorted(integrate_modules() - baseline),
                   "omega": report["omegaQuadratureError"]}))
 """
 
@@ -478,24 +476,26 @@ def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
 
 
-def test_only_verify_loads_scipy_integrate(tmp_path):
+def test_no_subcommand_loads_scipy_integrate(tmp_path):
     out = run_fresh(_IMPORT_FOOTPRINT_SCRIPT, write_readme_doc(tmp_path),
                     write_doc(tmp_path, ONE_SOLITON_DOC), str(tmp_path))
     assert out.returncode == 0, out.stderr
     got = json.loads(out.stdout)
-    assert got["codes"] == [0, 0, 0, 0]
+    # the README document fails two of verify's checks on its default windows (exit 4)
+    assert got["codes"] == [0, 0, 0, 0, 4]
     assert got["added"] == []
-    assert got["verify_loaded"] and math.isfinite(got["omega"])
+    assert math.isfinite(got["omega"])
 
 
-_SCIPY_LINALG_SCRIPT = """
+_SCIPY_SCRIPT = """
 import json, sys
 from kdvexact import cli
 
 runs = []
 for argv in json.loads(sys.argv[1]):
     rc = cli.main(argv)
-    runs.append([rc, any(m.split(".")[:2] == ["scipy", "linalg"] for m in sys.modules)])
+    runs.append([rc, sorted({".".join(m.split(".")[:2]) for m in sys.modules
+                             if m.split(".")[0] == "scipy"})])
 print(json.dumps(runs))
 """
 
@@ -503,14 +503,15 @@ SEVEN_POLE_DOC = {"rawTriplet": {"A": np.diag(np.linspace(0.5, 1.1, 7)).tolist()
                                  "B": [1.0] * 7, "C": [0.1] * 7}}
 
 
-def scipy_linalg_runs(argvs) -> list:
-    """[exit code, scipy.linalg loaded yet] after each argv, in one fresh interpreter."""
-    out = run_fresh(_SCIPY_LINALG_SCRIPT, json.dumps(argvs))
+def scipy_runs(argvs) -> list:
+    """[exit code, scipy packages loaded yet] after each argv, in one fresh interpreter."""
+    out = run_fresh(_SCIPY_SCRIPT, json.dumps(argvs))
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
 
 
 def test_grid_subcommands_up_to_six_poles_leave_scipy_linalg_unloaded(tmp_path):
+    # verify included: up to six poles no subcommand loads any scipy module
     docs = {"readme": write_readme_doc(tmp_path),
             "library": write_doc(tmp_path, THREE_BLOCK_DOC, "library.json"),
             "three-bound": write_doc(tmp_path, THREE_BOUND_DOC, "three.json"),
@@ -523,14 +524,14 @@ def test_grid_subcommands_up_to_six_poles_leave_scipy_linalg_unloaded(tmp_path):
         argvs += [["build", "--input", doc, "--output", out + ".triplet.json"],
                   ["eval", "--input", doc, "--output", out + ".csv"] + grid,
                   ["frames", "--input", doc, "--output", out + "-frames"] + grid,
-                  ["soliton", "--input", doc, "--output", out + ".soliton.csv"] + grid]
-    argvs.append(["verify", "--input", docs["readme"], "--output", str(tmp_path / "report.json")])
-    runs = scipy_linalg_runs(argvs)
-    # build rejects a raw triplet and soliton anything but bound states (exit 2); the
-    # README document fails two of verify's checks on its default windows (exit 4)
-    assert [rc for rc, _ in runs] == [0, 0, 0, 2] * 2 + [0, 0, 0, 0] + [2, 0, 0, 2] + [4]
-    assert not any(loaded for _, loaded in runs[:-1])
-    assert runs[-1][1], "verify needs scipy.linalg for expm and the resolvent"
-    seven = scipy_linalg_runs([["eval", "--input", write_doc(tmp_path, SEVEN_POLE_DOC),
-                                "--output", str(tmp_path / "seven.csv")] + grid])
-    assert seven == [[0, True]]
+                  ["soliton", "--input", doc, "--output", out + ".soliton.csv"] + grid,
+                  ["verify", "--input", doc, "--output", out + ".report.json"]]
+    runs = scipy_runs(argvs)
+    # build rejects a raw triplet and soliton anything but bound states (exit 2); on
+    # their default windows verify fails checks of the README documents and of
+    # three-bound (exit 4)
+    assert [rc for rc, _ in runs] == [0, 0, 0, 2, 4] * 2 + [0, 0, 0, 0, 4] + [2, 0, 0, 2, 0]
+    assert all(loaded == [] for _, loaded in runs)
+    seven = scipy_runs([["eval", "--input", write_doc(tmp_path, SEVEN_POLE_DOC),
+                         "--output", str(tmp_path / "seven.csv")] + grid])
+    assert seven[0][0] == 0 and "scipy.linalg" in seven[0][1]

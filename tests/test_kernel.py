@@ -227,12 +227,13 @@ def test_expm_stack_matches_expm_member_by_member():
     assert np.array_equal(stack[0], np.eye(3))
     assert overflow.tolist() == [False, False, False, False, True, True]
     for s, member in zip(scales[:4], stack[:4]):
-        # batch invariance, which sample() relies on, is exact. expm is
-        # scipy's algorithm, not the kernel's: against a 40-digit mpmath
-        # exponential scipy is 5.2e-13 off at s = 2 and 9.1e-13 at s = -1e3,
-        # the stack 7e-14 at most (test_oracle.py holds it to 1e-13)
+        # batch invariance, which sample() relies on, is exact, and expm is its
+        # checked front end. scipy's expm is an independent algorithm: against a
+        # 40-digit mpmath exponential it is 5.2e-13 off at s = 2 and 9.1e-13 at
+        # s = -1e3, the stack 7e-14 at most (test_oracle.py holds it to 1e-13)
         assert np.array_equal(member, linalg.expm_stack(a, [s])[0][0])
-        assert np.max(np.abs(member - linalg.expm(a, s))) <= 2e-12 * np.max(np.abs(member))
+        assert np.array_equal(member, linalg.expm(a, s))
+        assert np.max(np.abs(member - sla.expm(s * a))) <= 2e-12 * np.max(np.abs(member))
     for s in scales[4:]:
         with pytest.raises(linalg.OverflowDetectedError):
             linalg.expm(a, s)

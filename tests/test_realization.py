@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from kdvexact import (
     BoundState,
@@ -23,7 +22,9 @@ from kdvexact import (
     eval_reflection,
     reflection_partial_fractions,
     omega_quadrature_check,
+    realization,
     validate_triplet,
+    verification,
 )
 
 from kdvexact.documents import parse_input_document
@@ -204,17 +205,26 @@ _reflection_specs = st.one_of(
                          for p in spec.complex_poles + spec.imaginary_poles) == 3))
 
 
-def omega_integrands(spec):
-    """The cos- and sin-half integrands omega_quadrature_check hands to quad."""
-    funcs = []
+def omega_nodes(spec):
+    """(terms, k, r) for each partial-fraction sum omega_quadrature_check takes.
 
-    def capture(func, *args, **kwargs):
-        funcs.append(func)
-        return 0.0, 0.0
+    Its quadrature is replaced by one evaluation of the integrand on 21
+    points of [0, 1], so any spec takes one round.
+    """
+    calls = []
+    real_sum = realization._partial_fraction_sum
 
-    with mock.patch.object(integrate, "quad", capture):
+    def recorded(terms, k):
+        calls.append((terms, k, real_sum(terms, k)))
+        return calls[-1][2]
+
+    def one_round(f, b, **kwargs):
+        return 0.0 * f(np.linspace(0.0, b, 21))[0], 0.0
+
+    with mock.patch.object(realization, "_partial_fraction_sum", recorded), \
+            mock.patch.object(verification, "_adaptive_gk21", one_round):
         omega_quadrature_check(spec, (1.0,))
-    return funcs
+    return calls
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,7 +234,6 @@ def omega_integrands(spec):
 @example(spec=helpers.rotation_spec(0.0, 2.2250738585e-313), ks=[48.0])
 def test_partial_fractions_match_realization_and_omega_integrand(spec, ks):
     refl = build_reflection_triplet(spec)
-    cos_half, sin_half = omega_integrands(spec)
     for k in ks:
         want = reflection_partial_fractions(spec, k)
         got = eval_reflection(refl, k)
@@ -232,7 +241,19 @@ def test_partial_fractions_match_realization_and_omega_integrand(spec, ks):
         # digits than a subnormal has
         bound = max(1e-12 * max(abs(got), abs(want)), np.finfo(float).tiny)
         assert abs(got - want) <= bound, (spec, k)
-        assert cos_half(k) == want.real and sin_half(k) == want.imag, (spec, k)
+    # the Fourier check integrates the spec's own partial fractions, the pole table
+    # reflection_partial_fractions sums, on its whole node array; its values match
+    # scalar reflection_partial_fractions calls up to rounding (scalar complex
+    # arithmetic differs from numpy's in the last bit)
+    terms = realization._partial_fraction_terms(spec)
+    calls = omega_nodes(spec)
+    assert len(calls) == (1 if terms else 0)   # no reflection data: no quadrature
+    for used, k, r in calls:
+        assert used == terms and np.isrealobj(k) and np.min(k) == 0.0
+        want = np.array([[reflection_partial_fractions(spec, kk) for kk in row] for row in k])
+        assert r.shape == want.shape
+        bound = max(1e-13 * float(np.max(np.abs(want))), np.finfo(float).tiny)
+        assert float(np.max(np.abs(r - want))) <= bound, spec
 
 
 def test_reflection_reality_symmetry():
