@@ -214,9 +214,10 @@ def lyapunov_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         resid = float(np.max(np.abs(a @ q + q @ a - rhs)))
     scale = max(1.0, float(np.max(np.abs(rhs))))
     if not resid <= RESIDUAL_TOL * scale:
+        lam = np.linalg.eigvals(a)
         raise LyapunovSolveError(
-            f"Lyapunov residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e} * {scale:.3e} "
-            "(an eigenvalue pair summing to zero leaves no solution)")
+            f"Lyapunov residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e} * {scale:.3e} (smallest "
+            f"eigenvalue pair sum {np.min(np.abs(lam[:, None] + lam)):.3e} in modulus)")
     return q
 
 

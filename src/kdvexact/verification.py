@@ -110,47 +110,32 @@ class RefinementReport:
         return all(lo <= r <= hi for r in self.ratios)
 
 
-def _resolve_u_source(u_source, eta):
-    if isinstance(u_source, solution.GammaEvaluator):
-        rate_x = 2.0 * float(np.max(np.abs(u_source.diagnostics.spectrum.eigenvalues)))
-        lam = u_source.diagnostics.spectrum.eigenvalues
-        rate_t = float(np.max(np.abs(8.0 * lam ** 3 + 2.0 * u_source.eta * lam)))
-        return u_source, u_source.eta, rate_x, rate_t
-    if callable(u_source):
-        if eta is None:
-            raise SpecValidationError("eta is required when u_source is a bare callable")
-        return u_source, float(eta), None, None
-    raise SpecValidationError(f"u_source must be a GammaEvaluator or callable, "
-                              f"got {type(u_source).__name__}")
-
-
-def _auto_h_t(h_x: float, rate_x, rate_t) -> float:
+def _auto_h_t(evaluator: solution.GammaEvaluator, h_x: float) -> float:
     # Time stencil error is O(h_t^2); tying h_t to h_x^2 keeps the whole
     # residual decaying at fourth order. The rate factor equalizes the
     # stencil arguments in units of the solution's own x and t scales.
-    if rate_x is None or rate_t is None or rate_t <= 0.0:
-        return h_x * h_x
-    return (rate_x * rate_x / rate_t) * h_x * h_x
+    if not isinstance(evaluator, solution.GammaEvaluator):
+        raise SpecValidationError(
+            f"the PDE residual samples a GammaEvaluator, got {type(evaluator).__name__}")
+    lam = evaluator.diagnostics.spectrum.eigenvalues
+    rate_x = 2.0 * float(np.max(np.abs(lam)))
+    rate_t = float(np.max(np.abs(8.0 * lam ** 3 + 2.0 * evaluator.eta * lam)))
+    return (1.0 if rate_t <= 0.0 else rate_x * rate_x / rate_t) * h_x * h_x
 
 
-def _stencil_values(u_source, xs, ts, offsets, h_x, h_t):
+def _stencil_values(evaluator: solution.GammaEvaluator, xs, ts, offsets, h_x, h_t):
     """u at (x + o h_x, t + dt) for every stencil node, as (n_t, n_x) arrays.
 
     Keys are (o, dt) with o in offsets at dt = 0, and o = 0 at
-    dt = +-h_t. An evaluator samples every node in one batched kernel
-    call (so each value equals u_source.u exactly, NaN where flagged); a
-    plain callable is called once per node.
+    dt = +-h_t. Every node is sampled in one batched kernel call, so
+    each value equals evaluator.u exactly, NaN where flagged.
     """
     keys = [(o, 0.0) for o in offsets] + [(0, h_t), (0, -h_t)]
-    if not isinstance(u_source, solution.GammaEvaluator):
-        return {(o, dt): np.array([[u_source(x + o * h_x, t + dt) for x in xs] for t in ts],
-                                  dtype=float)
-                for o, dt in keys}
     node_x = {o: xs + o * h_x for o in offsets}
     node_t = {dt: ts + dt for dt in (0.0, h_t, -h_t)}
     grid_x = np.unique(np.concatenate(list(node_x.values())))
     grid_t = np.unique(np.concatenate(list(node_t.values())))
-    u = u_source.evaluate(grid_x, grid_t).u
+    u = evaluator.evaluate(grid_x, grid_t).u
     return {(o, dt): u[np.searchsorted(grid_t, node_t[dt])[:, None],
                        np.searchsorted(grid_x, node_x[o])[None, :]]
             for o, dt in keys}
@@ -171,27 +156,22 @@ def _check_step(name: str, h: float) -> None:
         raise SpecValidationError(f"{name} must be finite and > 0, got {h!r}")
 
 
-def pde_residual(u_source, x_window, t_window, n_x: int = 11, n_t: int = 5,
-                 h_x: float = 1e-3, h_t: float | None = None,
-                 eta: float | None = None) -> ResidualScan:
+def pde_residual(evaluator: solution.GammaEvaluator, x_window, t_window, n_x: int = 11,
+                 n_t: int = 5, h_x: float = 1e-3) -> ResidualScan:
     """Finite-difference residual of u_t + eta u_x - 6 u u_x + u_xxx.
 
-    u_source is a GammaEvaluator (eta and an automatic h_t come from
-    it) or a plain u(x, t) callable (pass eta, and h_t if the default
-    h_x**2 is unsuitable). The sample window is clipped so every
-    stencil node satisfies x >= 0 and t >= 0. A flagged or non-finite
-    sample anywhere in a stencil rejects the window with
-    SpecValidationError, naming the point; choose windows inside the
-    region where every sample is ok. A non-finite window bound, or an
-    h_x or given h_t not finite and > 0, raises it before any sampling.
+    u comes only from the evaluator, every stencil node in one kernel
+    call; eta is evaluator.eta, and h_t = (rate_x^2 / rate_t) h_x^2 with
+    rate_x = 2 max|lambda|, rate_t = max|8 lambda^3 + 2 eta lambda| over
+    the spectrum of A. The window is clipped so every stencil node has
+    x >= 0 and t >= 0. A flagged or non-finite stencil sample rejects the
+    window with SpecValidationError, naming the point. A non-evaluator
+    argument, a non-finite window bound, or an h_x not finite and > 0
+    raises it before any sampling.
     """
     _check_grid(x_window, t_window, n_x, n_t)
     _check_step("h_x", h_x)
-    if h_t is not None:
-        _check_step("h_t", h_t)
-    u_source, eta_val, rate_x, rate_t = _resolve_u_source(u_source, eta)
-    if h_t is None:
-        h_t = _auto_h_t(h_x, rate_x, rate_t)
+    h_t = _auto_h_t(evaluator, h_x)
     x_lo = max(float(x_window[0]), X_STENCIL_REACH * h_x)
     x_hi = float(x_window[1])
     t_lo = max(float(t_window[0]), h_t)
@@ -202,14 +182,14 @@ def pde_residual(u_source, x_window, t_window, n_x: int = 11, n_t: int = 5,
             f"after clipping for h_x={h_x}, h_t={h_t}")
     xs = np.linspace(x_lo, x_hi, n_x)
     ts = np.linspace(t_lo, t_hi, n_t)
-    u = _stencil_values(u_source, xs, ts, (0,) + _D3_OFFSETS, h_x, h_t)
+    u = _stencil_values(evaluator, xs, ts, (0,) + _D3_OFFSETS, h_x, h_t)
     u0 = u[(0, 0.0)]
     ux = sum(w * u[(o, 0.0)] for o, w in zip(_D1_OFFSETS, _D1_WEIGHTS)) / (_D1_SCALE * h_x)
     uxxx = sum(w * u[(o, 0.0)]
                for o, w in zip(_D3_OFFSETS, _D3_WEIGHTS)) / (_D3_SCALE * h_x ** 3)
     ut = (u[(0, h_t)] - u[(0, -h_t)]) / (2.0 * h_t)
     with np.errstate(invalid="ignore"):
-        res = ut + eta_val * ux - 6.0 * u0 * ux + uxxx
+        res = ut + evaluator.eta * ux - 6.0 * u0 * ux + uxxx
     bad = ~np.isfinite(res)
     if bad.any():
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
@@ -218,20 +198,19 @@ def pde_residual(u_source, x_window, t_window, n_x: int = 11, n_t: int = 5,
             f"x={float(xs[j])!r}, t={float(ts[i])!r}")
     for arr in (xs, ts, res):
         arr.setflags(write=False)
-    return ResidualScan(x=xs, t=ts, residual=res, h_x=h_x, h_t=float(h_t), eta=eta_val)
+    return ResidualScan(x=xs, t=ts, residual=res, h_x=h_x, h_t=h_t, eta=evaluator.eta)
 
 
-def pde_residual_refinement(u_source, x_window, t_window,
+def pde_residual_refinement(evaluator: solution.GammaEvaluator, x_window, t_window,
                             levels: tuple[float, ...] = REFINEMENT_LEVELS,
-                            n_x: int = 9, n_t: int = 4,
-                            eta: float | None = None) -> RefinementReport:
-    """Run the residual at several h_x levels and report convergence.
+                            n_x: int = 9, n_t: int = 4) -> RefinementReport:
+    """Run the evaluator's pde_residual at several h_x levels and report convergence.
 
     The window is clipped once, for the coarsest level, so every level
-    samples the same points and the maxima are comparable. Ratios near
-    16 between successive halvings confirm the fourth-order design.
-    A non-finite window bound, or a level repeated or not finite and
-    > 0, raises SpecValidationError before any residual is computed.
+    samples the same points; h_t is derived per level. Ratios near 16
+    between successive halvings confirm the fourth-order design. A
+    non-evaluator argument, a non-finite window bound, or a level
+    repeated or not finite and > 0, raises SpecValidationError first.
     """
     _check_grid(x_window, t_window, n_x, n_t)
     levels = tuple(levels)
@@ -242,14 +221,12 @@ def pde_residual_refinement(u_source, x_window, t_window,
         if levels.count(h) > 1:
             raise SpecValidationError(f"refinement level {h!r} is repeated in {levels!r}")
     levels = tuple(sorted(levels, reverse=True))
-    _, _, rate_x, rate_t = _resolve_u_source(u_source, eta)
-    h_t_coarse = _auto_h_t(levels[0], rate_x, rate_t)
     x_lo = max(float(x_window[0]), X_STENCIL_REACH * levels[0])
-    t_lo = max(float(t_window[0]), h_t_coarse)
+    t_lo = max(float(t_window[0]), _auto_h_t(evaluator, levels[0]))
     maxima = []
     for h in levels:
-        scan = pde_residual(u_source, (x_lo, x_window[1]), (t_lo, t_window[1]),
-                            n_x=n_x, n_t=n_t, h_x=h, eta=eta)
+        scan = pde_residual(evaluator, (x_lo, x_window[1]), (t_lo, t_window[1]),
+                            n_x=n_x, n_t=n_t, h_x=h)
         maxima.append(scan.max_abs)
     ratios = tuple(maxima[i] / maxima[i + 1] for i in range(len(maxima) - 1))
     orders = tuple(math.log(r) / math.log(levels[i] / levels[i + 1])
@@ -323,6 +300,13 @@ def _adaptive_gk21(f, b: float, epsabs: float, epsrel: float,
         f"{error:.3e} above {tol / 8.0:.3e}")
 
 
+def _require_decay(evaluator: solution.GammaEvaluator, check: str) -> None:
+    if evaluator.formal_mode:
+        raise FormalModeError(
+            f"{check} needs every eigenvalue of A in the open right "
+            f"half plane; min Re = {evaluator.diagnostics.spectrum.min_real_part:.6g}")
+
+
 def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t):
     """Residual of K(x,y) + Omega(x+y) + int_x^inf K(x,z) Omega(y+z) dz.
 
@@ -352,10 +336,7 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t):
     first raises NumericalError instead of returning an unconverged
     integral.
     """
-    if evaluator.formal_mode:
-        raise FormalModeError(
-            "Marchenko residual needs every eigenvalue of A in the open right "
-            f"half plane; min Re = {evaluator.diagnostics.spectrum.min_real_part:.6g}")
+    _require_decay(evaluator, "Marchenko residual")
     x, y, t = (np.asarray(v, dtype=float) for v in (x, y, t))
     scalar = x.ndim == y.ndim == t.ndim == 0
     x, y, t = np.atleast_1d(x, y, t)
@@ -517,10 +498,7 @@ def positivity_scan(evaluator: solution.GammaEvaluator,
     as a frontier instead of a failure. Requires the decaying regime (no
     formal-mode spectra).
     """
-    if evaluator.formal_mode:
-        raise FormalModeError(
-            "positivity scan needs every eigenvalue of A in the open right "
-            f"half plane; min Re = {evaluator.diagnostics.spectrum.min_real_part:.6g}")
+    _require_decay(evaluator, "positivity scan")
     x_horizon = float(x_horizon)
     t_horizon = float(t_horizon)
     samples_per_unit = float(samples_per_unit)

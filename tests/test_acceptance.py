@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from kdvexact import (
     BoundState,
@@ -226,6 +227,17 @@ def _verify_omega_check(tmp_path, doc) -> dict:
     return next(c for c in checks if c["name"] == "omegaQuadratureCheck")
 
 
+# The README JSON document, and the same with an imaginary pole, per
+# realization block builder whose C the Fourier check must catch.
+_README_DOC = {"eta": 1.0,
+               "complexPoles": [{"alpha": float(helpers.S3 / 2), "beta": 0.5,
+                                 "coeffs": [{"eps": 0.5, "gamma": 0.5}]}],
+               "boundStates": [{"kappa": 2.0, "c": 3.0}]}
+_OMEGA_DOCS = {"_complex_pair_block": _README_DOC,
+               "_imaginary_pole_block": dict(_README_DOC,
+                                             imagPoles=[{"omega": 1.2, "r": [0.8]}])}
+
+
 def test_omega_realization_independence(monkeypatch, tmp_path):
     # A 1 % error in C of one realization block leaves the triplet
     # self-consistent; only the Fourier check, which integrates the spec's
@@ -235,15 +247,9 @@ def test_omega_realization_independence(monkeypatch, tmp_path):
              "readme": helpers.three_block_spec(eta=1.0)}
     specs.update({f"{name}+imaginary": dataclasses.replace(spec, imaginary_poles=(pole,))
                   for name, spec in list(specs.items())})
-    readme_doc = {"eta": 1.0,
-                  "complexPoles": [{"alpha": float(helpers.S3 / 2), "beta": 0.5,
-                                    "coeffs": [{"eps": 0.5, "gamma": 0.5}]}],
-                  "boundStates": [{"kappa": 2.0, "c": 3.0}]}
-    docs = {"_complex_pair_block": readme_doc,
-            "_imaginary_pole_block": dict(readme_doc, imagPoles=[{"omega": 1.2, "r": [0.8]}])}
     ys = (0.5, 1.0, 2.0)
     ok, parts = True, []
-    for block, doc in docs.items():
+    for block, doc in _OMEGA_DOCS.items():
         exact = _verify_omega_check(tmp_path, doc)
         with monkeypatch.context() as m:
             m.setattr(realization, block, _scaled_c(getattr(realization, block)))
@@ -299,21 +305,56 @@ def _mutating(make, field: str, factor: float):
     return make_mutated
 
 
-def test_verify_mutation_matrix(monkeypatch, tmp_path):
-    ok, parts = True, []
+def _mutation_matrix(tmp_path):
+    """Run the table lazily: (what ran, whether it held), unmutated run of each row first."""
     for row, (doc, window, caught) in _MUTATION_ROWS.items():
         rc, exact = _verify_statuses(tmp_path, doc, window)
-        ok &= rc == 0 and all(exact.values())
+        yield f"{row}: unmutated exit {rc}", rc == 0 and all(exact.values())
         for mutation, fails in caught.items():
-            with monkeypatch.context() as m:
+            with pytest.MonkeyPatch.context() as m:
                 m.setattr(solution, "make_evaluator",
                           _mutating(solution.make_evaluator, *_MUTATIONS[mutation]))
                 _, got = _verify_statuses(tmp_path, doc, window)
             failed = {name for name, passed in got.items() if not passed}
-            ok &= failed == fails
-            parts.append(f"{row}: {mutation} fails {sorted(failed)}")
-    _report("verify-mutation-matrix", ok,
-            f"unmutated rows exit 0; {'; '.join(parts)}")
+            yield f"{row}: {mutation} fails {sorted(failed)}", failed == fails
+
+
+def test_verify_mutation_matrix(tmp_path):
+    runs = list(_mutation_matrix(tmp_path))
+    _report("verify-mutation-matrix", all(held for _, held in runs),
+            "; ".join(part for part, _ in runs))
+
+
+def _always_passing(run):
+    """A verify check runner whose comparison passes whatever it measured."""
+    def passing(v, tol):
+        outcome = run(v, tol)
+        return None if outcome is None else (True,) + tuple(outcome[1:])
+    return passing
+
+
+def test_verify_check_deletion_probe(monkeypatch, tmp_path):
+    # With any one check's comparison made to always pass, the mutation
+    # table (or, for the Fourier check, its C x 1.01 case) must break:
+    # no check is vacuous on the rows that hold today. Each probe stops
+    # at the first row that breaks.
+    parts = []
+    for i, (name, threshold, run, skip_reason) in enumerate(cli.VERIFY_CHECKS):
+        checks = list(cli.VERIFY_CHECKS)
+        checks[i] = (name, threshold, _always_passing(run), skip_reason)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "VERIFY_CHECKS", tuple(checks))
+            if name == "omegaQuadratureCheck":
+                block, doc = next(iter(_OMEGA_DOCS.items()))
+                m.setattr(realization, block, _scaled_c(getattr(realization, block)))
+                scaled = _verify_omega_check(tmp_path, doc)
+                broken = f"C x 1.01 in {block} passes" if scaled["passed"] else None
+            else:
+                broken = next((part for part, held in _mutation_matrix(tmp_path) if not held),
+                              None)
+        parts.append(f"{name} always passing: {broken or 'nothing breaks'}")
+        assert broken is not None, parts[-1]
+    _report("verify-check-deletion-probe", True, "; ".join(parts))
 
 
 def test_readme_library_example():

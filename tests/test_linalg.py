@@ -156,6 +156,18 @@ def test_lyapunov_resonant_pair_raises():
             linalg.lyapunov_solve(np.diag(lam), np.ones((len(lam), len(lam))))
 
 
+def test_lyapunov_failure_names_the_smallest_pair_sum():
+    # A double pole 0.01 off the axis fails the residual gate though no
+    # eigenvalue pair sums to zero: the message gives the smallest sum, 2 beta.
+    pair = ComplexPolePair(alpha=1.0, beta=0.01, coefficients=((0.3, 0.2), (1.0, 0.5)))
+    trip = build_triplet(ScatteringSpec(complex_poles=(pair,)))
+    with pytest.raises(LyapunovSolveError, match=r"^Lyapunov residual \S+ exceeds .* \(smallest "
+                                                 r"eigenvalue pair sum 2\.000e-02 in modulus\)$"):
+        linalg.lyapunov_solve(trip.A, trip.B @ trip.C)
+    with pytest.raises(LyapunovSolveError, match=r"pair sum 0\.000e\+00 in modulus\)$"):
+        linalg.lyapunov_solve(np.diag([2.0, 0.5, -0.5]), np.ones((3, 3)))
+
+
 def test_lyapunov_large_stable_residual():
     # No cap on P: Bartels-Stewart at P = 128 still meets the residual bound.
     rng = np.random.default_rng(41)

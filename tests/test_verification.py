@@ -73,17 +73,33 @@ def test_refinement_shows_fourth_order():
         assert 3.0 < o < 5.0, rep.orders
 
 
-def test_residual_locality_same_points_same_values():
-    # the evaluator route and an independent closed-form callable must
-    # produce the same residual grid when forced onto identical stencils
+def test_residual_locality_same_points_same_values(monkeypatch):
+    # the u the scan sampled on its stencil nodes is the independent
+    # closed form's, and that closed form on the scan's own stencils
+    # gives the same residual grid
     ev = make_evaluator(helpers.rotation_triplet(0.5, 0.5, eta=1.0))
-    h = 3.2e-2
-    ht = (4.0 / np.sqrt(52.0)) * h * h
-    a = pde_residual(ev, (0.5, 3.0), (0.1, 0.5), n_x=5, n_t=3, h_x=h, h_t=ht)
-    b = pde_residual(helpers.rotation_u_reference, (0.5, 3.0), (0.1, 0.5),
-                     n_x=5, n_t=3, h_x=h, h_t=ht, eta=1.0)
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.t, b.t)
-    assert np.max(np.abs(a.residual - b.residual)) <= 1e-8
+    sampled = []
+    kernel = solution.GammaEvaluator.evaluate
+
+    def recorded(self, *args, **kwargs):
+        sampled.append(kernel(self, *args, **kwargs))
+        return sampled[-1]
+
+    monkeypatch.setattr(solution.GammaEvaluator, "evaluate", recorded)
+    scan = pde_residual(ev, (0.5, 3.0), (0.1, 0.5), n_x=5, n_t=3, h_x=3.2e-2)
+    (grid,) = sampled
+    reference = helpers.rotation_u_reference(grid.x[None, :], grid.t[:, None])
+    assert np.max(np.abs(grid.u - reference) / (1.0 + np.abs(reference))) <= 1e-13
+
+    def u(o=0, dt=0.0):
+        return helpers.rotation_u_reference(scan.x + o * scan.h_x, scan.t[:, None] + dt)
+
+    ux = (u(-2) - 8.0 * u(-1) + 8.0 * u(1) - u(2)) / (12.0 * scan.h_x)
+    uxxx = (u(-3) - 8.0 * u(-2) + 13.0 * u(-1) - 13.0 * u(1) + 8.0 * u(2) - u(3)) / (
+        8.0 * scan.h_x ** 3)
+    ut = (u(dt=scan.h_t) - u(dt=-scan.h_t)) / (2.0 * scan.h_t)
+    residual = ut + scan.eta * ux - 6.0 * u() * ux + uxxx
+    assert np.max(np.abs(scan.residual - residual)) <= 1e-8
 
 
 def test_flagged_window_rejected_with_location():
@@ -98,9 +114,11 @@ def test_window_vanishing_after_clip_rejected():
         pde_residual(ev, (0.0, 0.001), (0.0, 0.5), h_x=1e-3)
 
 
-def test_bare_callable_requires_eta():
-    with pytest.raises(SpecValidationError):
-        pde_residual(lambda x, t: 0.0, (0.0, 1.0), (0.0, 1.0))
+def test_pde_residual_rejects_a_callable_before_any_work(monkeypatch):
+    forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
+    for check in (pde_residual, pde_residual_refinement):
+        with pytest.raises(SpecValidationError, match="samples a GammaEvaluator, got function"):
+            check(lambda x, t: 0.0, (0.5, 1.0), (0.1, 0.2))
 
 
 def test_marchenko_residual_one_soliton():
@@ -323,7 +341,7 @@ def test_soliton_equivalence_rejects_non_finite_windows_before_any_work(monkeypa
         soliton_equivalence(ev, *windows)
 
 
-@pytest.mark.parametrize("step", ["h_x", "h_t"])
+@pytest.mark.parametrize("step", ["h_x"])
 @pytest.mark.parametrize("value", [0.0, -1e-3, np.nan], ids=["zero", "negative", "nan"])
 def test_pde_residual_rejects_bad_steps_before_any_work(monkeypatch, step, value):
     ev = make_evaluator(helpers.rotation_triplet(0.5, 0.5, eta=1.0))
