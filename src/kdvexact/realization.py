@@ -314,6 +314,31 @@ def reflection_partial_fractions(spec: ScatteringSpec, k: complex) -> complex:
     return _partial_fraction_sum(_partial_fraction_terms(spec), complex(k))
 
 
+def _log_tau(spec: ScatteringSpec, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """log of Hirota's N-soliton tau-function of spec's bound states at broadcast xs, ts.
+
+    tau is the sum over the 2^N subsets S of the bound states of
+    T_S = prod_{j in S} (c_j / 2 kappa_j) exp(theta_j)
+          prod_{i<j in S} ((kappa_i - kappa_j) / (kappa_i + kappa_j))^2,
+    theta_j = -2 kappa_j x + (8 kappa_j^3 + 2 eta kappa_j) t: the
+    determinant of the N-soliton matrix in closed form, from the spec
+    alone. Every T_S is positive and T_{} = 1, so the sum is taken as a
+    log-sum-exp.
+    """
+    kap = np.array([s.kappa for s in spec.bound_states])
+    c = np.array([s.c for s in spec.bound_states])
+    member = (np.arange(2 ** kap.size)[:, None] >> np.arange(kap.size)) & 1   # (2^N, N)
+    pair = np.triu(2.0 * np.log(np.abs(kap[:, None] - kap) / (kap[:, None] + kap)
+                                + np.eye(kap.size)), 1)
+    with np.errstate(over="ignore"):   # -2 kappa x past the float range: T_S = 0
+        log_t = (member @ np.log(c / (2.0 * kap)) + np.einsum("si,ij,sj->s", member, pair, member)
+                 + ts[..., None] * (member @ (8.0 * kap ** 3 + 2.0 * spec.eta * kap))
+                 - xs[..., None] * (member @ (2.0 * kap)))           # (..., 2^N)
+    top = np.max(log_t, axis=-1)
+    log_t -= top[..., None]
+    return top + np.log(np.sum(np.exp(log_t, out=log_t), axis=-1))
+
+
 @dataclass(frozen=True)
 class TripletDiagnostics:
     """validate_triplet report: spectrum, solvability, mode flags."""

@@ -146,12 +146,8 @@ class GammaEvaluator:
         return self._reference(x, t)[2]
 
     def det_gamma(self, x: float, t: float) -> float:
-        """det Gamma(x, t) through the batched kernel; overflow raises."""
-        e = self.evaluate([float(x)], [float(t)], with_u=False)
-        if e.overflow[0, 0]:
-            raise OverflowDetectedError(
-                f"overflow in Gamma or det Gamma at x={float(e.x[0])!r}, t={float(e.t[0])!r}")
-        return float(e.det_gamma[0, 0])
+        """det Gamma(x, t) through the batched kernel; NaN where it overflowed, as in sample()."""
+        return float(self.evaluate([float(x)], [float(t)], with_u=False).det_gamma[0, 0])
 
     def evaluate(self, xs, ts, with_u: bool = True) -> SolutionGrid:
         """The batched kernel over the grid ts x xs (t-major).
@@ -163,22 +159,22 @@ class GammaEvaluator:
         that fails the pivot gate (linalg.LuFactors.singular) gives
         near-singular. Otherwise, with_u, both resolvent solves run and a
         non-finite solution or u is overflow again. No point raises; a
-        negative or non-finite x or a non-finite t raises SpecValidationError.
+        negative or non-finite x or a non-finite t raises SpecValidationError,
+        whatever the other axis holds (empty included).
         """
         xs = np.array(xs, dtype=float, ndmin=1)
         ts = np.array(ts, dtype=float, ndmin=1)
+        bad = ~np.isfinite(xs) | (xs < 0.0)
+        if bad.any():
+            raise SpecValidationError(f"x must be finite and >= 0, got {float(xs[bad][0])!r}")
+        bad = ~np.isfinite(ts)
+        if bad.any():
+            raise SpecValidationError(f"t must be finite, got {float(ts[bad][0])!r}")
         shape = (ts.size, xs.size)
         u = np.full(shape, np.nan)
         det = np.full(shape, np.nan)
         code = np.full(shape, _OK, dtype=np.int8)
         if xs.size and ts.size:
-            bad = ~np.isfinite(xs) | (xs < 0.0)
-            if bad.any():
-                raise SpecValidationError(
-                    f"x must be finite and >= 0, got {float(xs[bad][0])!r}")
-            bad = ~np.isfinite(ts)
-            if bad.any():
-                raise SpecValidationError(f"t must be finite, got {float(ts[bad][0])!r}")
             self._fill(xs, ts, with_u, u, det, code)
         flags = _FLAG_NAMES[code]
         for arr in (xs, ts, u, det, flags):

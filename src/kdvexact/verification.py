@@ -123,26 +123,20 @@ def _auto_h_t(evaluator: solution.GammaEvaluator, h_x: float) -> float:
     return (1.0 if rate_t <= 0.0 else rate_x * rate_x / rate_t) * h_x * h_x
 
 
-def _stencil_values(evaluator: solution.GammaEvaluator, xs, ts, offsets, h_x, h_t):
-    """u at (x + o h_x, t + dt) for every stencil node, as (n_t, n_x) arrays.
+def _stencil_values(evaluator: solution.GammaEvaluator, xs, ts, h_x, h_t) -> np.ndarray:
+    """u at every stencil node in one batched kernel call, shaped (3, n_t, 7, n_x).
 
-    Keys are (o, dt) with o in offsets at dt = 0, and o = 0 at
-    dt = +-h_t. Every node is sampled in one batched kernel call, so
-    each value equals evaluator.u exactly, NaN where flagged.
+    Axis 0 is t + 0, t + h_t, t - h_t; axis 2 is x + o h_x for
+    o = -3 .. 3. Each value equals evaluator.u exactly, NaN where flagged.
     """
-    keys = [(o, 0.0) for o in offsets] + [(0, h_t), (0, -h_t)]
-    node_x = {o: xs + o * h_x for o in offsets}
-    node_t = {dt: ts + dt for dt in (0.0, h_t, -h_t)}
-    grid_x = np.unique(np.concatenate(list(node_x.values())))
-    grid_t = np.unique(np.concatenate(list(node_t.values())))
-    u = evaluator.evaluate(grid_x, grid_t).u
-    return {(o, dt): u[np.searchsorted(grid_t, node_t[dt])[:, None],
-                       np.searchsorted(grid_x, node_x[o])[None, :]]
-            for o, dt in keys}
+    offsets = np.arange(-X_STENCIL_REACH, X_STENCIL_REACH + 1)
+    node_x = xs + offsets[:, None] * h_x
+    node_t = np.concatenate([ts, ts + h_t, ts - h_t])
+    return evaluator.evaluate(node_x.reshape(-1), node_t).u.reshape(3, ts.size, -1, xs.size)
 
 
-def _check_grid(x_window, t_window, n_x: int, n_t: int) -> None:
-    for name, n in (("n_x", n_x), ("n_t", n_t)):
+def _check_grid(x_window, t_window, **counts: int) -> None:
+    for name, n in counts.items():
         if not n >= 1:
             raise SpecValidationError(f"{name} must be at least 1, got {n!r}")
     for name, window in (("x_window", x_window), ("t_window", t_window)):
@@ -169,7 +163,7 @@ def pde_residual(evaluator: solution.GammaEvaluator, x_window, t_window, n_x: in
     argument, a non-finite window bound, or an h_x not finite and > 0
     raises it before any sampling.
     """
-    _check_grid(x_window, t_window, n_x, n_t)
+    _check_grid(x_window, t_window, n_x=n_x, n_t=n_t)
     _check_step("h_x", h_x)
     h_t = _auto_h_t(evaluator, h_x)
     x_lo = max(float(x_window[0]), X_STENCIL_REACH * h_x)
@@ -182,12 +176,13 @@ def pde_residual(evaluator: solution.GammaEvaluator, x_window, t_window, n_x: in
             f"after clipping for h_x={h_x}, h_t={h_t}")
     xs = np.linspace(x_lo, x_hi, n_x)
     ts = np.linspace(t_lo, t_hi, n_t)
-    u = _stencil_values(evaluator, xs, ts, (0,) + _D3_OFFSETS, h_x, h_t)
-    u0 = u[(0, 0.0)]
-    ux = sum(w * u[(o, 0.0)] for o, w in zip(_D1_OFFSETS, _D1_WEIGHTS)) / (_D1_SCALE * h_x)
-    uxxx = sum(w * u[(o, 0.0)]
+    now, later, earlier = _stencil_values(evaluator, xs, ts, h_x, h_t)
+    mid = X_STENCIL_REACH   # the offset-0 column
+    u0 = now[:, mid]
+    ux = sum(w * now[:, mid + o] for o, w in zip(_D1_OFFSETS, _D1_WEIGHTS)) / (_D1_SCALE * h_x)
+    uxxx = sum(w * now[:, mid + o]
                for o, w in zip(_D3_OFFSETS, _D3_WEIGHTS)) / (_D3_SCALE * h_x ** 3)
-    ut = (u[(0, h_t)] - u[(0, -h_t)]) / (2.0 * h_t)
+    ut = (later[:, mid] - earlier[:, mid]) / (2.0 * h_t)
     with np.errstate(invalid="ignore"):
         res = ut + evaluator.eta * ux - 6.0 * u0 * ux + uxxx
     bad = ~np.isfinite(res)
@@ -202,17 +197,16 @@ def pde_residual(evaluator: solution.GammaEvaluator, x_window, t_window, n_x: in
 
 
 def pde_residual_refinement(evaluator: solution.GammaEvaluator, x_window, t_window,
-                            levels: tuple[float, ...] = REFINEMENT_LEVELS,
-                            n_x: int = 9, n_t: int = 4) -> RefinementReport:
+                            levels: tuple[float, ...] = REFINEMENT_LEVELS) -> RefinementReport:
     """Run the evaluator's pde_residual at several h_x levels and report convergence.
 
     The window is clipped once, for the coarsest level, so every level
-    samples the same points; h_t is derived per level. Ratios near 16
+    samples the same 9 x 4 points; h_t is derived per level. Ratios near 16
     between successive halvings confirm the fourth-order design. A
     non-evaluator argument, a non-finite window bound, or a level
     repeated or not finite and > 0, raises SpecValidationError first.
     """
-    _check_grid(x_window, t_window, n_x, n_t)
+    _check_grid(x_window, t_window)
     levels = tuple(levels)
     if not levels:
         raise SpecValidationError(f"levels must hold at least one h_x, got {levels!r}")
@@ -226,7 +220,7 @@ def pde_residual_refinement(evaluator: solution.GammaEvaluator, x_window, t_wind
     maxima = []
     for h in levels:
         scan = pde_residual(evaluator, (x_lo, x_window[1]), (t_lo, t_window[1]),
-                            n_x=n_x, n_t=n_t, h_x=h)
+                            n_x=9, n_t=4, h_x=h)
         maxima.append(scan.max_abs)
     ratios = tuple(maxima[i] / maxima[i + 1] for i in range(len(maxima) - 1))
     orders = tuple(math.log(r) / math.log(levels[i] / levels[i + 1])
@@ -548,30 +542,6 @@ class SolitonEquivalence:
     n_t: int
 
 
-def _log_tau(bound_states, eta: float, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """log of Hirota's N-soliton tau-function on the grid ts x xs (t-major).
-
-    tau is the sum over the 2^N subsets S of the bound states of
-    T_S = prod_{j in S} (c_j / 2 kappa_j) exp(theta_j)
-          prod_{i<j in S} ((kappa_i - kappa_j) / (kappa_i + kappa_j))^2,
-    theta_j = -2 kappa_j x + (8 kappa_j^3 + 2 eta kappa_j) t: the
-    determinant of the N-soliton matrix in closed form. Every T_S is
-    positive and T_{} = 1, so the sum is taken as a log-sum-exp.
-    """
-    kap = np.array([s.kappa for s in bound_states])
-    c = np.array([s.c for s in bound_states])
-    member = (np.arange(2 ** kap.size)[:, None] >> np.arange(kap.size)) & 1   # (2^N, N)
-    pair = np.triu(2.0 * np.log(np.abs(kap[:, None] - kap) / (kap[:, None] + kap)
-                                + np.eye(kap.size)), 1)
-    with np.errstate(over="ignore"):   # -2 kappa x past the float range: T_S = 0
-        log_t = (member @ np.log(c / (2.0 * kap)) + np.einsum("si,ij,sj->s", member, pair, member)
-                 + ts[:, None, None] * (member @ (8.0 * kap ** 3 + 2.0 * eta * kap))
-                 - xs[:, None] * (member @ (2.0 * kap)))              # (n_t, n_x, 2^N)
-    top = np.max(log_t, axis=-1)
-    log_t -= top[..., None]
-    return top + np.log(np.sum(np.exp(log_t, out=log_t), axis=-1))
-
-
 def _soliton_spec(evaluator: solution.GammaEvaluator) -> realization.ScatteringSpec:
     """The spec the soliton check compares against; SpecValidationError if it cannot.
 
@@ -607,7 +577,7 @@ def soliton_equivalence(evaluator: solution.GammaEvaluator,
     of at most SOLITON_MAX_STATES states, raises SpecValidationError
     before any work.
     """
-    _check_grid(x_window, t_window, n_x, n_t)
+    _check_grid(x_window, t_window, n_x=n_x, n_t=n_t)
     spec = _soliton_spec(evaluator)
     xs = np.linspace(float(x_window[0]), float(x_window[1]), n_x)
     ts = np.linspace(float(t_window[0]), float(t_window[1]), n_t)
@@ -617,7 +587,7 @@ def soliton_equivalence(evaluator: solution.GammaEvaluator,
         i, j = np.unravel_index(np.argmax(failed), failed.shape)
         raise OverflowDetectedError(
             f"overflow in Gamma or det Gamma at x={float(xs[j])!r}, t={float(ts[i])!r}")
-    tau_inv = np.exp(-_log_tau(spec.bound_states, spec.eta, xs, ts))   # tau >= 1: no overflow
+    tau_inv = np.exp(-realization._log_tau(spec, xs, ts[:, None]))   # tau >= 1: no overflow
     dev = np.abs(triplet_side.det_gamma * tau_inv - 1.0)
     i, j = np.unravel_index(np.argmax(dev), dev.shape)
     return SolitonEquivalence(max_deviation=float(dev[i, j]),

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from kdvexact import (FLAG_OK, BoundState, ScatteringSpec, build_triplet, documents, linalg,
-                      make_evaluator, verification)
+                      make_evaluator, realization)
 from kdvexact.cli import main
 
 import helpers
@@ -159,7 +159,7 @@ def test_log_tau_matches_n_soliton_determinant_oracle(states, eta, x_window, t_w
     rng = np.random.default_rng(18)
     xs = np.sort(rng.uniform(*x_window, 20))
     ts = np.sort(rng.uniform(*t_window, 10))
-    got = verification._log_tau(states, eta, xs, ts)
+    got = realization._log_tau(ScatteringSpec(bound_states=states, eta=eta), xs, ts[:, None])
     want = np.array([[float(mp.log(_mp_n_soliton_det(states, eta, x, t))) for x in xs]
                      for t in ts])
     assert np.all(np.isfinite(got))

@@ -1,6 +1,7 @@
 """Closed-form solution machinery: Gamma, determinants, u, Omega, K."""
 from __future__ import annotations
 
+import re
 import threading
 import warnings
 
@@ -296,6 +297,25 @@ def test_non_finite_t_rejected_before_any_work(monkeypatch, route, args, named):
         monkeypatch.setattr(linalg, name, lambda *a, name=name: pytest.fail(f"{name} called"))
     with pytest.raises(SpecValidationError, match=named):
         getattr(ev, route)(*args)
+
+
+@pytest.mark.parametrize("xs, ts, named", [
+    ([-1.0, np.nan], [], "x must be finite and >= 0, got -1.0"),
+    ([], [np.inf], "t must be finite, got inf"),
+    ([np.nan], [], "x must be finite and >= 0, got nan"),
+    ([], [0.0, -np.inf], "t must be finite, got -inf"),
+    ([-1.0], [0.0], "x must be finite and >= 0, got -1.0"),
+], ids=["bad-x-empty-t", "empty-x-bad-t", "nan-x-empty-t", "empty-x-bad-t-second",
+        "bad-x-full-t"])
+def test_evaluate_checks_each_axis_whatever_the_other_holds(xs, ts, named):
+    with pytest.raises(SpecValidationError, match=f"^{re.escape(named)}$"):
+        one_soliton_evaluator().evaluate(xs, ts)
+
+
+@pytest.mark.parametrize("xs, ts", [([], []), ([0.0, 1.0], []), ([], [-1.0, 2.0])])
+def test_evaluate_on_an_empty_axis_returns_an_empty_grid(xs, ts):
+    grid = one_soliton_evaluator().evaluate(xs, ts)
+    assert grid.u.shape == grid.det_gamma.shape == grid.flags.shape == (len(ts), len(xs))
 
 
 def test_negative_t_allowed():

@@ -378,7 +378,7 @@ def test_soliton_equivalence_small_cases():
 def test_batched_soliton_equivalence_raises_at_first_overflow(monkeypatch, states, x_window,
                                                               t_window, match):
     ev = bound_states_evaluator(states)
-    forbid(monkeypatch, verification, "_log_tau")
+    forbid(monkeypatch, realization, "_log_tau")
     with pytest.raises(OverflowDetectedError, match=f"^{re.escape(match)}$"):
         soliton_equivalence(ev, x_window, t_window, 5, 41)
 
