@@ -308,10 +308,11 @@ def cmd_frames(args) -> int:
     grid = _sample(args, _evaluator_from_args(args))
     with _output_errors():
         os.makedirs(args.output, exist_ok=True)
-        for i in range(grid.t.size):
+        x_cells = [documents.format_float(x) for x in grid.x.tolist()]
+        for i, us in enumerate(grid.u.tolist()):
             path = os.path.join(args.output, f"frame_{i:04d}.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                documents.write_frame_csv(fh, grid.x, grid.u[i])
+                documents.write_frame_csv(fh, x_cells, us)
     return 0
 
 

@@ -221,9 +221,9 @@ def write_grid_csv(stream, grid) -> None:
         stream.write("".join([f"{x},{t},{v},{d},{flag}\n" for x, v, d, flag in cells]))
 
 
-def write_frame_csv(stream, xs, us) -> None:
-    """One time slice: x, u."""
-    rows = [f"{x},{u}\n" for x, u in zip(_float_strings(xs), _float_strings(us))]
+def write_frame_csv(stream, x_cells, us) -> None:
+    """One time slice: x, u, from the x column already formatted (format_float)."""
+    rows = [f"{x},{float(u)!r}\n" for x, u in zip(x_cells, us)]
     stream.write("".join([FRAME_CSV_HEADER + "\n", *rows]))
 
 

@@ -232,14 +232,16 @@ class LuFactors:
 
     lu and piv are the packed LAPACK-style factors (row i was swapped
     with row piv[i] at step i); max_abs is the largest absolute entry of
-    the original matrix, used for the relative pivot gate. For a stack
-    every field gains the leading stack axis, and min_pivot, singular
-    and permutation_sign return one value per member.
+    the original matrix, used for the relative pivot gate, and norm_inf
+    its largest absolute row sum. For a stack every field gains the
+    leading stack axis, and min_pivot, singular and permutation_sign
+    return one value per member.
     """
 
     lu: np.ndarray
     piv: np.ndarray
     max_abs: float | np.ndarray
+    norm_inf: float | np.ndarray
 
     @property
     def n(self) -> int:
@@ -264,6 +266,12 @@ class LuFactors:
         sign = 1.0 - 2.0 * (swaps % 2)
         return float(sign) if self.lu.ndim == 2 else sign
 
+    def take(self, idx) -> LuFactors:
+        """Members idx of a stack; up to ELIMINATION_MAX_N lu stays a points-last view."""
+        lu = (self.lu[idx] if self.n > ELIMINATION_MAX_N
+              else np.take(self.lu.transpose(1, 2, 0), idx, axis=-1).transpose(2, 0, 1))
+        return LuFactors(lu, self.piv[idx], self.max_abs[idx], self.norm_inf[idx])
+
 
 def lu_factor(m: np.ndarray) -> LuFactors:
     """Factor a real square matrix with partial pivoting."""
@@ -276,7 +284,10 @@ def lu_factor(m: np.ndarray) -> LuFactors:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns on exact singularity; we diagnose via pivots
         lu, piv = sla.lu_factor(m, check_finite=False)
-    return LuFactors(lu=lu, piv=piv, max_abs=float(np.max(np.abs(m))) if m.size else 0.0)
+    mag = np.abs(m)
+    with np.errstate(over="ignore"):
+        norm_inf = float(np.max(np.sum(mag, axis=1), initial=0.0))
+    return LuFactors(lu=lu, piv=piv, max_abs=float(np.max(mag, initial=0.0)), norm_inf=norm_inf)
 
 
 def determinant(factors: LuFactors) -> float:
@@ -325,21 +336,27 @@ def lu_factor_stack(m: np.ndarray) -> LuFactors:
     step a vector operation over all k members, with LAPACK's pivot
     choice (the first entry of largest magnitude); a column with a zero
     pivot is left uneliminated, as LAPACK leaves it. lu is returned as a
-    (k, n, n) view of that copy. Larger members go to LAPACK one at a
-    time. Members must be finite; no pivot gate is applied, so callers
-    read singular() and mask.
+    (k, n, n) view of that copy, and max_abs and norm_inf come from one
+    |m| pass over it. Larger members go to LAPACK one at a time, their
+    magnitudes from |m|. Members must be finite; no pivot gate is
+    applied, so callers read singular() and mask.
     """
     m = np.asarray(m, dtype=float)
     k, n, _ = m.shape
-    max_abs = np.max(np.abs(m), axis=(1, 2)) if n else np.zeros(k)
     piv = np.empty((k, n), dtype=np.intp)
+    a = m.transpose(1, 2, 0)
+    if n <= ELIMINATION_MAX_N:
+        a = a.copy()
+    mag = np.abs(a)
+    with np.errstate(over="ignore"):
+        max_abs = np.max(mag, axis=(0, 1), initial=0.0)
+        norm_inf = np.max(np.sum(mag, axis=1), axis=0, initial=0.0)
     if n > ELIMINATION_MAX_N:
         import scipy.linalg as sla
         lu = np.empty_like(m)
         for i in range(k):
             lu[i], piv[i], _ = sla.lapack.dgetrf(m[i])
-        return LuFactors(lu=lu, piv=piv, max_abs=max_abs)
-    a = m.transpose(1, 2, 0).copy()
+        return LuFactors(lu=lu, piv=piv, max_abs=max_abs, norm_inf=norm_inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
             p = j + np.argmax(np.abs(a[j:, j]), axis=0)
@@ -348,15 +365,16 @@ def lu_factor_stack(m: np.ndarray) -> LuFactors:
             pivot = a[j, j]
             a[j + 1:, j] /= np.where(pivot == 0.0, 1.0, pivot)
             a[j + 1:, j + 1:] -= a[j + 1:, j, None] * a[j, None, j + 1:]
-    return LuFactors(lu=a.transpose(2, 0, 1), piv=piv, max_abs=max_abs)
+    return LuFactors(lu=a.transpose(2, 0, 1), piv=piv, max_abs=max_abs, norm_inf=norm_inf)
 
 
 def lu_solve_stack(factors: LuFactors, rhs: np.ndarray) -> np.ndarray:
     """Solve every system of a factored (k, n, n) stack.
 
     rhs is (k, n, r) or broadcasts to it. Up to ELIMINATION_MAX_N the
-    substitutions run on points-last copies, (n, n, k) of the factors
-    and (n, r, k) of rhs, and the (k, n, r) result is a view. Members
+    substitutions run on points-last (n, n, k) factors, copied only if
+    lu is not a view of them as lu_factor_stack and take return it, and
+    an (n, r, k) copy of rhs; the (k, n, r) result is a view. Members
     with a zero pivot give non-finite solutions instead of raising;
     callers gate them first.
     """

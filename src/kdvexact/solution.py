@@ -187,7 +187,8 @@ class GammaEvaluator:
         with np.errstate(over="ignore", invalid="ignore"):
             side = exa @ self.Q @ exa                   # exp(-xA) Q exp(-xA), per x
             rb = exa @ b
-            rhs = np.concatenate([rb, a @ rb], axis=-1)  # both solves' right sides
+            # both solves' right sides, points-last: (P, 2, x)
+            rhs = np.concatenate([rb, a @ rb], axis=-1).transpose(1, 2, 0).copy()
         rows = max(1, CHUNK_BYTES // max(1, 8 * p * p * xs.size))
         for lo in range(0, ts.size, rows):
             sl = slice(lo, lo + rows)
@@ -212,7 +213,7 @@ class GammaEvaluator:
         det[~overflow] = d[~overflow]
         code[overflow] = _OVERFLOW
         with np.errstate(over="ignore"):
-            norm = np.maximum(1.0, np.max(np.sum(np.abs(gamma), axis=-1), axis=-1))
+            norm = np.maximum(1.0, factors.norm_inf)
             near = np.abs(d) < NEAR_SINGULAR_TOL * (1.0 + norm ** self.P)
         near = ~overflow & (near | factors.singular())
         code[near] = _NEAR_SINGULAR
@@ -220,9 +221,8 @@ class GammaEvaluator:
         if not (with_u and idx.size):
             return
         i, j = np.divmod(idx, n_x)
-        sol = linalg.lu_solve_stack(
-            linalg.LuFactors(lu=factors.lu[idx], piv=factors.piv[idx],
-                             max_abs=factors.max_abs[idx]), rhs[j])
+        sol = linalg.lu_solve_stack(factors.take(idx),
+                                    np.take(rhs, j, axis=-1).transpose(2, 0, 1))
         a = self.triplet.A
         with np.errstate(over="ignore", invalid="ignore"):
             row = ce[i] @ exa[j]                         # C E(t) exp(-xA)

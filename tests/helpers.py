@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from kdvexact import BoundState, ComplexPolePair, ImaginaryPole, ScatteringSpec, Triplet
+from kdvexact.documents import format_float
 
 S3 = np.sqrt(3.0)
 
@@ -114,3 +115,8 @@ def random_rational_spec(rng: np.random.Generator) -> ScatteringSpec:
     bss = tuple(BoundState(kappa=0.4 + 0.5 * i, c=float(rng.uniform(0.3, 2.0)))
                 for i in range(n_bs))
     return ScatteringSpec(complex_poles=cps, imaginary_poles=ips, bound_states=bss)
+
+
+def frame_csv_per_cell(xs, us) -> str:
+    """The per-cell frame writer documents.write_frame_csv must reproduce byte for byte."""
+    return "x,u\n" + "".join(f"{format_float(x)},{format_float(u)}\n" for x, u in zip(xs, us))

@@ -368,6 +368,19 @@ def test_frames_directory_layout(tmp_path):
     x, u = lines[1].split(",")
     assert float(x) == 0.0 and float(u) == ev.u(0.0, 0.1)
 
+    # every file equals the per-cell writer over sample_grid, flagged (nan) cells included
+    outdir = tmp_path / "flagged"
+    rc = main(["frames", "--input", write_doc(tmp_path, THREE_BLOCK_DOC, "three.json"),
+               "--x", "0:4:9", "--t", "0:0.3:4", "--output", str(outdir)])
+    assert rc == 0
+    grid = solution.sample_grid(make_evaluator(build_triplet(helpers.three_block_spec())),
+                                np.linspace(0.0, 4.0, 9), np.linspace(0.0, 0.3, 4))
+    assert 0 < np.count_nonzero(grid.flags == "ok") < grid.flags.size
+    assert sorted(p.name for p in outdir.iterdir()) == [f"frame_{i:04d}.csv" for i in range(4)]
+    for i in range(grid.t.size):
+        assert ((outdir / f"frame_{i:04d}.csv").read_bytes()
+                == helpers.frame_csv_per_cell(grid.x, grid.u[i]).encode())
+
 
 def test_frames_single_t_and_missing_output(tmp_path, capsys):
     src = write_doc(tmp_path, ONE_SOLITON_DOC)

@@ -209,7 +209,7 @@ def test_grid_csv_t_major_ordering():
 
 def test_frame_csv_layout():
     buf = io.StringIO()
-    write_frame_csv(buf, [0.0, 0.25], [1.5, -0.125])
+    write_frame_csv(buf, ["0.0", "0.25"], [1.5, -0.125])
     assert buf.getvalue() == "x,u\n0.0,1.5\n0.25,-0.125\n"
 
 
@@ -224,14 +224,6 @@ def _grid_csv_per_cell(grid) -> str:
                       f"{format_float(grid.u[i, j])},"
                       f"{format_float(grid.det_gamma[i, j])},"
                       f"{grid.flags[i, j]}\n")
-    return buf.getvalue()
-
-
-def _frame_csv_per_cell(xs, us) -> str:
-    buf = io.StringIO()
-    buf.write("x,u\n")
-    for x, u in zip(xs, us):
-        buf.write(f"{format_float(x)},{format_float(u)}\n")
     return buf.getvalue()
 
 
@@ -260,10 +252,11 @@ def test_csv_writers_match_per_cell_writers(grid):
     buf = io.StringIO()
     write_grid_csv(buf, grid)
     assert buf.getvalue() == _grid_csv_per_cell(grid)
+    x_cells = [format_float(x) for x in grid.x]
     for i in range(grid.t.size):
         buf = io.StringIO()
-        write_frame_csv(buf, grid.x, grid.u[i])
-        assert buf.getvalue() == _frame_csv_per_cell(grid.x, grid.u[i])
+        write_frame_csv(buf, x_cells, grid.u[i])
+        assert buf.getvalue() == helpers.frame_csv_per_cell(grid.x, grid.u[i])
 
 
 def test_grid_document_nan_becomes_null():

@@ -172,6 +172,9 @@ def test_lu_factor_stack_matches_lapack(n):
     f = linalg.lu_factor_stack(m)
     assert np.all(np.isfinite(f.lu))
     assert f.piv[3:3 + n, 0].tolist() == list(range(n))
+    # both gate magnitudes equal their definitions bit for bit
+    assert f.max_abs.tobytes() == np.max(np.abs(m), axis=(1, 2)).tobytes()
+    assert f.norm_inf.tobytes() == np.max(np.sum(np.abs(m), axis=-1), axis=-1).tobytes()
     single = m[2 + n:3 + n].copy()               # a stack of one that swaps at step 0
     linalg.lu_factor_stack(single)
     assert np.array_equal(single, m[2 + n:3 + n])   # the input is left intact
@@ -179,12 +182,14 @@ def test_lu_factor_stack_matches_lapack(n):
         lu, piv = sla.lu_factor(m[k], check_finite=False)
         assert np.array_equal(f.piv[k], piv), k
         assert np.max(np.abs(f.lu[k] - lu)) <= 1e-13 * max(1.0, np.max(np.abs(lu))), k
-        single = linalg.LuFactors(lu=lu, piv=piv, max_abs=float(np.max(np.abs(m[k]))))
+        single = linalg.LuFactors(lu=lu, piv=piv, max_abs=float(np.max(np.abs(m[k]))),
+                                  norm_inf=float(np.max(np.sum(np.abs(m[k]), axis=-1))))
         assert f.permutation_sign()[k] == single.permutation_sign()
         assert f.min_pivot()[k] == pytest.approx(single.min_pivot(), rel=1e-13, abs=1e-300)
     assert f.min_pivot()[0] == 0.0 and f.min_pivot()[1] == 0.0
     rhs = rng.standard_normal((m.shape[0] - 2, n, 2))
-    sub = linalg.LuFactors(lu=f.lu[2:], piv=f.piv[2:], max_abs=f.max_abs[2:])
+    sub = f.take(np.arange(2, m.shape[0]))
+    assert np.array_equal(sub.lu, f.lu[2:]) and np.array_equal(sub.norm_inf, f.norm_inf[2:])
     x = linalg.lu_solve_stack(sub, rhs)
     assert np.allclose(m[2:] @ x, rhs, rtol=0.0, atol=1e-10)
     empty = linalg.lu_factor_stack(np.zeros((0, n, n)))
