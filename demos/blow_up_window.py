@@ -19,7 +19,7 @@ hot = ScatteringSpec(
                                    coefficients=((3.0, 0.0),)),),
     eta=0.0)
 ev_hot = make_evaluator(build_triplet(hot))
-scan = positivity_scan(ev_hot, x_horizon=10.0, t_horizon=1.0, samples_per_unit=4)
+scan = positivity_scan(ev_hot, x_horizon=10.0, t_horizon=1.0)
 print(f"hot coefficients: certified={scan.certified} tau_lower={scan.tau_lower}")
 print(f"  first failure at (x, t) = {scan.first_failure[:2]}, "
       f"det = {scan.first_failure[2]:.6f}  (exact value -4.25)")
@@ -28,7 +28,7 @@ print(f"  first failure at (x, t) = {scan.first_failure[:2]}, "
 # x=0 when t = ln(2)/8
 flip = Triplet(A=np.array([[1.0]]), B=np.array([[1.0]]), C=np.array([[-1.0]]))
 ev_flip = make_evaluator(flip)
-scan = positivity_scan(ev_flip, x_horizon=6.0, t_horizon=1.0, samples_per_unit=16)
+scan = positivity_scan(ev_flip, x_horizon=6.0, t_horizon=1.0)
 t_star = np.log(2.0) / 8.0
 print(f"sign-flip triplet: bisected onset tau = {scan.tau_lower:.10f}")
 print(f"  exact ln(2)/8      = {t_star:.10f}   gap = {abs(scan.tau_lower - t_star):.2e}")

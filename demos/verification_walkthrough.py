@@ -51,7 +51,7 @@ for c in omega_checks:
     print(f"omega quadrature y={c.y}: quad {c.quadrature:+.10f} "
           f"closed form {c.reference:+.10f} error {c.error:.3e}")
 
-pos = positivity_scan(ev, x_horizon=15.0, t_horizon=10.0, samples_per_unit=4)
+pos = positivity_scan(ev, x_horizon=15.0, t_horizon=10.0)
 print(f"positivity: certified={pos.certified} up to t={pos.tau_lower}")
 
 # (name, passed, measured, threshold, detail)

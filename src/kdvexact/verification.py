@@ -41,7 +41,7 @@ _D3_WEIGHTS = (1.0, -8.0, 13.0, -13.0, 8.0, -1.0)
 _D3_SCALE = 8.0
 
 X_STENCIL_REACH = 3  # x stencil spans x +/- 3 h_x
-REFINEMENT_LEVELS = (3.2e-2, 1.6e-2, 8e-3)
+REFINEMENT_LEVELS = (3.2e-2, 1.6e-2, 8e-3)   # h_x of pde_residual_refinement, coarsest first
 REFINEMENT_RATIO_BAND = (8.0, 32.0)  # brackets ratio 16 = 2**4 for a 4th-order scheme
 
 QUAD_LIMIT = 200             # adaptive subdivisions of the Marchenko and Fourier quadratures
@@ -50,6 +50,7 @@ OMEGA_EPSABS = 1e-10         # absolute tolerance of the Fourier half-line quadr
 OMEGA_CYCLES = 48            # Fourier half-periods past the poles' real parts, averaged
 OMEGA_MAX_CYCLES = 512       # Fourier half-periods one check may integrate, over all y
 OMEGA_AVERAGINGS = 24        # rounds of partial-sum averaging (Euler's transform)
+POSITIVITY_SAMPLES_PER_UNIT = 8.0  # positivity scan grid points per unit of x and of t
 POSITIVITY_BISECT_TOL = 1e-8  # width to which a positivity crossing time is bisected
 SOLITON_MAX_STATES = 12       # bound states the soliton check takes (2^N tau terms per point)
 
@@ -145,11 +146,6 @@ def _check_grid(x_window, t_window, **counts: int) -> None:
                 raise SpecValidationError(f"{name} bounds must be finite, got {bound!r}")
 
 
-def _check_step(name: str, h: float) -> None:
-    if not (math.isfinite(h) and h > 0.0):
-        raise SpecValidationError(f"{name} must be finite and > 0, got {h!r}")
-
-
 def pde_residual(evaluator: solution.GammaEvaluator, x_window, t_window, n_x: int = 11,
                  n_t: int = 5, h_x: float = 1e-3) -> ResidualScan:
     """Finite-difference residual of u_t + eta u_x - 6 u u_x + u_xxx.
@@ -164,7 +160,8 @@ def pde_residual(evaluator: solution.GammaEvaluator, x_window, t_window, n_x: in
     raises it before any sampling.
     """
     _check_grid(x_window, t_window, n_x=n_x, n_t=n_t)
-    _check_step("h_x", h_x)
+    if not (math.isfinite(h_x) and h_x > 0.0):
+        raise SpecValidationError(f"h_x must be finite and > 0, got {h_x!r}")
     h_t = _auto_h_t(evaluator, h_x)
     x_lo = max(float(x_window[0]), X_STENCIL_REACH * h_x)
     x_hi = float(x_window[1])
@@ -196,25 +193,18 @@ def pde_residual(evaluator: solution.GammaEvaluator, x_window, t_window, n_x: in
     return ResidualScan(x=xs, t=ts, residual=res, h_x=h_x, h_t=h_t, eta=evaluator.eta)
 
 
-def pde_residual_refinement(evaluator: solution.GammaEvaluator, x_window, t_window,
-                            levels: tuple[float, ...] = REFINEMENT_LEVELS) -> RefinementReport:
-    """Run the evaluator's pde_residual at several h_x levels and report convergence.
+def pde_residual_refinement(evaluator: solution.GammaEvaluator, x_window,
+                            t_window) -> RefinementReport:
+    """Run the evaluator's pde_residual at each h_x of REFINEMENT_LEVELS and report convergence.
 
     The window is clipped once, for the coarsest level, so every level
     samples the same 9 x 4 points; h_t is derived per level. Ratios near 16
     between successive halvings confirm the fourth-order design. A
-    non-evaluator argument, a non-finite window bound, or a level
-    repeated or not finite and > 0, raises SpecValidationError first.
+    non-evaluator argument or a non-finite window bound raises
+    SpecValidationError first.
     """
     _check_grid(x_window, t_window)
-    levels = tuple(levels)
-    if not levels:
-        raise SpecValidationError(f"levels must hold at least one h_x, got {levels!r}")
-    for h in levels:
-        _check_step("refinement level", h)
-        if levels.count(h) > 1:
-            raise SpecValidationError(f"refinement level {h!r} is repeated in {levels!r}")
-    levels = tuple(sorted(levels, reverse=True))
+    levels = REFINEMENT_LEVELS
     x_lo = max(float(x_window[0]), X_STENCIL_REACH * levels[0])
     t_lo = max(float(t_window[0]), _auto_h_t(evaluator, levels[0]))
     maxima = []
@@ -257,22 +247,21 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     return h * s_k, err, rounding
 
 
-def _adaptive_gk21(f, b: float, epsabs: float, epsrel: float,
-                   limit: int) -> tuple[np.ndarray, float]:
+def _adaptive_gk21(f, b: float, epsabs: float, epsrel: float) -> tuple[np.ndarray, float]:
     """int_0^b f(s) ds for vector-valued f, and its error estimate, by quad_vec's scheme.
 
     Each round bisects the intervals of largest error estimate until
     their errors sum past global error - tol / 8 (at most 128), and
     evaluates every new node in one call of f. It stops once the global
     error falls below tol / 8, tol = max(epsabs, epsrel max|integral|),
-    or below the accumulated rounding estimate. Reaching limit intervals
-    first raises NumericalError naming the error estimate.
+    or below the accumulated rounding estimate. Reaching QUAD_LIMIT
+    intervals first raises NumericalError naming the error estimate.
     """
     lo, hi = np.array([0.0]), np.array([float(b)])
     parts, errs, rounding = _gk21(f, lo, hi)
     total, error, rounding = parts[0], float(errs[0]), float(rounding[0])
     tol = max(epsabs, epsrel * float(np.max(np.abs(total))))
-    while lo.size < limit:
+    while lo.size < QUAD_LIMIT:
         order = np.lexsort((hi, lo, -errs))
         within = np.cumsum(errs[order])[:-1] <= error - tol / 8.0
         take, keep = np.split(order, [min(_MAX_SPLITS, 1 + np.count_nonzero(within))])
@@ -290,7 +279,7 @@ def _adaptive_gk21(f, b: float, epsabs: float, epsrel: float,
         if error < tol / 8.0 or error < rounding:
             return total, error
     raise NumericalError(
-        f"quadrature did not converge in {limit} subintervals: error estimate "
+        f"quadrature did not converge in {QUAD_LIMIT} subintervals: error estimate "
         f"{error:.3e} above {tol / 8.0:.3e}")
 
 
@@ -328,7 +317,8 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t):
     Each sample's error is bounded by epsabs + epsrel max_i |I_i| (both
     1e-12) under the max norm; reaching QUAD_LIMIT subintervals
     first raises NumericalError instead of returning an unconverged
-    integral.
+    integral. A nonzero C whose C E(t) underflows to exactly 0 at every
+    sample would compare 0 with 0, so it raises NumericalError too.
     """
     _require_decay(evaluator, "Marchenko residual")
     x, y, t = (np.asarray(v, dtype=float) for v in (x, y, t))
@@ -352,6 +342,8 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t):
         row = np.einsum("np,npq->nq", ce, exa)                  # C E(t) exp(-xA)
         gamma = np.eye(trip.P) + exa @ evaluator.Q @ exa @ prop
         rhs = np.concatenate([exa, (eya @ b)[..., None]], axis=-1)
+    if np.any(c) and not np.any(ce):
+        raise NumericalError("C E(t) underflows to 0 at every sample, so nothing was compared")
     finite = np.all(np.isfinite(gamma), axis=(1, 2))
     factors = linalg.lu_factor_stack(np.where(finite[:, None, None], gamma, np.eye(trip.P)))
     bad = np.flatnonzero(~finite | factors.singular())   # the first bad sample raises
@@ -377,8 +369,7 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t):
         with np.errstate(over="ignore", invalid="ignore"):
             return np.where(s[:, None] <= cut, -(v @ rows.T) * (v @ weights.T), 0.0)
 
-    integral, _ = _adaptive_gk21(integrand, float(cut.max()), epsabs=1e-12, epsrel=1e-12,
-                                 limit=QUAD_LIMIT)
+    integral, _ = _adaptive_gk21(integrand, float(cut.max()), epsabs=1e-12, epsrel=1e-12)
     residual = direct + integral
     return float(residual[0]) if scalar else residual
 
@@ -442,7 +433,7 @@ def omega_quadrature_check(spec: realization.ScatteringSpec,
         r = realization._partial_fraction_sum(terms, (n + s[:, None]) * width)
         return (r * np.exp(1j * math.pi * s)[:, None]).real * weight
 
-    parts, error = _adaptive_gk21(cycles, 1.0, epsabs=OMEGA_EPSABS, epsrel=0.0, limit=QUAD_LIMIT)
+    parts, error = _adaptive_gk21(cycles, 1.0, epsabs=OMEGA_EPSABS, epsrel=0.0)
     if not error <= OMEGA_EPSABS:   # stopped on the rounding estimate above tolerance
         raise NumericalError(f"Fourier quadrature error estimate {error:.3e} above "
                              f"{OMEGA_EPSABS:.1e}")
@@ -481,29 +472,25 @@ class PositivityWindow:
 
 
 def positivity_scan(evaluator: solution.GammaEvaluator,
-                    x_horizon: float, t_horizon: float,
-                    samples_per_unit: float = 8.0) -> PositivityWindow:
+                    x_horizon: float, t_horizon: float) -> PositivityWindow:
     """Scan det Gamma > 0 over [0, x_horizon] x [0, t_horizon].
 
-    Rows advance in t; the first row with a nonpositive sample stops
-    the scan and the crossing time is bisected down to
-    POSITIVITY_BISECT_TOL (earliest failing t, then smallest failing x,
-    is reported). Overflow at large t truncates the scan and is reported
-    as a frontier instead of a failure. Requires the decaying regime (no
-    formal-mode spectra).
+    The grid holds POSITIVITY_SAMPLES_PER_UNIT points per unit of x and
+    of t (at least 2 each way). Rows advance in t; the first row with a
+    nonpositive sample stops the scan and the crossing time is bisected
+    down to POSITIVITY_BISECT_TOL (earliest failing t, then smallest
+    failing x, is reported). Overflow at large t truncates the scan and
+    is reported as a frontier instead of a failure. Requires the
+    decaying regime (no formal-mode spectra).
     """
     _require_decay(evaluator, "positivity scan")
     x_horizon = float(x_horizon)
     t_horizon = float(t_horizon)
-    samples_per_unit = float(samples_per_unit)
     for name, value in (("x_horizon", x_horizon), ("t_horizon", t_horizon)):
         if not (math.isfinite(value) and value >= 0.0):
             raise SpecValidationError(f"{name} must be finite and nonnegative, got {value!r}")
-    if not (math.isfinite(samples_per_unit) and samples_per_unit > 0.0):
-        raise SpecValidationError(
-            f"samples_per_unit must be finite and positive, got {samples_per_unit!r}")
-    n_x = max(2, int(round(x_horizon * samples_per_unit)) + 1)
-    n_t = max(2, int(round(t_horizon * samples_per_unit)) + 1)
+    n_x = max(2, int(round(x_horizon * POSITIVITY_SAMPLES_PER_UNIT)) + 1)
+    n_t = max(2, int(round(t_horizon * POSITIVITY_SAMPLES_PER_UNIT)) + 1)
     xs = np.linspace(0.0, x_horizon, n_x)
     ts = np.linspace(0.0, t_horizon, n_t)
     window = functools.partial(PositivityWindow, certified=False, x_horizon=x_horizon,

@@ -108,7 +108,7 @@ def test_positivity_random_family():
         eta = float(rng.choice([0.0, 4.0, 8.0]))
         ev = make_evaluator(build_triplet(
             helpers.rotation_spec(float(e), float(g), eta)))
-        window = positivity_scan(ev, 20.0, 20.0, samples_per_unit=4.0)
+        window = positivity_scan(ev, 20.0, 20.0)
         certified += int(window.certified)
     ok = certified == 20
     _report("positivity-random-family", ok,
@@ -129,8 +129,7 @@ def test_pde_residual():
         evr = make_evaluator(build_triplet(spec))
         sc = pde_residual(evr, (0.5, 3.5), (0.0, 0.2), n_x=9, n_t=3, h_x=1e-3)
         worst_random = max(worst_random, sc.max_abs)
-        ref = pde_residual_refinement(evr, (0.5, 3.5), (0.0, 0.2),
-                                      levels=(6.4e-2, 3.2e-2, 1.6e-2))
+        ref = pde_residual_refinement(evr, (0.5, 3.5), (0.0, 0.2))
         ok = ok and ref.fourth_order
     elapsed = time.perf_counter() - started
     ok = ok and worst_random <= 1e-5 and elapsed < 30.0

@@ -193,6 +193,11 @@ def verify_check(tmp_path, doc, name):
 def test_verify_passes_the_fourier_check_on_far_poles(tmp_path):
     check = verify_check(tmp_path, FAR_POLE_DOC, "omegaQuadratureCheck")
     assert check["passed"] and check["measured"] <= 1e-12
+    # E(t) underflows at every seeded t, so the Marchenko check has nothing to compare
+    check = verify_check(tmp_path, FAR_POLE_DOC, "marchenkoResidual")
+    assert not check["passed"] and check["measured"] is None
+    assert check["detail"] == ("unsupported: C E(t) underflows to 0 at every sample, "
+                               "so nothing was compared")
     far = {"eta": 1, "imagPoles": [{"omega": 1e7, "r": [0.5]}]}
     check = verify_check(tmp_path, far, "omegaQuadratureCheck")
     assert check["passed"] and check["measured"] <= 1e-12
@@ -417,7 +422,7 @@ def test_adaptive_rule_takes_quad_vec_path(b, status):
         nodes.append(s.size)
         return f(s)
 
-    got, _ = verification._adaptive_gk21(recorded, b, 1e-12, 1e-12, 200)
+    got, _ = verification._adaptive_gk21(recorded, b, 1e-12, 1e-12)
     want, _, info = integrate.quad_vec(lambda s: f(np.array([s]))[0], 0.0, b, epsabs=1e-12,
                                        epsrel=1e-12, norm="max", limit=200, full_output=True)
     assert info.status == status

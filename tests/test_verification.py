@@ -205,10 +205,10 @@ def test_omega_quadrature_rejects_nonpositive_y():
 
 def test_positivity_certified_window():
     ev = make_evaluator(helpers.rotation_triplet(0.5, 0.5, eta=1.0))
-    w = positivity_scan(ev, 20.0, 20.0, samples_per_unit=4.0)
+    w = positivity_scan(ev, 20.0, 20.0)
     assert w.certified and w.tau_lower == 20.0
     assert w.first_failure is None and w.overflow_frontier is None
-    assert w.n_x == 81 and w.n_t == 81
+    assert w.n_x == 161 and w.n_t == 161
 
 
 def test_positivity_immediate_blowup():
@@ -224,12 +224,12 @@ def test_positivity_crossing_bisected():
     trip = Triplet(A=np.array([[1.0]]), B=np.array([1.0]), C=np.array([-1.0]))
     ev = make_evaluator(trip)
     t_star = np.log(2.0) / 8.0   # det(0, t) = 1 - 0.5 exp(8t)
-    w = positivity_scan(ev, 2.0, 0.2, samples_per_unit=8.0)
+    w = positivity_scan(ev, 2.0, 0.2)
     assert not w.certified
     assert abs(w.tau_lower - t_star) <= 1e-7
     assert w.first_failure[0] == 0.0 and w.first_failure[2] <= 0.0
 
-    wider = positivity_scan(ev, 2.0, 0.5, samples_per_unit=8.0)
+    wider = positivity_scan(ev, 2.0, 0.5)
     assert abs(wider.tau_lower - w.tau_lower) <= 2e-8
 
 
@@ -243,10 +243,10 @@ def test_positivity_monotone_when_certified():
 
 def test_positivity_overflow_frontier():
     ev = one_soliton_evaluator(kappa=2.0, c=3.0)
-    w = positivity_scan(ev, 1.0, 30.0, samples_per_unit=2.0)
+    w = positivity_scan(ev, 1.0, 30.0)
     assert not w.certified
     assert w.first_failure is None
-    assert w.overflow_frontier == 11.5 and w.tau_lower == 11.0
+    assert w.overflow_frontier == 11.125 and w.tau_lower == 11.0
 
 
 def test_positivity_rejects_formal_mode():
@@ -266,8 +266,7 @@ def forbid(monkeypatch, owner, name):
 @pytest.mark.parametrize("args, named", [
     ((np.nan, 1.0), "x_horizon must be finite and nonnegative, got nan"),
     ((1.0, np.inf), "t_horizon must be finite and nonnegative, got inf"),
-    ((1.0, 1.0, np.nan), "samples_per_unit must be finite and positive, got nan"),
-], ids=["nan-x-horizon", "inf-t-horizon", "nan-samples-per-unit"])
+], ids=["nan-x-horizon", "inf-t-horizon"])
 def test_positivity_rejects_degenerate_arguments_before_any_work(monkeypatch, args, named):
     ev = make_evaluator(helpers.rotation_triplet(0.5, 0.5, eta=1.0))
     forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
@@ -287,26 +286,6 @@ def test_pde_residual_rejects_empty_grid_before_any_work(monkeypatch):
     forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
     with pytest.raises(SpecValidationError, match="n_x must be at least 1, got 0"):
         pde_residual(ev, (0.5, 1.0), (0.1, 0.2), n_x=0)
-
-
-def test_refinement_rejects_no_levels_before_any_work(monkeypatch):
-    ev = make_evaluator(helpers.rotation_triplet(0.5, 0.5, eta=1.0))
-    forbid(monkeypatch, verification, "pde_residual")
-    with pytest.raises(SpecValidationError, match=r"levels must hold at least one h_x, got \(\)"):
-        pde_residual_refinement(ev, (0.5, 1.0), (0.1, 0.2), levels=())
-
-
-@pytest.mark.parametrize("levels, named", [
-    ((1e-2, 1e-2), r"refinement level 0\.01 is repeated in \(0\.01, 0\.01\)"),
-    ((1e-2, 0.0), "refinement level must be finite and > 0, got 0.0"),
-    ((1e-2, -5e-3), "refinement level must be finite and > 0, got -0.005"),
-    ((np.nan, 1e-2), "refinement level must be finite and > 0, got nan"),
-], ids=["repeated", "zero", "negative", "nan"])
-def test_refinement_rejects_bad_levels_before_any_work(monkeypatch, levels, named):
-    ev = make_evaluator(helpers.rotation_triplet(0.5, 0.5, eta=1.0))
-    forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
-    with pytest.raises(SpecValidationError, match=named):
-        pde_residual_refinement(ev, (0.5, 1.0), (0.1, 0.2), levels=levels)
 
 
 @pytest.mark.parametrize("x_window, t_window, named", [
