@@ -44,11 +44,12 @@ PIVOT_TOL = 1e-14      # singularity threshold, times max |entry|
 
 # Numpy below, LAPACK through scipy above. Stacked LU: members up to
 # this size are eliminated all at once on a points-last copy, one column
-# per numpy step; larger ones go to LAPACK one at a time, where the
-# flops outweigh the per-call overhead. Factor plus a two-column solve,
-# best of 15 on 2,020-member stacks, one thread of a 2-vCPU Xeon:
-# elimination 0.22 us per member at n = 3 and 0.88 us at n = 6, LAPACK
-# 2.1 us and 2.7 us. Lyapunov solve, same thread: the P^2 x P^2
+# per numpy step; larger ones go to LAPACK one call per member, in place
+# on a Fortran-ordered copy, where the flops outweigh the per-call
+# overhead. Factor plus a two-column solve, best of 15 on 2,020-member
+# stacks, one thread of a 2-vCPU Xeon:
+# elimination 0.14 us per member at n = 3 and 0.81 us at n = 6, LAPACK
+# 2.0 us and 2.5 us. Lyapunov solve, same thread: the P^2 x P^2
 # Kronecker system in numpy takes 12/15/34 us at P = 1/3/6 against
 # 54/49/51 us for scipy's solve_sylvester, which draws level at P = 8.
 ELIMINATION_MAX_N = 6
@@ -235,7 +236,10 @@ class LuFactors:
     the original matrix, used for the relative pivot gate, and norm_inf
     its largest absolute row sum. For a stack every field gains the
     leading stack axis, and min_pivot, singular and permutation_sign
-    return one value per member.
+    return one value per member. A stack's lu is laid out as
+    lu_factor_stack leaves it, so lu_solve_stack reads it without a
+    copy: a (k, n, n) view of points-last factors up to
+    ELIMINATION_MAX_N, Fortran-ordered members above it.
     """
 
     lu: np.ndarray
@@ -267,8 +271,13 @@ class LuFactors:
         return float(sign) if self.lu.ndim == 2 else sign
 
     def take(self, idx) -> LuFactors:
-        """Members idx of a stack; up to ELIMINATION_MAX_N lu stays a points-last view."""
-        lu = (self.lu[idx] if self.n > ELIMINATION_MAX_N
+        """Members idx of a stack, in lu_factor_stack's layout of lu.
+
+        Up to ELIMINATION_MAX_N lu stays a (k, n, n) view of points-last
+        factors; above it each member stays Fortran-ordered.
+        """
+        lu = (np.take(self.lu.transpose(0, 2, 1), idx, axis=0).transpose(0, 2, 1)
+              if self.n > ELIMINATION_MAX_N
               else np.take(self.lu.transpose(1, 2, 0), idx, axis=-1).transpose(2, 0, 1))
         return LuFactors(lu, self.piv[idx], self.max_abs[idx], self.norm_inf[idx])
 
@@ -337,9 +346,11 @@ def lu_factor_stack(m: np.ndarray) -> LuFactors:
     choice (the first entry of largest magnitude); a column with a zero
     pivot is left uneliminated, as LAPACK leaves it. lu is returned as a
     (k, n, n) view of that copy, and max_abs and norm_inf come from one
-    |m| pass over it. Larger members go to LAPACK one at a time, their
-    magnitudes from |m|. Members must be finite; no pivot gate is
-    applied, so callers read singular() and mask.
+    |m| pass over it. Larger members are copied once, transposed, into
+    a stack of Fortran-ordered members, and dgetrf factors each member
+    of that copy in place; their magnitudes come from |m|. m is left
+    intact. Members must be finite; no pivot gate is applied, so
+    callers read singular() and mask.
     """
     m = np.asarray(m, dtype=float)
     k, n, _ = m.shape
@@ -353,9 +364,9 @@ def lu_factor_stack(m: np.ndarray) -> LuFactors:
         norm_inf = np.max(np.sum(mag, axis=1), axis=0, initial=0.0)
     if n > ELIMINATION_MAX_N:
         import scipy.linalg as sla
-        lu = np.empty_like(m)
-        for i in range(k):
-            lu[i], piv[i], _ = sla.lapack.dgetrf(m[i])
+        lu = m.transpose(0, 2, 1).copy().transpose(0, 2, 1)   # Fortran-ordered members
+        for i in range(k):   # in place: the assignment back is a no-op
+            lu[i], piv[i], _ = sla.lapack.dgetrf(lu[i], overwrite_a=True)
         return LuFactors(lu=lu, piv=piv, max_abs=max_abs, norm_inf=norm_inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
@@ -374,20 +385,24 @@ def lu_solve_stack(factors: LuFactors, rhs: np.ndarray) -> np.ndarray:
     rhs is (k, n, r) or broadcasts to it. Up to ELIMINATION_MAX_N the
     substitutions run on points-last (n, n, k) factors, copied only if
     lu is not a view of them as lu_factor_stack and take return it, and
-    an (n, r, k) copy of rhs; the (k, n, r) result is a view. Members
-    with a zero pivot give non-finite solutions instead of raising;
-    callers gate them first.
+    an (n, r, k) copy of rhs; the (k, n, r) result is a view. Above it
+    dgetrs solves each member in place on a copy of rhs with
+    Fortran-ordered members, reading Fortran-ordered factors without a
+    copy, and the result is returned C-contiguous. Members with a zero
+    pivot give non-finite solutions instead of raising; callers gate
+    them first.
     """
     lu, piv = factors.lu, factors.piv
     k, n, _ = lu.shape
     shape = (k, n, np.shape(rhs)[-1])
     if n > ELIMINATION_MAX_N:
         import scipy.linalg as sla
-        x = np.array(np.broadcast_to(rhs, shape), dtype=float)
+        x = np.array(np.broadcast_to(rhs, shape).transpose(0, 2, 1), dtype=float,
+                     order="C").transpose(0, 2, 1)             # Fortran-ordered members
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for i in range(k):
-                x[i], _ = sla.lapack.dgetrs(lu[i], piv[i], x[i])
-        return x
+            for i in range(k):   # in place: the assignment back is a no-op
+                x[i], _ = sla.lapack.dgetrs(lu[i], piv[i], x[i], overwrite_b=True)
+        return np.ascontiguousarray(x)
     lu = np.ascontiguousarray(lu.transpose(1, 2, 0))
     x = np.array(np.broadcast_to(rhs, shape).transpose(1, 2, 0), dtype=float, order="C")
     for j in range(n):

@@ -42,9 +42,10 @@ FLAG_OK = "ok"
 FLAG_NEAR_SINGULAR = "near-singular"
 FLAG_OVERFLOW = "overflow"
 
-# Byte budget of the largest (t rows, x points, P, P) temporary of the
-# batched kernel: t rows are evaluated in chunks that fit it (at least
-# one row per chunk).
+# Byte budget of the batched kernel's (t rows, x points, P, P)
+# temporaries: t rows are evaluated in chunks that fit it (at least one
+# row per chunk). The per-axis stacks, exp(-xA) per x and E(t) per t,
+# are formed once per evaluate and take O((n_x + n_t) P^2) on their own.
 CHUNK_BYTES = 1 << 21
 
 # Near-singular gate: |det Gamma| < NEAR_SINGULAR_TOL (1 + ||Gamma||_inf^P).
@@ -189,14 +190,15 @@ class GammaEvaluator:
             rb = exa @ b
             # both solves' right sides, points-last: (P, 2, x)
             rhs = np.concatenate([rb, a @ rb], axis=-1).transpose(1, 2, 0).copy()
+        props, t_overflow = linalg.expm_stack(self.flow, ts)   # E(t), per t
         rows = max(1, CHUNK_BYTES // max(1, 8 * p * p * xs.size))
         for lo in range(0, ts.size, rows):
             sl = slice(lo, lo + rows)
-            prop, t_overflow = linalg.expm_stack(self.flow, ts[sl])
+            prop = props[sl]
             with np.errstate(over="ignore", invalid="ignore"):
                 gamma = np.eye(p) + side @ prop[:, None]
                 ce = c @ prop                            # C E(t), per t
-            overflow = (x_overflow | t_overflow[:, None]
+            overflow = (x_overflow | t_overflow[sl, None]
                         | ~np.all(np.isfinite(gamma), axis=(-2, -1)))
             gamma[overflow] = np.eye(p)
             self._fill_rows(gamma.reshape(-1, p, p), overflow.reshape(-1), with_u,

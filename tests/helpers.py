@@ -1,9 +1,14 @@
 """Shared fixtures: reference triplets, closed forms, random spec families."""
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from kdvexact import BoundState, ComplexPolePair, ImaginaryPole, ScatteringSpec, Triplet
+from kdvexact import (BoundState, ComplexPolePair, ImaginaryPole, ScatteringSpec, Triplet,
+                      build_triplet, documents)
 from kdvexact.documents import format_float
 
 S3 = np.sqrt(3.0)
@@ -120,3 +125,13 @@ def random_rational_spec(rng: np.random.Generator) -> ScatteringSpec:
 def frame_csv_per_cell(xs, us) -> str:
     """The per-cell frame writer documents.write_frame_csv must reproduce byte for byte."""
     return "x,u\n" + "".join(f"{format_float(x)},{format_float(u)}\n" for x, u in zip(xs, us))
+
+
+def many_poles_triplet(seed: int) -> Triplet:
+    """The triplet of the benchmark's seeded P = 64 many-poles document."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return build_triplet(documents.parse_input_document(workloads.many_poles_spec(seed)))

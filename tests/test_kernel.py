@@ -88,6 +88,37 @@ def test_readme_grid_with_every_flag_over_several_chunks():
     assert np.all(np.isnan(grid.det_gamma[grid.flags == FLAG_OVERFLOW]))
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_lapack_branch_grid_matches_pointwise_sample_bit_for_bit(rows):
+    ev = make_evaluator(helpers.many_poles_triplet(1))
+    assert ev.P > linalg.ELIMINATION_MAX_N
+    xs = [0.0, 2.0, 5.0, 10.0]
+    ts = [0.0, 5.0, 0.1, 40.0, 0.05]   # two-row chunks mix ok and overflowing rows
+    with _chunk_rows(ev, len(xs), rows):
+        grid = _assert_grid_equals_pointwise(ev, xs, ts)
+    assert set(grid.flags.ravel()) == {FLAG_OK, FLAG_NEAR_SINGULAR, FLAG_OVERFLOW}
+
+
+def test_evaluate_forms_every_propagator_in_one_call():
+    ev = make_evaluator(helpers.many_poles_triplet(1))
+    xs, ts = np.linspace(0.0, 10.0, 5), [0.0, 5.0, 0.1, 0.05]
+    whole = ev.evaluate(xs, ts)   # one chunk
+    calls = []
+    expm_stack = linalg.expm_stack
+
+    def counted(m, scales):
+        calls.append(m is ev.flow)
+        return expm_stack(m, scales)
+
+    with _chunk_rows(ev, xs.size, 1), mock.patch.object(linalg, "expm_stack", counted):
+        chunked = ev.evaluate(xs, ts)
+    assert calls.count(True) == 1   # E(t) for all four one-row chunks
+    assert chunked.u.tobytes() == whole.u.tobytes()
+    assert chunked.det_gamma.tobytes() == whole.det_gamma.tobytes()
+    assert np.array_equal(chunked.flags, whole.flags)
+    assert {FLAG_OK, FLAG_OVERFLOW} <= set(whole.flags.ravel())
+
+
 def test_det_gamma_is_a_batch_of_one():
     xs = np.linspace(0.0, 10.0, 6)
     ts = [0.0, 0.4, 1.0]
@@ -195,6 +226,39 @@ def test_lu_factor_stack_matches_lapack(n):
     empty = linalg.lu_factor_stack(np.zeros((0, n, n)))
     assert empty.lu.shape == (0, n, n) and empty.piv.shape == (0, n)
     assert linalg.lu_solve_stack(empty, np.zeros((0, n, 2))).shape == (0, n, 2)
+
+
+def _lapack_per_member(m, rhs):
+    """LAPACK on one C-ordered member at a time: lu, piv and the solutions."""
+    lu, piv, x = np.empty_like(m), np.empty(m.shape[:2], dtype=np.intp), np.empty_like(rhs)
+    for i in range(m.shape[0]):
+        lu[i], piv[i], _ = sla.lapack.dgetrf(m[i])
+        x[i], _ = sla.lapack.dgetrs(lu[i], piv[i], rhs[i])
+    return lu, piv, x
+
+
+@pytest.mark.parametrize("n", [linalg.ELIMINATION_MAX_N + 1, 12, 64])
+def test_lapack_branch_equals_per_member_lapack_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((9, n, n))
+    m[0] = 0.0                                   # exactly singular members
+    m[1, :, n // 2] = 0.0
+    rhs = rng.standard_normal((9, n, 2))
+    before = (m.tobytes(), rhs.tobytes())
+    lu, piv, x = _lapack_per_member(m, rhs)
+    f = linalg.lu_factor_stack(m)
+    assert f.lu.tobytes() == lu.tobytes() and f.piv.tobytes() == piv.tobytes()
+    assert all(member.flags.f_contiguous for member in f.lu)
+    idx = np.array([8, 2, 0, 5, 1])
+    sub = f.take(idx)
+    assert sub.lu.tobytes() == lu[idx].tobytes() and sub.piv.tobytes() == piv[idx].tobytes()
+    assert all(member.flags.f_contiguous for member in sub.lu)
+    for got, want in [(linalg.lu_solve_stack(f, rhs), x),
+                      (linalg.lu_solve_stack(sub, rhs[idx]), x[idx])]:
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+    assert not np.all(np.isfinite(x[:2]))        # the singular members' solutions
+    assert (m.tobytes(), rhs.tobytes()) == before   # both inputs are left intact
 
 
 # small integers and signs give pivot ties and exactly singular members

@@ -8,15 +8,12 @@ determinant of the N-soliton matrix.
 """
 from __future__ import annotations
 
-import importlib.util
 import re
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kdvexact import (FLAG_OK, BoundState, ScatteringSpec, build_triplet, documents, linalg,
+from kdvexact import (FLAG_OK, BoundState, ScatteringSpec, build_triplet, linalg,
                       make_evaluator, realization)
 from kdvexact.cli import main
 
@@ -25,15 +22,6 @@ import helpers
 mp = pytest.importorskip("mpmath")
 
 README_TRIPLET = build_triplet(helpers.three_block_spec())
-
-
-def _many_poles_triplet(seed: int = 1):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads   # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    return build_triplet(documents.parse_input_document(workloads.many_poles_spec(seed)))
 
 
 def _mp_expm(m: np.ndarray, s: float, dps: int = 40) -> np.ndarray:
@@ -70,7 +58,7 @@ def test_expm_stack_readme_exponentials_match_oracle():
 
 
 def test_expm_stack_many_poles_jordan_blocks_match_oracle():
-    triplet = _many_poles_triplet()
+    triplet = helpers.many_poles_triplet(1)
     a = triplet.A
     starts, sizes = linalg._diagonal_blocks(a)
     assert sorted(np.unique(sizes, return_counts=True)[1].tolist()) == [8, 10, 12]
