@@ -7,14 +7,14 @@ mask; expm, for the per-point routes and the verification checks, is
 its checked front end for a scalar or a 1-D array of scales), the
 Lyapunov solve A Q + Q A = RHS with a residual check (numpy's solve of
 the Kronecker system up to ELIMINATION_MAX_N, Bartels-Stewart through
-scipy's Sylvester solver above it), pivoted LU with determinant and
-solve helpers, eigenvalue extraction, and the resolvent
-(k I - i A)^{-1} b, by one complex Schur reduction and one triangular
-solve per call.
+scipy's Sylvester solver above it), the stacked pivoted LU with
+lu_factor, solve, determinant and inverse as its checked front ends for
+one matrix, eigenvalue extraction, and the resolvent (k I - i A)^{-1} b,
+by one complex Schur reduction and one triangular solve per call.
 
-scipy.linalg is imported only inside the routines and branches that
-call it, so neither the grid path nor verify loads it up to
-ELIMINATION_MAX_N.
+scipy.linalg is imported only inside resolvent_apply and the branches
+that take members wider than ELIMINATION_MAX_N, so no caller loads it
+up to that size.
 
 All single-matrix routines detect overflow instead of propagating NaN,
 work on real float64 (the resolvent returns complex values) and raise
@@ -25,7 +25,6 @@ it to the caller to mask, so one bad member cannot stop a whole grid.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,23 +228,24 @@ def _pivot_gate(min_pivot, max_abs):
 
 @dataclass(frozen=True)
 class LuFactors:
-    """Pivoted LU factorization of a square matrix, or of a stack of them.
+    """Pivoted LU factorizations of a (k, n, n) stack of square matrices.
 
-    lu and piv are the packed LAPACK-style factors (row i was swapped
-    with row piv[i] at step i); max_abs is the largest absolute entry of
-    the original matrix, used for the relative pivot gate, and norm_inf
-    its largest absolute row sum. For a stack every field gains the
-    leading stack axis, and min_pivot, singular and permutation_sign
-    return one value per member. A stack's lu is laid out as
-    lu_factor_stack leaves it, so lu_solve_stack reads it without a
-    copy: a (k, n, n) view of points-last factors up to
+    lu_factor_stack makes every one; lu_factor's single matrix is a
+    stack of one. lu and piv are the packed LAPACK-style factors (row i
+    of a member was swapped with row piv[..., i] at step i); max_abs is
+    the largest absolute entry of each original member, used for the
+    relative pivot gate, and norm_inf its largest absolute row sum.
+    min_pivot, singular and permutation_sign return one value per
+    member; an empty (n = 0) member has min pivot 0, so it is singular.
+    lu is laid out as lu_factor_stack leaves it, so lu_solve_stack reads
+    it without a copy: a (k, n, n) view of points-last factors up to
     ELIMINATION_MAX_N, Fortran-ordered members above it.
     """
 
     lu: np.ndarray
     piv: np.ndarray
-    max_abs: float | np.ndarray
-    norm_inf: float | np.ndarray
+    max_abs: np.ndarray
+    norm_inf: np.ndarray
 
     @property
     def n(self) -> int:
@@ -255,20 +255,18 @@ class LuFactors:
         """The diagonal of U, shaped (..., n)."""
         return np.diagonal(self.lu, axis1=-2, axis2=-1)
 
-    def min_pivot(self):
+    def min_pivot(self) -> np.ndarray:
         if not self.n:
-            return 0.0
-        smallest = np.min(np.abs(self.pivots()), axis=-1)
-        return float(smallest) if self.lu.ndim == 2 else smallest
+            return np.zeros(self.lu.shape[0])
+        return np.min(np.abs(self.pivots()), axis=-1)
 
-    def singular(self):
+    def singular(self) -> np.ndarray:
         """The pivot gate: min |pivot| <= PIVOT_TOL * max |entry|."""
         return _pivot_gate(self.min_pivot(), self.max_abs)
 
-    def permutation_sign(self):
+    def permutation_sign(self) -> np.ndarray:
         swaps = np.count_nonzero(self.piv != np.arange(self.n), axis=-1)
-        sign = 1.0 - 2.0 * (swaps % 2)
-        return float(sign) if self.lu.ndim == 2 else sign
+        return 1.0 - 2.0 * (swaps % 2)
 
     def take(self, idx) -> LuFactors:
         """Members idx of a stack, in lu_factor_stack's layout of lu.
@@ -283,27 +281,20 @@ class LuFactors:
 
 
 def lu_factor(m: np.ndarray) -> LuFactors:
-    """Factor a real square matrix with partial pivoting."""
+    """Factor a real square matrix: lu_factor_stack on a stack of one, checked."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SpecValidationError(f"lu_factor: square matrix required, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise OverflowDetectedError("overflow in lu_factor input")
-    import scipy.linalg as sla
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exact singularity; we diagnose via pivots
-        lu, piv = sla.lu_factor(m, check_finite=False)
-    mag = np.abs(m)
-    with np.errstate(over="ignore"):
-        norm_inf = float(np.max(np.sum(mag, axis=1), initial=0.0))
-    return LuFactors(lu=lu, piv=piv, max_abs=float(np.max(mag, initial=0.0)), norm_inf=norm_inf)
+    return lu_factor_stack(m[None])
 
 
 def determinant(factors: LuFactors) -> float:
-    """Determinant from the LU diagonal; overflow raises, zero is fine."""
-    diag = np.diag(factors.lu)
+    """Determinant of member 0 from its LU diagonal; overflow raises, zero is fine."""
+    diag = factors.pivots()[0]
     with np.errstate(over="ignore"):
-        det = factors.permutation_sign() * float(np.prod(diag))
+        det = float(factors.permutation_sign()[0]) * float(np.prod(diag))
     if not np.isfinite(det):
         # recompute in log space to report log|det| before failing
         with np.errstate(divide="ignore"):
@@ -313,13 +304,13 @@ def determinant(factors: LuFactors) -> float:
 
 
 def solve(factors: LuFactors, rhs: np.ndarray) -> np.ndarray:
-    """Back-substitute rhs through the factorization; the pivot gate raises."""
-    if factors.singular():
-        pivot = factors.min_pivot()
+    """Solve member 0 for a 1-D or 2-D rhs by lu_solve_stack; the pivot gate raises."""
+    if factors.singular()[0]:
+        pivot = factors.min_pivot()[0]
         raise SingularMatrixError(
             f"solve: matrix is singular to working precision (pivot {pivot:.3e})")
-    import scipy.linalg as sla
-    out = sla.lu_solve((factors.lu, factors.piv), rhs, check_finite=False)
+    rhs = np.asarray(rhs, dtype=float)
+    out = lu_solve_stack(factors, rhs.reshape(len(rhs), -1))[0].reshape(rhs.shape)
     return _check_finite(out, "solve")
 
 
@@ -340,17 +331,18 @@ def _swap_rows(a: np.ndarray, j: int, p: np.ndarray) -> None:
 def lu_factor_stack(m: np.ndarray) -> LuFactors:
     """Partial-pivoting LU of every matrix in a (k, n, n) stack.
 
-    Up to ELIMINATION_MAX_N, Gaussian elimination runs on one
-    points-last (n, n, k) copy of the stack, one column per step, each
-    step a vector operation over all k members, with LAPACK's pivot
-    choice (the first entry of largest magnitude); a column with a zero
-    pivot is left uneliminated, as LAPACK leaves it. lu is returned as a
-    (k, n, n) view of that copy, and max_abs and norm_inf come from one
-    |m| pass over it. Larger members are copied once, transposed, into
-    a stack of Fortran-ordered members, and dgetrf factors each member
-    of that copy in place; their magnitudes come from |m|. m is left
-    intact. Members must be finite; no pivot gate is applied, so
-    callers read singular() and mask.
+    The package's one LU; lu_factor is its checked front end. Up to
+    ELIMINATION_MAX_N, Gaussian elimination runs on one points-last
+    (n, n, k) copy of the stack, one column per step, each step a vector
+    operation over all k members, with LAPACK's pivot choice (the first
+    entry of largest magnitude); a column with a zero pivot is left
+    uneliminated, as LAPACK leaves it. lu is returned as a (k, n, n)
+    view of that copy, and max_abs and norm_inf come from one |m| pass
+    over it. Larger members are copied once, transposed, into a stack of
+    Fortran-ordered members, and dgetrf factors each member of that copy
+    in place; their magnitudes come from |m|. m is left intact. Members
+    must be finite; no pivot gate is applied, so callers read singular()
+    and mask.
     """
     m = np.asarray(m, dtype=float)
     k, n, _ = m.shape

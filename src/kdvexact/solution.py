@@ -21,7 +21,8 @@ bit. Gamma, the log-det route and the kernel K stay per point and off
 the batched kernel, as independent checks of its algebra: one builder
 forms exp(-x A), E(t) and Gamma for all three through linalg.expm, the
 checked front end of the kernel's exponential, and the log-det route
-and K factor Gamma per point through LAPACK (linalg.lu_factor).
+and K factor and solve Gamma per point through linalg.lu_factor and
+linalg.solve, the checked front ends of the kernel's stacked LU.
 """
 from __future__ import annotations
 
@@ -270,8 +271,7 @@ class GammaEvaluator:
             with np.errstate(over="ignore", invalid="ignore"):
                 w = exa @ (self.triplet.B @ self.triplet.C) @ exa
                 gxx = (a @ w + w @ a) @ e
-                gi_gx = linalg.solve(factors, -(w @ e))
-                gi_gxx = linalg.solve(factors, gxx)
+                gi_gx, gi_gxx = np.hsplit(linalg.solve(factors, np.hstack([-(w @ e), gxx])), 2)
                 u = float(-2.0 * (np.trace(gi_gxx) - np.trace(gi_gx @ gi_gx)))
         except (OverflowDetectedError, SingularMatrixError):
             return float("nan")
@@ -300,8 +300,11 @@ def make_evaluator(triplet: realization.Triplet) -> GammaEvaluator:
     (some lambda_i + lambda_j ~ 0), in which case no unique Q exists.
     The Lyapunov residual check alone does not catch this when B C
     happens to lie in the range of the singular system. A flow
-    8 A^3 + 2 eta A that overflows raises SpecValidationError naming eta.
+    8 A^3 + 2 eta A that overflows raises SpecValidationError naming eta,
+    and so does an empty (P = 0) triplet, which has no Gamma.
     """
+    if not triplet.P:
+        raise SpecValidationError("make_evaluator: the triplet is empty (P = 0); need P >= 1")
     diagnostics = realization.validate_triplet(triplet)
     if not diagnostics.lyapunov_solvable:
         i, j, mag = diagnostics.resonant_pairs[0]

@@ -548,3 +548,29 @@ def test_grid_subcommands_up_to_six_poles_leave_scipy_linalg_unloaded(tmp_path):
     seven = scipy_runs([["eval", "--input", write_doc(tmp_path, SEVEN_POLE_DOC),
                          "--output", str(tmp_path / "seven.csv")] + grid])
     assert seven[0][0] == 0 and "scipy.linalg" in seven[0][1]
+
+
+_PER_POINT_ROUTES_SCRIPT = """
+import json, sys
+import numpy as np
+from kdvexact import Triplet, make_evaluator
+
+runs = []
+for p in json.loads(sys.argv[1]):
+    ev = make_evaluator(Triplet(A=np.diag(np.linspace(0.5, 1.1, p)), B=np.ones(p),
+                                C=np.full(p, 0.1)))
+    values = [ev.u_log_det(0.5, 0.1), ev.marchenko_kernel(0.5, 1.0, 0.1)]
+    runs.append([values, "scipy.linalg" in sys.modules])
+print(json.dumps(runs))
+"""
+
+
+def test_per_point_routes_up_to_six_poles_leave_scipy_linalg_unloaded():
+    # u_log_det and the Marchenko kernel factor Gamma through the stacked LU,
+    # which reaches LAPACK only for members wider than ELIMINATION_MAX_N
+    out = run_fresh(_PER_POINT_ROUTES_SCRIPT, json.dumps([1, 3, linalg.ELIMINATION_MAX_N,
+                                                          linalg.ELIMINATION_MAX_N + 1]))
+    assert out.returncode == 0, out.stderr
+    runs = json.loads(out.stdout)
+    assert all(math.isfinite(v) for values, _ in runs for v in values)
+    assert [loaded for _, loaded in runs] == [False, False, False, True]

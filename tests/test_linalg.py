@@ -254,6 +254,63 @@ def test_singular_matrix_det_zero_but_solve_raises():
         linalg.inverse(factors)
 
 
+_SINGULAR_MESSAGE = r"^solve: matrix is singular to working precision \(pivot 0\.000e\+00\)$"
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("n", range(1, linalg.ELIMINATION_MAX_N + 3))
+def test_single_matrix_front_ends_are_member_zero_of_the_stacked_lu(n):
+    rng = np.random.default_rng(200 + n)
+    mats = rng.standard_normal((6, n, n))
+    mats[0] = 0.0                                # exactly singular members
+    mats[1, :, n // 2] = 0.0
+    rhs_1, rhs_2 = rng.standard_normal(n), rng.standard_normal((n, 3))
+    for i, m in enumerate(mats):
+        f, stack = linalg.lu_factor(m), linalg.lu_factor_stack(m[None])
+        for name in ("lu", "piv", "max_abs", "norm_inf"):
+            assert getattr(f, name).tobytes() == getattr(stack, name).tobytes(), name
+        lu, piv = sla.lu_factor(m, check_finite=False)
+        assert np.array_equal(f.piv[0], piv)
+        assert np.max(np.abs(f.lu[0] - lu)) <= 1e-13 * max(1.0, np.max(np.abs(lu)))
+        det = linalg.determinant(f)
+        assert det == stack.permutation_sign()[0] * np.prod(stack.pivots()[0])
+        want = (-1.0) ** np.count_nonzero(piv != np.arange(n)) * np.prod(np.diag(lu))
+        assert abs(det - want) <= 1e-13 * max(1.0, abs(want)), (det, want)
+        assert f.singular()[0] == (i < 2)
+        if i < 2:
+            for call in (lambda: linalg.solve(f, rhs_1), lambda: linalg.solve(f, rhs_2),
+                         lambda: linalg.inverse(f)):
+                with pytest.raises(SingularMatrixError, match=_SINGULAR_MESSAGE):
+                    call()
+            continue
+        for rhs, got in ((rhs_1, linalg.solve(f, rhs_1)), (rhs_2, linalg.solve(f, rhs_2)),
+                         (np.eye(n), linalg.inverse(f))):
+            assert got.shape == rhs.shape
+            one = linalg.lu_solve_stack(stack, rhs.reshape(n, -1)[None])[0]
+            assert got.tobytes() == one.reshape(rhs.shape).tobytes()
+            ref = sla.lu_solve((lu, piv), rhs, check_finite=False)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_single_matrix_front_end_messages():
+    with pytest.raises(SpecValidationError,
+                       match=r"^lu_factor: square matrix required, got shape \(2, 3\)$"):
+        linalg.lu_factor(np.ones((2, 3)))
+    with pytest.raises(OverflowDetectedError, match=r"^overflow in lu_factor input$"):
+        linalg.lu_factor(np.array([[1.0, np.inf], [0.0, 1.0]]))
+    with pytest.raises(OverflowDetectedError,
+                       match=r"^determinant overflow, log\|det\| = 921\.034$"):
+        linalg.determinant(linalg.lu_factor(np.diag([1e200, 1e200])))
+    tiny = linalg.lu_factor(np.array([[1e-200]]))
+    with pytest.raises(OverflowDetectedError, match=r"^overflow in solve$"):
+        linalg.solve(tiny, np.array([1e200]))
+    # the empty factorization fails the pivot gate, and its determinant is the empty product
+    empty = linalg.lu_factor(np.zeros((0, 0)))
+    assert empty.singular().tolist() == [True] and linalg.determinant(empty) == 1.0
+    with pytest.raises(SingularMatrixError, match=_SINGULAR_MESSAGE):
+        linalg.solve(empty, np.zeros(0))
+
+
 def test_eigenvalues_sorted_and_rotation_spectrum():
     m = np.diag([3.0, 1.0, 2.0])
     spec = linalg.eigenvalues(m)

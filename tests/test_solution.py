@@ -20,6 +20,7 @@ from kdvexact import (
     ScatteringSpec,
     SpecValidationError,
     Triplet,
+    build_reflection_triplet,
     build_triplet,
     linalg,
     make_evaluator,
@@ -52,6 +53,16 @@ def test_resonant_spectrum_raises_even_when_b_c_is_consistent():
     trip = Triplet(A=np.diag([1.0, -1.0]), B=np.array([1.0, 0.0]), C=np.array([1.0, 0.0]))
     with pytest.raises(LyapunovSolveError):
         make_evaluator(trip)
+
+
+def test_empty_triplet_raises_naming_p_before_the_solve(monkeypatch):
+    # a bound-state-only spec has the empty 0 x 0 reflection triplet
+    empty = build_reflection_triplet(ScatteringSpec(bound_states=(BoundState(1.0, 2.0),)))
+    assert empty.P == 0
+    monkeypatch.setattr(linalg, "lyapunov_solve", lambda *a: pytest.fail("lyapunov_solve called"))
+    with pytest.raises(SpecValidationError, match=r"^make_evaluator: the triplet is empty "
+                                                  r"\(P = 0\); need P >= 1$"):
+        make_evaluator(empty)
 
 
 def test_bound_state_q_entries():
