@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -329,6 +330,7 @@ COMMANDS = {
 }
 
 
+@functools.cache   # built once per process: main reuses it on every call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="kdvexact",

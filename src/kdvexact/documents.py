@@ -12,6 +12,7 @@ round-trip floats, LF newlines. Identical inputs give identical bytes.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -20,7 +21,8 @@ import numpy as np
 from . import realization
 from .errors import SchemaError, SpecValidationError
 
-SPEC_KEYS = frozenset({"eta", "complexPoles", "imagPoles", "boundStates"})
+# Scattering-data keys, each with the value a document that leaves it out reads as.
+SPEC_DEFAULTS = {"eta": 0.0, "complexPoles": [], "imagPoles": [], "boundStates": []}
 RAW_TRIPLET_KEY = "rawTriplet"
 METADATA_KEYS = frozenset({"P", "spectrum", "valid", "flags"})
 
@@ -28,15 +30,10 @@ GRID_CSV_HEADER = "x,t,u,detGamma,flag"
 FRAME_CSV_HEADER = "x,u"
 
 
-def _expect_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(path, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _expect_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(path, f"expected a list, got {type(value).__name__}")
+def _expect(value, path: str, kind: type):
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise SchemaError(path, f"expected {name}, got {type(value).__name__}")
     return value
 
 
@@ -47,19 +44,31 @@ def _expect_real(value, path: str) -> float:
         v = float(value)
     except OverflowError:   # an integer literal beyond the float range
         v = math.inf
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise SchemaError(path, f"expected a finite number, got {value!r}")
     return v
 
 
-def _reals(value, path: str) -> list[float]:
-    return [_expect_real(v, f"{path}[{j}]") for j, v in enumerate(_expect_list(value, path))]
+def _items(value, path: str, parse=_expect_real) -> tuple:
+    """A list's entries, each read by parse at its indexed path."""
+    return tuple([parse(v, f"{path}[{j}]") for j, v in enumerate(_expect(value, path, list))])
 
 
-def _construct(path: str, cls, **fields):
-    """cls(**fields), reporting its SpecValidationError as a SchemaError at path."""
+def _fields(item, path: str, **parsers) -> list:
+    """An object's values, one per keyword in declaration order, each read by its parser.
+
+    Unknown keys are rejected before any value is read; every key of
+    parsers is required.
+    """
+    obj = _expect(item, path, dict)
+    _reject_unknown(obj, parsers.keys(), path)
+    return [parse(_require(obj, key, path), f"{path}.{key}") for key, parse in parsers.items()]
+
+
+def _construct(path: str, cls, *args, **kwargs):
+    """cls(*args, **kwargs), reporting its SpecValidationError as a SchemaError at path."""
     try:
-        return cls(**fields)
+        return cls(*args, **kwargs)
     except SpecValidationError as exc:
         raise SchemaError(path, str(exc)) from None
 
@@ -70,8 +79,8 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _reject_unknown(obj: dict, allowed: frozenset, path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _reject_unknown(obj: dict, allowed, path: str) -> None:
+    unknown = sorted(obj.keys() - allowed)
     if unknown:
         raise SchemaError(f"{path}.{unknown[0]}", "unknown key")
 
@@ -82,81 +91,51 @@ def loads_document(text: str) -> dict:
         data = json.loads(text)
     except ValueError as exc:   # JSONDecodeError, or an integer beyond int's digit limit
         raise SchemaError("$", f"not valid JSON: {exc}") from None
-    return _expect_object(data, "$")
+    return _expect(data, "$", dict)
 
 
-def _parse_complex_pole(item, path: str) -> realization.ComplexPolePair:
-    obj = _expect_object(item, path)
-    _reject_unknown(obj, frozenset({"alpha", "beta", "coeffs"}), path)
-    alpha = _expect_real(_require(obj, "alpha", path), f"{path}.alpha")
-    beta = _expect_real(_require(obj, "beta", path), f"{path}.beta")
-    coeffs = []
-    for j, pair in enumerate(_expect_list(_require(obj, "coeffs", path), f"{path}.coeffs")):
-        ppath = f"{path}.coeffs[{j}]"
-        pobj = _expect_object(pair, ppath)
-        _reject_unknown(pobj, frozenset({"eps", "gamma"}), ppath)
-        coeffs.append((_expect_real(_require(pobj, "eps", ppath), f"{ppath}.eps"),
-                       _expect_real(_require(pobj, "gamma", ppath), f"{ppath}.gamma")))
-    return _construct(path, realization.ComplexPolePair, alpha=alpha, beta=beta,
-                      coefficients=tuple(coeffs))
+def _objects(cls, **parsers):
+    """Reader of a list of objects, each made cls of its fields read in parsers' order."""
+    return functools.partial(_items, parse=lambda item, path: _construct(
+        path, cls, *_fields(item, path, **parsers)))
 
 
-def _parse_imaginary_pole(item, path: str) -> realization.ImaginaryPole:
-    obj = _expect_object(item, path)
-    _reject_unknown(obj, frozenset({"omega", "r"}), path)
-    omega = _expect_real(_require(obj, "omega", path), f"{path}.omega")
-    rs = _reals(_require(obj, "r", path), f"{path}.r")
-    return _construct(path, realization.ImaginaryPole, omega=omega, coefficients=tuple(rs))
-
-
-def _parse_bound_state(item, path: str) -> realization.BoundState:
-    obj = _expect_object(item, path)
-    _reject_unknown(obj, frozenset({"kappa", "c"}), path)
-    kappa = _expect_real(_require(obj, "kappa", path), f"{path}.kappa")
-    c = _expect_real(_require(obj, "c", path), f"{path}.c")
-    return _construct(path, realization.BoundState, kappa=kappa, c=c)
+# Reader of each key of a scattering-data document: eta, then
+# ScatteringSpec's fields in order. SPEC_DEFAULTS fills the keys left out.
+_SPEC_READERS = {
+    "eta": _expect_real,
+    "complexPoles": _objects(realization.ComplexPolePair, alpha=_expect_real, beta=_expect_real,
+                             coeffs=functools.partial(_items, parse=functools.partial(
+                                 _fields, eps=_expect_real, gamma=_expect_real))),
+    "imagPoles": _objects(realization.ImaginaryPole, omega=_expect_real, r=_items),
+    "boundStates": _objects(realization.BoundState, kappa=_expect_real, c=_expect_real),
+}
 
 
 def parse_scattering_spec(data: dict) -> realization.ScatteringSpec:
     """Parse a scattering-data document into a ScatteringSpec."""
-    _reject_unknown(data, SPEC_KEYS, "$")
-    eta = _expect_real(data["eta"], "$.eta") if "eta" in data else 0.0
-    complex_poles = tuple(
-        _parse_complex_pole(item, f"$.complexPoles[{i}]")
-        for i, item in enumerate(_expect_list(data.get("complexPoles", []),
-                                              "$.complexPoles")))
-    imaginary_poles = tuple(
-        _parse_imaginary_pole(item, f"$.imagPoles[{i}]")
-        for i, item in enumerate(_expect_list(data.get("imagPoles", []),
-                                              "$.imagPoles")))
-    bound_states = tuple(
-        _parse_bound_state(item, f"$.boundStates[{i}]")
-        for i, item in enumerate(_expect_list(data.get("boundStates", []),
-                                              "$.boundStates")))
-    return _construct("$", realization.ScatteringSpec, complex_poles=complex_poles,
-                      imaginary_poles=imaginary_poles, bound_states=bound_states, eta=eta)
+    eta, *blocks = _fields({**SPEC_DEFAULTS, **data}, "$", **_SPEC_READERS)
+    return _construct("$", realization.ScatteringSpec, *blocks, eta=eta)
+
+
+def _square_matrix(value, path: str) -> tuple:
+    rows = _expect(value, path, list)
+    if not rows:
+        raise SchemaError(path, "matrix must not be empty")
+
+    def row(item, row_path: str) -> tuple:
+        if len(_expect(item, row_path, list)) != len(rows):
+            raise SchemaError(row_path, f"expected {len(rows)} entries for a square matrix, "
+                                        f"got {len(item)}")
+        return _items(item, row_path)
+    return _items(rows, path, row)
 
 
 def parse_raw_triplet(obj, path: str = "$.rawTriplet") -> realization.Triplet:
     """Parse a rawTriplet object into a Triplet."""
-    obj = _expect_object(obj, path)
-    _reject_unknown(obj, frozenset({"A", "B", "C", "eta"}), path)
-    rows = _expect_list(_require(obj, "A", path), f"{path}.A")
-    if not rows:
-        raise SchemaError(f"{path}.A", "matrix must not be empty")
-    a = []
-    for i, row in enumerate(rows):
-        row = _expect_list(row, f"{path}.A[{i}]")
-        if len(row) != len(rows):
-            raise SchemaError(f"{path}.A[{i}]",
-                              f"expected {len(rows)} entries for a square matrix, "
-                              f"got {len(row)}")
-        a.append(_reals(row, f"{path}.A[{i}]"))
-    b = _reals(_require(obj, "B", path), f"{path}.B")
-    c = _reals(_require(obj, "C", path), f"{path}.C")
-    eta = _expect_real(obj["eta"], f"{path}.eta") if "eta" in obj else 0.0
-    return _construct(path, realization.Triplet, A=np.array(a), B=np.array(b),
-                      C=np.array(c), eta=eta)
+    a, b, c, eta = _fields({"eta": 0.0, **_expect(obj, path, dict)}, path,
+                           A=_square_matrix, B=_items, C=_items, eta=_expect_real)
+    return _construct(path, realization.Triplet, np.array(a), np.array(b), np.array(c), eta)
 
 
 def parse_input_document(data: dict):
@@ -165,9 +144,9 @@ def parse_input_document(data: dict):
     Build-output metadata keys (P, spectrum, valid, flags) are accepted
     next to rawTriplet and ignored, so build output round-trips.
     """
-    _expect_object(data, "$")
+    _expect(data, "$", dict)
     has_raw = RAW_TRIPLET_KEY in data
-    has_spec = bool(SPEC_KEYS & set(data))
+    has_spec = bool(SPEC_DEFAULTS.keys() & data.keys())
     if has_raw and has_spec:
         raise SchemaError("$", "give scattering data or rawTriplet, not both")
     if has_raw:

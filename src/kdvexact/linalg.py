@@ -54,20 +54,6 @@ PIVOT_TOL = 1e-14      # singularity threshold, times max |entry|
 ELIMINATION_MAX_N = 6
 
 
-def as_matrix(obj, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite real 2-D float64 array.
-
-    Raises SpecValidationError on wrong dimensionality or non-finite
-    entries. The returned array is a fresh C-contiguous copy.
-    """
-    m = np.array(obj, dtype=float, order="C")
-    if m.ndim != 2:
-        raise SpecValidationError(f"{name}: expected a 2-D array, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise SpecValidationError(f"{name}: entries must be finite")
-    return m
-
-
 def _check_finite(m: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(m).all():
         raise OverflowDetectedError(f"overflow in {what}")

@@ -14,6 +14,7 @@ discrete part of the associated integral kernel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,15 +25,16 @@ from .errors import SpecValidationError
 
 def _finite(value, name: str) -> float:
     v = float(value)
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise SpecValidationError(f"{name} must be finite, got {value!r}")
     return v
 
 
-def _positive(value, name: str) -> float:
+def _positive(value, name: str, or_zero: bool = False) -> float:
     v = _finite(value, name)
-    if v <= 0.0:
-        raise SpecValidationError(f"{name} must be positive, got {value!r}")
+    if v < 0.0 or (v == 0.0 and not or_zero):
+        raise SpecValidationError(
+            f"{name} must be {'nonnegative' if or_zero else 'positive'}, got {value!r}")
     return v
 
 
@@ -107,28 +109,18 @@ class ScatteringSpec:
     eta: float = 0.0
 
     def __post_init__(self):
-        eta = _finite(self.eta, "eta")
-        if eta < 0.0:
-            raise SpecValidationError(f"eta must be nonnegative, got {self.eta!r}")
-        object.__setattr__(self, "eta", eta)
-
-        cp = tuple(sorted(self.complex_poles, key=lambda p: (p.beta, p.alpha)))
-        for a, b in zip(cp, cp[1:]):
-            if a.beta == b.beta and a.alpha == b.alpha:
-                raise SpecValidationError(
-                    f"duplicate complex pole pair at alpha={a.alpha}, beta={a.beta}")
-        ip = tuple(sorted(self.imaginary_poles, key=lambda p: p.omega))
-        for a, b in zip(ip, ip[1:]):
-            if a.omega == b.omega:
-                raise SpecValidationError(f"duplicate imaginary pole at omega={a.omega}")
-        bs = tuple(sorted(self.bound_states, key=lambda s: s.kappa))
-        for a, b in zip(bs, bs[1:]):
-            if a.kappa == b.kappa:
-                raise SpecValidationError(f"duplicate bound state at kappa={a.kappa}")
-        object.__setattr__(self, "complex_poles", cp)
-        object.__setattr__(self, "imaginary_poles", ip)
-        object.__setattr__(self, "bound_states", bs)
-        if not (cp or ip or bs):
+        object.__setattr__(self, "eta", _positive(self.eta, "eta", or_zero=True))
+        for name, key, what in (
+                ("complex_poles", lambda p: (p.beta, p.alpha),
+                 "complex pole pair at alpha={0.alpha}, beta={0.beta}"),
+                ("imaginary_poles", lambda p: p.omega, "imaginary pole at omega={0.omega}"),
+                ("bound_states", lambda s: s.kappa, "bound state at kappa={0.kappa}")):
+            items = tuple(sorted(getattr(self, name), key=key))
+            for a, b in zip(items, items[1:]):
+                if key(a) == key(b):
+                    raise SpecValidationError("duplicate " + what.format(a))
+            object.__setattr__(self, name, items)
+        if not (self.complex_poles or self.imaginary_poles or self.bound_states):
             raise SpecValidationError(
                 "empty scattering data: need at least one pole or bound state")
 
@@ -164,28 +156,26 @@ class Triplet:
     spec: ScatteringSpec | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        a = linalg.as_matrix(self.A, "A")
+        a = np.array(self.A, dtype=float, order="C")
+        if a.ndim != 2:
+            raise SpecValidationError(f"A: expected a 2-D array, got ndim={a.ndim}")
+        if not np.all(np.isfinite(a)):
+            raise SpecValidationError("A: entries must be finite")
         p = a.shape[0]
         if a.shape != (p, p):
             raise SpecValidationError(f"A must be square, got shape {a.shape}")
-        b = np.array(self.B, dtype=float).reshape(-1)
-        if b.shape != (p,):
-            raise SpecValidationError(f"B must have {p} entries, got {np.shape(self.B)}")
-        c = np.array(self.C, dtype=float).reshape(-1)
-        if c.shape != (p,):
-            raise SpecValidationError(f"C must have {p} entries, got {np.shape(self.C)}")
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        matrices = {"A": a}
+        for name, shape in (("B", (p, 1)), ("C", (1, p))):
+            v = np.array(getattr(self, name), dtype=float)
+            if v.size != p:
+                raise SpecValidationError(f"{name} must have {p} entries, got {v.shape}")
+            matrices[name] = v.reshape(shape)
+        if not (np.isfinite(matrices["B"]).all() and np.isfinite(matrices["C"]).all()):
             raise SpecValidationError("B and C entries must be finite")
-        eta = _finite(self.eta, "eta")
-        if eta < 0.0:
-            raise SpecValidationError(f"eta must be nonnegative, got {self.eta!r}")
-        b = b.reshape(p, 1)
-        c = c.reshape(1, p)
-        for arr in (a, b, c):
-            arr.setflags(write=False)
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "C", c)
+        eta = _positive(self.eta, "eta", or_zero=True)
+        for name, m in matrices.items():
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
         object.__setattr__(self, "eta", eta)
 
     @property
@@ -203,8 +193,9 @@ def _complex_pair_block(pole: ComplexPolePair) -> tuple[np.ndarray, np.ndarray, 
             a[2 * s:2 * s + 2, 2 * s + 2:2 * s + 4] = -np.eye(2)
     b = np.zeros(2 * m)
     b[-1] = 1.0
-    # order-m coefficients first, order-1 coefficients last
-    c = 2.0 * np.array([(gam, eps) for eps, gam in reversed(pole.coefficients)]).reshape(-1)
+    # order-m coefficients first, order-1 coefficients last; doubled as Python floats,
+    # which overflow to inf without a warning, for Triplet to reject
+    c = np.array([(2.0 * gam, 2.0 * eps) for eps, gam in reversed(pole.coefficients)]).reshape(-1)
     return a, b, c
 
 
@@ -372,7 +363,8 @@ def validate_triplet(triplet: Triplet) -> TripletDiagnostics:
     spectrum = linalg.eigenvalues(triplet.A)
     vals = spectrum.eigenvalues
     scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
-    mag = np.abs(vals[:, None] + vals)
+    with np.errstate(over="ignore"):   # a sum past the float range is far from resonant
+        mag = np.abs(vals[:, None] + vals)
     i, j = np.nonzero(np.triu(mag < RESONANCE_TOL * scale))  # pairs i <= j, row-major
     resonant = [(int(a), int(b), float(mag[a, b])) for a, b in zip(i, j)]
     formal = spectrum.min_real_part <= 0.0

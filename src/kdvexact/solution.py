@@ -315,11 +315,12 @@ def make_evaluator(triplet: realization.Triplet) -> GammaEvaluator:
     a = triplet.A
     with np.errstate(over="ignore", invalid="ignore"):
         flow = 8.0 * (a @ a @ a) + (2.0 * triplet.eta) * a
+        bc = triplet.B @ triplet.C   # if it overflows, the Lyapunov residual gate rejects it
     if not np.isfinite(flow).all():
         raise SpecValidationError(f"flow 8 A^3 + 2 eta A is not finite for eta={triplet.eta!r} "
                                   f"and max |A| = {np.max(np.abs(a)):.6g}")
     flow.setflags(write=False)
-    q = linalg.lyapunov_solve(a, triplet.B @ triplet.C)
+    q = linalg.lyapunov_solve(a, bc)
     q.setflags(write=False)
     return GammaEvaluator(triplet=triplet, Q=q, diagnostics=diagnostics, flow=flow)
 

@@ -51,6 +51,7 @@ OMEGA_CYCLES = 48            # Fourier half-periods past the poles' real parts, 
 OMEGA_MAX_CYCLES = 512       # Fourier half-periods one check may integrate, over all y
 OMEGA_AVERAGINGS = 24        # rounds of partial-sum averaging (Euler's transform)
 POSITIVITY_SAMPLES_PER_UNIT = 8.0  # positivity scan grid points per unit of x and of t
+POSITIVITY_MAX_POINTS = 10_000_000  # grid points one positivity scan may evaluate
 POSITIVITY_BISECT_TOL = 1e-8  # width to which a positivity crossing time is bisected
 SOLITON_MAX_STATES = 12       # bound states the soliton check takes (2^N tau terms per point)
 
@@ -235,14 +236,15 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     fv = f(nodes.reshape(-1)).reshape(nodes.shape + (-1,))   # (intervals, 21, n)
     if not np.all(np.isfinite(fv)):
         raise NumericalError("non-finite integrand in the adaptive quadrature")
-    s_k = _KRONROD_W @ fv
-    s_g = _GAUSS_W @ fv[:, 1::2]
-    dabs = np.max(np.abs(h * (_KRONROD_W @ np.abs(fv - 0.5 * s_k[:, None]))), axis=-1)
-    err = np.max(np.abs((s_k - s_g) * h), axis=-1)
+    # sums past the float range give a NaN error, which never meets the stop test
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s_k = _KRONROD_W @ fv
+        s_g = _GAUSS_W @ fv[:, 1::2]
+        dabs = np.max(np.abs(h * (_KRONROD_W @ np.abs(fv - 0.5 * s_k[:, None]))), axis=-1)
+        err = np.max(np.abs((s_k - s_g) * h), axis=-1)
         damped = dabs * np.minimum(1.0, (200.0 * err / dabs) ** 1.5)
-    err = np.where((dabs != 0.0) & (err != 0.0), damped, err)
-    rounding = np.max(np.abs(50.0 * _EPS * h * (_KRONROD_W @ np.abs(fv))), axis=-1)
+        err = np.where((dabs != 0.0) & (err != 0.0), damped, err)
+        rounding = np.max(np.abs(50.0 * _EPS * h * (_KRONROD_W @ np.abs(fv))), axis=-1)
     err = np.where(rounding > _TINY, np.maximum(err, rounding), err)
     return h * s_k, err, rounding
 
@@ -359,10 +361,14 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t):
         weights = np.einsum("np,npq->nq", ce, exya)
         direct = kernel + weights @ b
         start = np.abs((rows @ b) * (weights @ b))
-    if not all(np.all(np.isfinite(v)) for v in (rg, weights, direct)):
+    if not all(np.all(np.isfinite(v)) for v in (rg, weights, direct, start)):
         raise OverflowDetectedError("overflow in the Marchenko kernel rows")
     mu = evaluator.diagnostics.spectrum.min_real_part
-    cut = np.log(np.maximum(start / MARCHENKO_TAIL_FLOOR, math.e)) / (2.0 * mu) + 2.0
+    # where start / MARCHENKO_TAIL_FLOOR overflows, its log is the difference of the logs
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = start / MARCHENKO_TAIL_FLOOR
+        cut = np.where(np.isinf(ratio), np.log(start) - math.log(MARCHENKO_TAIL_FLOOR),
+                       np.log(np.maximum(ratio, math.e))) / (2.0 * mu) + 2.0
 
     def integrand(s: np.ndarray) -> np.ndarray:
         v = linalg.expm(a, -s) @ b
@@ -430,8 +436,9 @@ def omega_quadrature_check(spec: realization.ScatteringSpec,
     weight = np.where(n % 2, -width, width)   # dk/ds times exp(i n pi)
 
     def cycles(s: np.ndarray) -> np.ndarray:
-        r = realization._partial_fraction_sum(terms, (n + s[:, None]) * width)
-        return (r * np.exp(1j * math.pi * s)[:, None]).real * weight
+        with np.errstate(over="ignore", invalid="ignore"):   # _gk21 refuses a non-finite value
+            r = realization._partial_fraction_sum(terms, (n + s[:, None]) * width)
+            return (r * np.exp(1j * math.pi * s)[:, None]).real * weight
 
     parts, error = _adaptive_gk21(cycles, 1.0, epsabs=OMEGA_EPSABS, epsrel=0.0)
     if not error <= OMEGA_EPSABS:   # stopped on the rounding estimate above tolerance
@@ -476,12 +483,13 @@ def positivity_scan(evaluator: solution.GammaEvaluator,
     """Scan det Gamma > 0 over [0, x_horizon] x [0, t_horizon].
 
     The grid holds POSITIVITY_SAMPLES_PER_UNIT points per unit of x and
-    of t (at least 2 each way). Rows advance in t; the first row with a
-    nonpositive sample stops the scan and the crossing time is bisected
-    down to POSITIVITY_BISECT_TOL (earliest failing t, then smallest
-    failing x, is reported). Overflow at large t truncates the scan and
-    is reported as a frontier instead of a failure. Requires the
-    decaying regime (no formal-mode spectra).
+    of t (at least 2 each way); a grid of more than POSITIVITY_MAX_POINTS
+    points raises SpecValidationError before anything is evaluated.
+    Rows advance in t; the first row with a nonpositive sample stops the
+    scan and the crossing time is bisected down to POSITIVITY_BISECT_TOL
+    (earliest failing t, then smallest failing x, is reported). Overflow
+    at large t truncates the scan and is reported as a frontier instead
+    of a failure. Requires the decaying regime (no formal-mode spectra).
     """
     _require_decay(evaluator, "positivity scan")
     x_horizon = float(x_horizon)
@@ -489,8 +497,12 @@ def positivity_scan(evaluator: solution.GammaEvaluator,
     for name, value in (("x_horizon", x_horizon), ("t_horizon", t_horizon)):
         if not (math.isfinite(value) and value >= 0.0):
             raise SpecValidationError(f"{name} must be finite and nonnegative, got {value!r}")
-    n_x = max(2, int(round(x_horizon * POSITIVITY_SAMPLES_PER_UNIT)) + 1)
-    n_t = max(2, int(round(t_horizon * POSITIVITY_SAMPLES_PER_UNIT)) + 1)
+    # each count capped first, so a horizon near the float limit never reaches round()
+    n_x, n_t = (max(2, round(min(h * POSITIVITY_SAMPLES_PER_UNIT, POSITIVITY_MAX_POINTS)) + 1)
+                for h in (x_horizon, t_horizon))
+    if n_x * n_t > POSITIVITY_MAX_POINTS:
+        raise SpecValidationError(f"positivity scan over x <= {x_horizon!r}, t <= {t_horizon!r} "
+                                  f"needs more than {POSITIVITY_MAX_POINTS} grid points")
     xs = np.linspace(0.0, x_horizon, n_x)
     ts = np.linspace(0.0, t_horizon, n_t)
     window = functools.partial(PositivityWindow, certified=False, x_horizon=x_horizon,

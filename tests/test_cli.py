@@ -11,6 +11,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -283,6 +284,22 @@ def test_readme_synopsis_lists_every_option():
     assert _readme_synopsis() == parsed
 
 
+def test_main_builds_the_parser_once(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    src = write_doc(tmp_path, ONE_SOLITON_DOC)
+    helps = []
+    real = argparse.ArgumentParser.add_subparsers   # called once per parser build
+    with mock.patch.object(argparse.ArgumentParser, "add_subparsers", autospec=True,
+                           side_effect=real) as made:
+        for _ in range(2):
+            assert main(["build", "--input", src, "--output", str(tmp_path / "out.json")]) == 0
+            with pytest.raises(SystemExit):
+                main(["eval", "--help"])
+            helps.append(capsys.readouterr().out)
+    assert made.call_count == 1
+    assert helps[0] == helps[1] and helps[0].startswith("usage: kdvexact eval")
+
+
 def test_soliton_subcommand(tmp_path, capsys):
     src = write_doc(tmp_path, ONE_SOLITON_DOC)
     rc, out = run_to_file(tmp_path, ["soliton", "--input", src,
@@ -350,6 +367,83 @@ def test_non_finite_flow_exits_2_without_warning(tmp_path, capsys, doc, eta, nam
         assert main(argv) == 2
     assert capsys.readouterr().err == (
         f"error: flow 8 A^3 + 2 eta A is not finite for {named}\n")
+
+
+_FLOW_FAULT = "error: flow 8 A^3 + 2 eta A is not finite for eta=0.0 and max |A| = 1.7e+308\n"
+
+
+@pytest.mark.parametrize("command, doc, rc, err", [
+    ("build", {"boundStates": [{"kappa": 1.7e308, "c": 1.0}]}, 0, ""),
+    ("build", {"imagPoles": [{"omega": 1.7e308, "r": [1.0]}]}, 0, ""),
+    ("eval", {"rawTriplet": {"A": [[1.7e308]], "B": [1.0], "C": [1.0]}}, 2, _FLOW_FAULT),
+    ("frames", {"complexPoles": [{"alpha": 1.0, "beta": 1.7e308,
+                                  "coeffs": [{"eps": 1.0, "gamma": 0.0}]}]}, 2, _FLOW_FAULT),
+    ("build", {"complexPoles": [{"alpha": 1.0, "beta": 1.0,
+                                 "coeffs": [{"eps": 1e308, "gamma": 0.0}]}]},
+     2, "error: B and C entries must be finite\n"),
+    ("eval", {"complexPoles": [{"alpha": 1.0, "beta": 1.0,
+                                "coeffs": [{"eps": 0.0, "gamma": -9.5e307}]}]},
+     2, "error: B and C entries must be finite\n"),
+    ("verify", {"rawTriplet": {"A": [[0.3]], "B": [1.7e308], "C": [2.0]}}, 3,
+     "numerical failure: Lyapunov residual nan exceeds 1.0e-12 * inf (smallest eigenvalue "
+     "pair sum 6.000e-01 in modulus)\n"),
+], ids=["kappa", "omega", "raw-a", "beta", "eps", "gamma", "raw-bc"])
+def test_extreme_finite_input_leaks_no_warning(tmp_path, capsys, command, doc, rc, err):
+    argv = [command, "--input", write_doc(tmp_path, doc), "--output", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ([] if command == "build" else ["--x", "0:1:3", "--t", "0:0.1:2"])) == rc
+    assert capsys.readouterr().err == err
+    if command == "build" and rc == 0:
+        out = json.loads((tmp_path / "out").read_text())
+        assert out["valid"] and out["flags"] == []
+
+
+@pytest.mark.parametrize("doc, omega_detail", [
+    ({"boundStates": [{"kappa": 1.0, "c": 1e300}]}, None),
+    ({"imagPoles": [{"omega": 2.0, "r": [4.75e307]}]},
+     "unsupported: quadrature did not converge in 200 subintervals: error estimate nan "
+     "above 1.250e-11"),
+    ({"complexPoles": [{"alpha": 1.0, "beta": 1.0, "coeffs": [{"eps": 4e307, "gamma": 0.0}]}]},
+     "unsupported: non-finite integrand in the adaptive quadrature"),
+], ids=["marchenko-tail", "fourier-sums", "fourier-integrand"])
+def test_verify_on_extreme_finite_input_leaks_no_warning(tmp_path, capsys, doc, omega_detail):
+    # start / MARCHENKO_TAIL_FLOOR overflows on each: the tail cut then comes
+    # from log(start), and the Marchenko residual is a number, not a NaN-node failure
+    src = write_doc(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run_to_file(tmp_path, ["verify", "--input", src, "--x", "0:3:4",
+                                         "--t", "0:1:3"], "report.json")
+    checks = {c["name"]: c for c in json.loads(out.read_text())["perCheckStatus"]}
+    assert rc == 4 and capsys.readouterr().err == ""
+    march = checks["marchenkoResidual"]
+    assert march["detail"] == "12 seeded points" and 1e280 < march["measured"] < math.inf
+    if omega_detail is None:
+        assert all(c["passed"] for name, c in checks.items() if name != "marchenkoResidual")
+    else:
+        assert checks["omegaQuadratureCheck"]["detail"] == omega_detail
+
+
+@pytest.mark.parametrize("window, horizon, scanned", [
+    (["--x", "0:1e300:3"], 1.0, "x <= 1e+300, t <= 1.0"),
+    (["--t", "0:1e300:3"], 1e300, "x <= 3.0, t <= 1e+300"),
+    (["--horizon", "1e300"], 1e300, "x <= 3.0, t <= 1e+300"),
+    (["--horizon", "1.7e308"], 1.7e308, "x <= 3.0, t <= 1.7e+308"),
+], ids=["x", "t", "horizon", "horizon-near-float-max"])
+def test_positivity_grid_above_budget_is_unsupported(tmp_path, capsys, window, horizon, scanned):
+    src = write_doc(tmp_path, ONE_SOLITON_DOC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run_to_file(tmp_path, ["verify", "--input", src, "--x", "0:3:4",
+                                         "--t", "0:1:3"] + window, "report.json")
+    report = json.loads(out.read_text())
+    assert rc == 4 and capsys.readouterr().err == "" and report["positivityWindow"] is None
+    assert report["perCheckStatus"][0] == {
+        "name": "positivityScan", "passed": False, "measured": None,
+        "tolerance": horizon,
+        "detail": f"unsupported: positivity scan over {scanned} needs more than 10000000 "
+                  "grid points"}
 
 
 def test_frames_directory_layout(tmp_path):

@@ -61,41 +61,69 @@ def test_full_spec_document_parses():
     assert spec.matrix_dimension == 2 + 2 + 1
 
 
+# (document, path of the SchemaError, its message after the path); the
+# later entries pin which of several faults in one document is reported.
 SCHEMA_CORPUS = [
-    ('[]', "$"),
-    ('{"complexPoles": {}}', "$.complexPoles"),
-    ('{"complexPoles": [5]}', "$.complexPoles[0]"),
-    ('{"complexPoles": [{"alpha": 1, "beta": 1}]}', "$.complexPoles[0].coeffs"),
+    ('[]', "$", "expected an object, got list"),
+    ('{"complexPoles": {}}', "$.complexPoles", "expected a list, got dict"),
+    ('{"complexPoles": [5]}', "$.complexPoles[0]", "expected an object, got int"),
+    ('{"complexPoles": [{"alpha": 1, "beta": 1}]}', "$.complexPoles[0].coeffs",
+     "missing required key"),
     ('{"complexPoles": [{"alpha": 1, "beta": 1, "coeffs": [{"eps": 1}]}]}',
-     "$.complexPoles[0].coeffs[0].gamma"),
+     "$.complexPoles[0].coeffs[0].gamma", "missing required key"),
     ('{"complexPoles": [{"alpha": 1, "beta": 1, '
      '"coeffs": [{"eps": 1, "gamma": 0}, {"eps": 1, "gamma": "x"}]}]}',
-     "$.complexPoles[0].coeffs[1].gamma"),
+     "$.complexPoles[0].coeffs[1].gamma", "expected a number, got str"),
     ('{"complexPoles": [{"alpha": true, "beta": 1, "coeffs": []}]}',
-     "$.complexPoles[0].alpha"),
-    ('{"imagPoles": [{"omega": 1, "r": [1, null]}]}', "$.imagPoles[0].r[1]"),
-    ('{"imagPoles": [{"omega": 1, "r": [1], "extra": 0}]}', "$.imagPoles[0].extra"),
-    ('{"boundStates": [{"kappa": 1}]}', "$.boundStates[0].c"),
-    ('{"boundStates": [{"kappa": 1, "c": 1, "cc": 2}]}', "$.boundStates[0].cc"),
-    ('{"boundStates": [{"kappa": 1, "c": 1}], "unknownKey": 3}', "$.unknownKey"),
-    ('{"eta": "fast", "boundStates": [{"kappa": 1, "c": 1}]}', "$.eta"),
+     "$.complexPoles[0].alpha", "expected a number, got bool"),
+    ('{"imagPoles": [{"omega": 1, "r": [1, null]}]}', "$.imagPoles[0].r[1]",
+     "expected a number, got NoneType"),
+    ('{"imagPoles": [{"omega": 1, "r": [1], "extra": 0}]}', "$.imagPoles[0].extra",
+     "unknown key"),
+    ('{"boundStates": [{"kappa": 1}]}', "$.boundStates[0].c", "missing required key"),
+    ('{"boundStates": [{"kappa": 1, "c": 1, "cc": 2}]}', "$.boundStates[0].cc", "unknown key"),
+    ('{"boundStates": [{"kappa": 1, "c": 1}], "unknownKey": 3}', "$.unknownKey", "unknown key"),
+    ('{"eta": "fast", "boundStates": [{"kappa": 1, "c": 1}]}', "$.eta",
+     "expected a number, got str"),
     ('{"rawTriplet": {"A": [[1, 0], [0]], "B": [1, 1], "C": [1, 1]}}',
-     "$.rawTriplet.A[1]"),
-    ('{"rawTriplet": {"A": [], "B": [], "C": []}}', "$.rawTriplet.A"),
-    ('{"rawTriplet": {"B": [1], "C": [1]}}', "$.rawTriplet.A"),
+     "$.rawTriplet.A[1]", "expected 2 entries for a square matrix, got 1"),
+    ('{"rawTriplet": {"A": [], "B": [], "C": []}}', "$.rawTriplet.A",
+     "matrix must not be empty"),
+    ('{"rawTriplet": {"B": [1], "C": [1]}}', "$.rawTriplet.A", "missing required key"),
     ('{"rawTriplet": {"A": [[1]], "B": [1], "C": [1], "D": [1]}}',
-     "$.rawTriplet.D"),
-    ('{"rawTriplet": {"A": [[1]], "B": [1], "C": [1]}, "eta": 0}', "$"),
-    ('{"P": 1}', "$"),
-    ('{}', "$"),
+     "$.rawTriplet.D", "unknown key"),
+    ('{"rawTriplet": {"A": [[1]], "B": [1], "C": [1]}, "eta": 0}', "$",
+     "give scattering data or rawTriplet, not both"),
+    ('{"P": 1}', "$", "document needs scattering data or a rawTriplet"),
+    ('{}', "$", "document needs scattering data or a rawTriplet"),
+    ('{"complexPoles": [{"beta": 1, "coeffs": 5, "zz": 1}]}', "$.complexPoles[0].zz",
+     "unknown key"),
+    ('{"complexPoles": [{"coeffs": 5}]}', "$.complexPoles[0].alpha", "missing required key"),
+    ('{"complexPoles": [5], "boundStates": 3, "eta": "x"}', "$.eta",
+     "expected a number, got str"),
+    ('{"imagPoles": "x", "boundStates": 3}', "$.imagPoles", "expected a list, got str"),
+    ('{"rawTriplet": {"A": [[1, "x"], [1]], "B": 1, "C": [1, 1]}}', "$.rawTriplet.A[0][1]",
+     "expected a number, got str"),
+    ('{"rawTriplet": {"A": [[1, 0], [0, 1]], "B": [1], "C": [1]}}', "$.rawTriplet",
+     "B must have 2 entries, got (1,)"),
+    ('{"rawTriplet": {"A": [[1]], "B": [1], "C": [1], "eta": -2}}', "$.rawTriplet",
+     "eta must be nonnegative, got -2.0"),
+    ('{"complexPoles": [{"alpha": 0, "beta": 1, "coeffs": []}]}', "$.complexPoles[0]",
+     "alpha must be positive, got 0.0"),
+    ('{"boundStates": [{"kappa": 2, "c": 1}, {"kappa": 2, "c": 2}], '
+     '"imagPoles": [{"omega": 1, "r": [1]}, {"omega": 1, "r": [2]}]}', "$",
+     "duplicate imaginary pole at omega=1.0"),
+    ('{"complexPoles": []}', "$",
+     "empty scattering data: need at least one pole or bound state"),
 ]
 
 
 def test_schema_corpus_paths():
-    for text, want_path in SCHEMA_CORPUS:
+    for text, want_path, want_message in SCHEMA_CORPUS:
         with pytest.raises(SchemaError) as err:
             parse_input_document(loads_document(text))
         assert err.value.path == want_path, (text, err.value.path)
+        assert str(err.value) == f"{want_path}: {want_message}", text
 
 
 def test_invalid_json_and_nan_literals_rejected():

@@ -26,17 +26,6 @@ from kdvexact import linalg
 import helpers
 
 
-def test_as_matrix_rejects_bad_inputs():
-    with pytest.raises(SpecValidationError):
-        linalg.as_matrix([1.0, 2.0], "v")
-    with pytest.raises(SpecValidationError):
-        linalg.as_matrix([[np.nan]], "m")
-    with pytest.raises(SpecValidationError):
-        linalg.as_matrix([[np.inf, 0.0]], "m")
-    m = linalg.as_matrix([[1, 2], [3, 4]])
-    assert m.dtype == np.float64 and m.shape == (2, 2)
-
-
 def test_expm_rotation_closed_form():
     gen = np.array([[0.0, -1.0], [1.0, 0.0]])
     for theta in (0.1, 1.0, -2.5, np.pi):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from unittest import mock
 
 import numpy as np
@@ -115,13 +116,20 @@ def test_block_order_is_canonical():
 
 
 def test_duplicate_and_empty_specs_rejected():
-    with pytest.raises(SpecValidationError):
+    with pytest.raises(SpecValidationError, match=r"^duplicate bound state at kappa=1\.0$"):
         ScatteringSpec(bound_states=(BoundState(1.0, 1.0), BoundState(1.0, 2.0)))
-    with pytest.raises(SpecValidationError):
+    with pytest.raises(SpecValidationError, match=r"^empty scattering data: need at least one "
+                                                  r"pole or bound state$"):
         ScatteringSpec()
-    with pytest.raises(SpecValidationError):
+    with pytest.raises(SpecValidationError, match=r"^duplicate imaginary pole at omega=1\.0$"):
         ScatteringSpec(imaginary_poles=(ImaginaryPole(1.0, (1.0,)),
                                         ImaginaryPole(1.0, (2.0,))))
+    with pytest.raises(SpecValidationError,
+                       match=r"^duplicate complex pole pair at alpha=2\.0, beta=1\.0$"):
+        ScatteringSpec(complex_poles=(ComplexPolePair(2.0, 1.0, ((1.0, 0.0),)),
+                                      ComplexPolePair(1.0, 1.0, ((1.0, 0.0),)),
+                                      ComplexPolePair(2.0, 1.0, ((0.0, 1.0),))),
+                       bound_states=(BoundState(1.0, 1.0), BoundState(1.0, 2.0)))
 
 
 def test_parameter_positivity_enforced():
@@ -338,17 +346,30 @@ def test_resonant_pairs_match_pairwise_loop():
     assert all(type(i) is int and type(j) is int for i, j, _ in diag.resonant_pairs)
 
 
+# (A, B, C, eta, message) of each Triplet check, in the order the checks run
+TRIPLET_FAULTS = [
+    ([1.0, 2.0], [1.0], [1.0], 0.0, "A: expected a 2-D array, got ndim=1"),
+    ([[np.nan]], [1.0], [1.0], 0.0, "A: entries must be finite"),
+    ([[np.inf, 0.0]], [1.0], [1.0], 0.0, "A: entries must be finite"),
+    (np.ones((2, 3)), np.ones(2), np.ones(2), 0.0, "A must be square, got shape (2, 3)"),
+    (np.eye(2), np.ones(3), np.ones(2), 0.0, "B must have 2 entries, got (3,)"),
+    (np.eye(2), np.ones(2), np.ones(1), 0.0, "C must have 2 entries, got (1,)"),
+    (np.eye(2), np.ones(3), np.ones(1), 0.0, "B must have 2 entries, got (3,)"),
+    (np.eye(2), [1.0, np.nan], np.ones(3), 0.0, "C must have 2 entries, got (3,)"),
+    (np.eye(2), np.ones(2), [[np.inf, 0.0]], 0.0, "B and C entries must be finite"),
+    (np.eye(1), np.ones(1), np.ones(1), float("inf"), "eta must be finite, got inf"),
+    (np.eye(1), [np.nan], np.ones(1), -1.0, "B and C entries must be finite"),
+    (np.eye(1), np.ones(1), np.ones(1), -1.0, "eta must be nonnegative, got -1.0"),
+]
+
+
 def test_triplet_shape_and_finiteness_checks():
-    with pytest.raises(SpecValidationError):
-        Triplet(A=np.ones((2, 3)), B=np.ones(2), C=np.ones(2))
-    with pytest.raises(SpecValidationError):
-        Triplet(A=np.eye(2), B=np.ones(3), C=np.ones(2))
-    with pytest.raises(SpecValidationError):
-        Triplet(A=np.eye(2), B=np.ones(2), C=np.ones(1))
-    with pytest.raises(SpecValidationError):
-        Triplet(A=np.array([[np.nan]]), B=np.ones(1), C=np.ones(1))
-    with pytest.raises(SpecValidationError):
-        Triplet(A=np.eye(1), B=np.ones(1), C=np.ones(1), eta=float("inf"))
+    for a, b, c, eta, message in TRIPLET_FAULTS:
+        with pytest.raises(SpecValidationError, match=f"^{re.escape(message)}$"):
+            Triplet(A=a, B=b, C=c, eta=eta)
+    m = Triplet(A=[[1, 2], [3, 4]], B=[1, 0], C=[0, 1])
+    assert m.A.dtype == np.float64 and m.A.shape == (2, 2) and m.A.flags.c_contiguous
+    assert m.B.shape == (2, 1) and m.C.shape == (1, 2)
     trip = helpers.rotation_triplet(0.5, 0.5)
     with pytest.raises(ValueError):
         trip.A[0, 0] = 9.0
