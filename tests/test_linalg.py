@@ -1,6 +1,7 @@
 """Dense linear algebra kernels: exponentials, Lyapunov, LU, resolvent."""
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -18,12 +19,24 @@ from kdvexact import (
     ScatteringSpec,
     SingularMatrixError,
     SpecValidationError,
+    Triplet,
     build_reflection_triplet,
     build_triplet,
 )
 from kdvexact import linalg
 
 import helpers
+
+
+def test_as_matrix_rejects_bad_inputs():
+    # the matrix check lives in Triplet, the one place a matrix enters
+    for a, message in (([1.0, 2.0], "A: expected a 2-D array, got ndim=1"),
+                       ([[np.nan]], "A: entries must be finite"),
+                       ([[np.inf, 0.0]], "A: entries must be finite")):
+        with pytest.raises(SpecValidationError, match=f"^{re.escape(message)}$"):
+            Triplet(A=a, B=[1.0], C=[1.0])
+    m = Triplet(A=[[1, 2], [3, 4]], B=[1, 0], C=[0, 1]).A
+    assert m.dtype == np.float64 and m.shape == (2, 2)
 
 
 def test_expm_rotation_closed_form():
