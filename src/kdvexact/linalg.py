@@ -1,10 +1,10 @@
 """Dense linear algebra kernels for the triplet solution machinery.
 
 Thin, contract-enforcing wrappers around LAPACK-backed numpy/scipy
-routines: the matrix exponential (expm_stack runs one vectorized Pade
-pass per diagonal block size of the matrix and reports overflow as a
-mask; expm, for the per-point routes and the verification checks, is
-its checked front end for a scalar or a 1-D array of scales), the
+routines: the matrix exponential (expm_stack plans each matrix's
+diagonal blocks once, takes 2 x 2 rotation and Jordan blocks in closed
+form and other block sizes by a vectorized Pade, and reports overflow as
+a mask; expm, for the per-point routes and checks, is its front end), the
 Lyapunov solve A Q + Q A = RHS with a residual check (numpy's solve of
 the Kronecker system up to ELIMINATION_MAX_N, Bartels-Stewart through
 scipy's Sylvester solver above it), the stacked pivoted LU with
@@ -25,6 +25,7 @@ it to the caller to mask, so one bad member cannot stop a whole grid.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,21 +83,6 @@ def expm(m: np.ndarray, s=1.0) -> np.ndarray:
     return result if s.ndim else result[0]
 
 
-def _diagonal_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets and sizes of the contiguous diagonal blocks of square m.
-
-    Split by the exact-zero pattern: a block ends at j when no nonzero
-    entry couples rows or columns 0..j with j+1..n-1. A dense matrix is
-    one block.
-    """
-    idx = np.arange(m.shape[0])
-    coupled = (m != 0.0) | (m.T != 0.0)
-    reach = np.max(np.where(coupled, idx, idx[:, None]), axis=1, initial=0)
-    ends = np.flatnonzero(np.maximum.accumulate(reach) == idx) + 1
-    starts = np.concatenate([[0], ends])[:-1]
-    return starts, ends - starts
-
-
 # Degree-13 Pade coefficients and the 1-norm up to which degree 13 needs
 # no squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -133,16 +119,57 @@ def _pade13_stack(x: np.ndarray) -> np.ndarray:
     return r
 
 
+@functools.lru_cache(maxsize=32)
+def _block_plan(shape: tuple, data: bytes) -> tuple:
+    """expm_stack's plan for one matrix, keyed on its bytes; at most 32 kept, read-only.
+
+    m splits into diagonal blocks by its exact-zero pattern: a block ends
+    at j when no nonzero entry couples rows or columns 0..j with
+    j+1..n-1. One (rows, blocks, closed) group per block size: rows
+    gathers the blocks, its transpose their columns. 2 x 2 blocks with
+    delta = ((m00 - m11) / 2)^2 + m01 m10 <= 0 (a sign no scale changes,
+    taken exactly on the block over a power of two) form their own group:
+    blocks holds N and closed (mu, r), block = mu I + N, N^2 = -r^2 I.
+    """
+    m = np.frombuffer(data).reshape(shape)
+    idx = np.arange(shape[0])
+    reach = np.max(np.where((m != 0.0) | (m.T != 0.0), idx, idx[:, None]), axis=1, initial=0)
+    ends = np.flatnonzero(np.maximum.accumulate(reach) == idx) + 1
+    starts, sizes = np.concatenate([[0], ends])[:-1], np.diff(ends, prepend=0)
+    plan = []
+    for size in np.unique(sizes):
+        rows = starts[sizes == size][:, None, None] + np.arange(size)[:, None]
+        blocks = m[rows, rows.transpose(0, 2, 1)]
+        route = np.zeros(len(rows), dtype=bool)   # the blocks that take the closed form
+        if size == 2:
+            exp2 = np.frexp(np.max(np.abs(blocks), axis=(1, 2)))[1]
+            (a, b), (c, d) = np.ldexp(blocks, -exp2[:, None, None]).transpose(1, 2, 0)
+            delta = ((a - d) / 2) ** 2 + b * c
+            r = np.ldexp(np.sqrt(np.maximum(-delta, 0.0)), exp2)   # finite: -delta <= |b c| < 1
+            route = delta <= 0.0
+            mu = 0.5 * blocks[route, :1, :1] + 0.5 * blocks[route, 1:, 1:]   # (blocks, 1, 1)
+            plan.append((rows[route], blocks[route] - mu * np.eye(2), (mu, r[route, None, None])))
+        plan.append((rows[~route], blocks[~route], ()))
+    plan = tuple(group for group in plan if group[0].size)
+    for rows, blocks, closed in plan:
+        for v in (rows, blocks, *closed):
+            v.setflags(write=False)
+    return plan
+
+
 def expm_stack(m: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
     """Matrix exponentials of s*m for every s in a 1-D array of scales.
 
     Returns the (len(scales), n, n) stack and a boolean mask of the
-    members that overflowed, whose entries are meaningless. m is split
-    once into its diagonal blocks (_diagonal_blocks): 1 x 1 blocks are
-    scalar exponentials, and each other block size takes one vectorized
-    degree-13 Pade pass over every (scale, block) pair. A member depends
-    only on its own scale, so a batch of one equals the same member of
-    any batch bit for bit; a zero scale gives the exact identity.
+    members that overflowed, whose entries are meaningless. m's diagonal
+    blocks are planned once per distinct matrix (_block_plan): 1 x 1
+    blocks are scalar exponentials; 2 x 2 rotation-scaling and Jordan
+    blocks take e^{s mu} (cos(s r) I + sin(s r) / r N), elementwise, with
+    e^{s mu} as two factors e^{s mu / 2} so only an overflowing entry
+    reads inf; every other block size takes one vectorized degree-13 Pade
+    pass over its (scale, block) pairs. A member depends only on its own
+    scale, so a batch of one equals the same member of any batch bit for
+    bit; a zero scale gives the exact identity.
     """
     m = np.asarray(m, dtype=float)
     s = np.asarray(scales, dtype=float).reshape(-1)
@@ -151,18 +178,20 @@ def expm_stack(m: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         overflow = ~np.isfinite(s * np.max(np.abs(m), initial=0.0))
         s = np.where(overflow, 0.0, s)
-        starts, sizes = _diagonal_blocks(m)
-        for size in np.unique(sizes):
-            at = starts[sizes == size]
-            rows = at[:, None, None] + np.arange(size)[:, None]
-            cols = at[:, None, None] + np.arange(size)
-            blocks = s[:, None, None, None] * m[rows, cols]   # (scales, blocks, size, size)
-            if size == 1:
-                res = np.exp(blocks)
+        s4 = s[:, None, None, None]   # against each group's (blocks, size, size)
+        for rows, blocks, closed in _block_plan(m.shape, m.tobytes()):
+            if closed:   # mu and r shaped (blocks, 1, 1)
+                mu, r = closed
+                sr, half = s4 * r, np.exp(0.5 * (s4 * mu))
+                res = (np.cos(sr) * np.eye(2)
+                       + np.where(r > 0.0, np.sin(sr) / r, s4) * blocks) * half * half
+            elif blocks.shape[-1] == 1:
+                res = np.exp(s4 * blocks)
             else:
-                res = _pade13_stack(blocks.reshape(-1, size, size)).reshape(blocks.shape)
+                x = s4 * blocks
+                res = _pade13_stack(x.reshape((-1,) + blocks.shape[1:])).reshape(x.shape)
             overflow |= ~np.all(np.isfinite(res), axis=(1, 2, 3))
-            out[:, rows, cols] = res
+            out[:, rows, rows.transpose(0, 2, 1)] = res
     out[s == 0.0] = np.eye(n)
     return out, overflow
 

@@ -12,7 +12,7 @@ integral-kernel quantities they both come from.
 
 The resolvent-kernel form runs on one batched kernel,
 GammaEvaluator.evaluate: a stack of exp(-x A) per x and of E(t) per t
-(linalg.expm_stack, a vectorized Pade per diagonal block of A),
+(linalg.expm_stack, per diagonal block of A: closed form or Pade),
 Gamma for the whole (t, x) grid by broadcasting, one stacked LU per
 point for det Gamma, both gates and both solves, and the flags as
 masks. A point that fails a gate is flagged, never raised for. Scalar
@@ -301,7 +301,7 @@ def make_evaluator(triplet: realization.Triplet) -> GammaEvaluator:
     The Lyapunov residual check alone does not catch this when B C
     happens to lie in the range of the singular system. A flow
     8 A^3 + 2 eta A that overflows raises SpecValidationError naming eta,
-    and so does an empty (P = 0) triplet, which has no Gamma.
+    and so do a B C that overflows and an empty (P = 0) triplet, which has no Gamma.
     """
     if not triplet.P:
         raise SpecValidationError("make_evaluator: the triplet is empty (P = 0); need P >= 1")
@@ -315,10 +315,13 @@ def make_evaluator(triplet: realization.Triplet) -> GammaEvaluator:
     a = triplet.A
     with np.errstate(over="ignore", invalid="ignore"):
         flow = 8.0 * (a @ a @ a) + (2.0 * triplet.eta) * a
-        bc = triplet.B @ triplet.C   # if it overflows, the Lyapunov residual gate rejects it
+        bc = triplet.B @ triplet.C
     if not np.isfinite(flow).all():
         raise SpecValidationError(f"flow 8 A^3 + 2 eta A is not finite for eta={triplet.eta!r} "
                                   f"and max |A| = {np.max(np.abs(a)):.6g}")
+    if not np.isfinite(bc).all():
+        raise SpecValidationError(f"B C is not finite: max |B| = {np.max(np.abs(triplet.B)):.6g} "
+                                  f"and max |C| = {np.max(np.abs(triplet.C)):.6g}")
     flow.setflags(write=False)
     q = linalg.lyapunov_solve(a, bc)
     q.setflags(write=False)

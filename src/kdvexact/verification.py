@@ -236,7 +236,7 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     fv = f(nodes.reshape(-1)).reshape(nodes.shape + (-1,))   # (intervals, 21, n)
     if not np.all(np.isfinite(fv)):
         raise NumericalError("non-finite integrand in the adaptive quadrature")
-    # sums past the float range give a NaN error, which never meets the stop test
+    # sums past the float range give a NaN error, which _adaptive_gk21 rejects
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s_k = _KRONROD_W @ fv
         s_g = _GAUSS_W @ fv[:, 1::2]
@@ -257,7 +257,7 @@ def _adaptive_gk21(f, b: float, epsabs: float, epsrel: float) -> tuple[np.ndarra
     evaluates every new node in one call of f. It stops once the global
     error falls below tol / 8, tol = max(epsabs, epsrel max|integral|),
     or below the accumulated rounding estimate. Reaching QUAD_LIMIT
-    intervals first raises NumericalError naming the error estimate.
+    intervals first, or a non-finite estimate, raises NumericalError.
     """
     lo, hi = np.array([0.0]), np.array([float(b)])
     parts, errs, rounding = _gk21(f, lo, hi)
@@ -278,6 +278,9 @@ def _adaptive_gk21(f, b: float, epsabs: float, epsrel: float) -> tuple[np.ndarra
         parts = np.concatenate([parts[keep], new_parts])
         errs = np.concatenate([errs[keep], new_errs])
         tol = max(epsabs, epsrel * float(np.max(np.abs(total))))
+        if not (math.isfinite(error) and math.isfinite(rounding)):
+            raise NumericalError(f"quadrature error estimate {error:.3e} or its rounding "
+                                 f"estimate {rounding:.3e} is not finite")
         if error < tol / 8.0 or error < rounding:
             return total, error
     raise NumericalError(

@@ -384,9 +384,8 @@ _FLOW_FAULT = "error: flow 8 A^3 + 2 eta A is not finite for eta=0.0 and max |A|
     ("eval", {"complexPoles": [{"alpha": 1.0, "beta": 1.0,
                                 "coeffs": [{"eps": 0.0, "gamma": -9.5e307}]}]},
      2, "error: B and C entries must be finite\n"),
-    ("verify", {"rawTriplet": {"A": [[0.3]], "B": [1.7e308], "C": [2.0]}}, 3,
-     "numerical failure: Lyapunov residual nan exceeds 1.0e-12 * inf (smallest eigenvalue "
-     "pair sum 6.000e-01 in modulus)\n"),
+    ("verify", {"rawTriplet": {"A": [[0.3]], "B": [1.7e308], "C": [2.0]}}, 2,
+     "error: B C is not finite: max |B| = 1.7e+308 and max |C| = 2\n"),
 ], ids=["kappa", "omega", "raw-a", "beta", "eps", "gamma", "raw-bc"])
 def test_extreme_finite_input_leaks_no_warning(tmp_path, capsys, command, doc, rc, err):
     argv = [command, "--input", write_doc(tmp_path, doc), "--output", str(tmp_path / "out")]
@@ -402,8 +401,7 @@ def test_extreme_finite_input_leaks_no_warning(tmp_path, capsys, command, doc, r
 @pytest.mark.parametrize("doc, omega_detail", [
     ({"boundStates": [{"kappa": 1.0, "c": 1e300}]}, None),
     ({"imagPoles": [{"omega": 2.0, "r": [4.75e307]}]},
-     "unsupported: quadrature did not converge in 200 subintervals: error estimate nan "
-     "above 1.250e-11"),
+     "unsupported: quadrature error estimate nan or its rounding estimate inf is not finite"),
     ({"complexPoles": [{"alpha": 1.0, "beta": 1.0, "coeffs": [{"eps": 4e307, "gamma": 0.0}]}]},
      "unsupported: non-finite integrand in the adaptive quadrature"),
 ], ids=["marchenko-tail", "fourier-sums", "fourier-integrand"])

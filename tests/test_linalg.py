@@ -420,3 +420,159 @@ def test_expm_stack_keeps_every_coupling_of_a_sparse_pattern():
         for s, member in zip(scales, stack):
             want = sla.expm(s * m)
             assert np.max(np.abs(member - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+# expm_stack before 2 x 2 rotation-scaling and Jordan blocks took their closed
+# form: every block of size >= 2 went through this degree-13 Pade. The blocks
+# that still take the Pade must equal it bit for bit.
+def _pade_era_diagonal_blocks(m):
+    idx = np.arange(m.shape[0])
+    coupled = (m != 0.0) | (m.T != 0.0)
+    reach = np.max(np.where(coupled, idx, idx[:, None]), axis=1, initial=0)
+    ends = np.flatnonzero(np.maximum.accumulate(reach) == idx) + 1
+    starts = np.concatenate([[0], ends])[:-1]
+    return starts, ends - starts
+
+
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+
+
+def _pade_era_pade13_stack(x):
+    b = _PADE13
+    norm = np.max(np.sum(np.abs(x), axis=-2), axis=-1)
+    frac, exp2 = np.frexp(norm / 5.371920351148152)
+    squarings = np.maximum(0, exp2 - (frac == 0.5))
+    x = np.ldexp(x, -squarings[:, None, None])
+    eye = np.eye(x.shape[-1])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for i in range(int(squarings.max(initial=0))):
+        sel = np.flatnonzero(squarings > i)
+        r[sel] = r[sel] @ r[sel]
+    return r
+
+
+def _pade_era_expm_stack(m, scales):
+    m = np.asarray(m, dtype=float)
+    s = np.asarray(scales, dtype=float).reshape(-1)
+    n = m.shape[0]
+    out = np.zeros((s.size, n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflow = ~np.isfinite(s * np.max(np.abs(m), initial=0.0))
+        s = np.where(overflow, 0.0, s)
+        starts, sizes = _pade_era_diagonal_blocks(m)
+        for size in np.unique(sizes):
+            at = starts[sizes == size]
+            rows = at[:, None, None] + np.arange(size)[:, None]
+            cols = at[:, None, None] + np.arange(size)
+            blocks = s[:, None, None, None] * m[rows, cols]
+            if size == 1:
+                res = np.exp(blocks)
+            else:
+                res = _pade_era_pade13_stack(blocks.reshape(-1, size, size)).reshape(blocks.shape)
+            overflow |= ~np.all(np.isfinite(res), axis=(1, 2, 3))
+            out[:, rows, cols] = res
+    out[s == 0.0] = np.eye(n)
+    return out, overflow
+
+
+def _pade_era_blocks(m):
+    """Slices of the diagonal blocks of m that keep their route: all but the
+    2 x 2 blocks with ((m00 - m11) / 2)^2 + m01 m10 <= 0."""
+    starts, sizes = _pade_era_diagonal_blocks(m)
+    for at, size in zip(starts, sizes):
+        block = m[at:at + size, at:at + size]
+        if size != 2 or ((block[0, 0] - block[1, 1]) / 2) ** 2 + block[0, 1] * block[1, 0] > 0:
+            yield slice(at, at + size)
+
+
+def _hyperbolic_and_large_blocks():
+    rng = np.random.default_rng(29)
+    hyperbolic = [np.array([[1.0, 2.0], [0.5, 1.0]]), np.array([[0.3, 0.0], [1.0, -0.2]]),
+                  np.array([[-0.4, 1e-9], [1e-9, -0.4]])]
+    for _ in range(5):
+        b, c = rng.uniform(0.1, 2.0, 2) * rng.choice([-1.0, 1.0])
+        hyperbolic.append(np.array([[rng.uniform(-1, 1), b], [c, rng.uniform(-1, 1)]]))
+    return {
+        "hyperbolic 2 x 2": sla.block_diag(*hyperbolic),
+        "double pair and pole": _stacked_expm_cases()["double poles"],
+        "many poles A": helpers.many_poles_triplet(1).A,
+        "dense 4 x 4": _stacked_expm_cases()["dense"],
+    }
+
+
+@pytest.mark.parametrize("name", list(_hyperbolic_and_large_blocks()))
+def test_hyperbolic_and_large_blocks_keep_the_pade_bit_for_bit(name):
+    m = _hyperbolic_and_large_blocks()[name]
+    blocks = list(_pade_era_blocks(m))
+    assert any(sl.stop - sl.start >= 2 for sl in blocks)
+    scales = np.array([-40.0, -3.0, -0.25, 0.0, 1e-3, 0.4, 2.5, 30.0, 500.0, 1e308])
+    got, got_overflow = linalg.expm_stack(m, scales)
+    want, want_overflow = _pade_era_expm_stack(m, scales)
+    assert np.array_equal(got_overflow, want_overflow)
+    for sl in blocks:
+        assert np.array_equal(got[:, sl, sl], want[:, sl, sl], equal_nan=True), sl
+
+
+def test_mutated_matrix_gets_the_new_matrix_exponential():
+    m = np.array([[0.5, -1.0], [1.0, 0.5]])
+    for change in ((0, 1, 2.0), (1, 0, 0.0), (0, 0, 3.0), (1, 0, 4.0), (0, 1, 0.0)):
+        before = linalg.expm(m, 0.7)
+        i, j, value = change
+        m[i, j] = value   # in place: the same array, new bytes
+        got = linalg.expm(m, 0.7)
+        assert np.array_equal(got, linalg.expm(m.copy(), 0.7))
+        assert np.max(np.abs(got - sla.expm(0.7 * m))) <= 1e-12 * np.max(np.abs(got))
+        assert not np.array_equal(got, before), change
+
+
+def test_block_plans_are_read_only_and_bounded():
+    m = helpers.many_poles_triplet(1).A
+    linalg.expm(m, 0.5)
+    plan = linalg._block_plan(m.shape, m.tobytes())
+    assert [len(rows) for rows, _, _ in plan] == [12, 10, 8]
+    for rows, blocks, closed in plan:
+        for v in (rows, blocks, *closed):
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[...] = 0
+    assert linalg._block_plan.cache_info().maxsize == 32
+    for k in range(40):
+        linalg.expm(np.diag([1.0 + k, 2.0]), 0.5)
+    assert linalg._block_plan.cache_info().currsize <= 32
+
+
+@pytest.mark.parametrize("m, scales", [
+    # rotation-scaling: e^{s mu} alone overflows from s = 1419.57, the entries
+    # e^{s mu} cos(s r) and e^{s mu} sin(s r) past it near s r = pi / 4 mod pi / 2
+    (np.array([[0.5, np.sqrt(3.0) / 2], [-np.sqrt(3.0) / 2, 0.5]]),
+     np.linspace(1410.0, 1430.0, 10_000)),
+    (np.array([[0.9, -1.0], [0.0, 0.9]]), np.linspace(770.0, 800.0, 10_000)),   # Jordan
+], ids=["rotation", "jordan"])
+def test_overflow_frontier_of_closed_form_blocks(m, scales):
+    mp = pytest.importorskip("mpmath")
+    got, overflow = linalg.expm_stack(m, scales)
+    _, pade_overflow = _pade_era_expm_stack(m, scales)
+    assert not np.any(overflow & ~pade_overflow)
+    assert 1000 < np.count_nonzero(overflow) < 9000
+
+    def finite(s):
+        with mp.workdps(40):
+            e = mp.expm(mp.mpf(s) * mp.matrix(m.tolist()))
+        return max(abs(v) for v in e) <= np.finfo(float).max
+
+    # the Pade's extra flags, and the members on either side of every edge of the mask
+    edges = np.flatnonzero(np.diff(overflow)) + 1
+    near = {i for e in edges for i in range(max(e - 4, 0), min(e + 4, scales.size))}
+    for i in sorted(near | set(np.flatnonzero(pade_overflow & ~overflow))):
+        assert overflow[i] == (not finite(scales[i])), scales[i]
+    assert np.all(np.isfinite(got[~overflow]))

@@ -60,9 +60,9 @@ def test_expm_stack_readme_exponentials_match_oracle():
 def test_expm_stack_many_poles_jordan_blocks_match_oracle():
     triplet = helpers.many_poles_triplet(1)
     a = triplet.A
-    starts, sizes = linalg._diagonal_blocks(a)
-    assert sorted(np.unique(sizes, return_counts=True)[1].tolist()) == [8, 10, 12]
-    blocks = [(int(at), int(size)) for at, size in zip(starts, sizes)]
+    plan = linalg._block_plan(a.shape, a.tobytes())
+    assert sorted(len(rows) for rows, _, _ in plan) == [8, 10, 12]
+    blocks = [(int(r[0, 0]), r.shape[0]) for rows, _, _ in plan for r in rows]
     _assert_stack_matches_oracle(a, -np.linspace(0.0, 10.0, 6), blocks)
     flow = make_evaluator(triplet).flow
     _assert_stack_matches_oracle(flow, np.linspace(0.0, 1.0, 3), blocks)
@@ -72,6 +72,60 @@ def test_expm_stack_dense_matrices_match_oracle():
     for seed in range(6):
         m = np.random.default_rng(seed).standard_normal((5, 5))
         _assert_stack_matches_oracle(m, [-4.0, -2.0, -0.7, 0.3, 1.5, 3.0, 5.0])
+
+
+def _closed_and_pade_errors(blocks, scales):
+    """Largest error of expm_stack and of _pade13_stack on the members s m of
+    each 2 x 2 block m, against the oracle and relative to its largest entry."""
+    errors = np.zeros(2)
+    for m in blocks:
+        (_, _, closed), = linalg._block_plan(m.shape, m.tobytes())
+        assert closed, m   # the block takes the closed form
+        s = np.asarray(scales, dtype=float)
+        got, overflow = linalg.expm_stack(m, s)
+        assert not overflow.any()
+        pade = linalg._pade13_stack(s[:, None, None] * m)
+        for si, members in zip(s, zip(got, pade)):
+            want = _mp_expm(m, si)
+            errors = np.maximum(errors, [np.max(np.abs(member - want)) / np.max(np.abs(want))
+                                         for member in members])
+    return errors
+
+
+def _closed_form_cases():
+    flow = make_evaluator(README_TRIPLET).flow
+    many = helpers.many_poles_triplet(1)
+    many_flow = make_evaluator(many).flow
+    starts = [int(r[0, 0]) for rows, _, _ in linalg._block_plan(many.A.shape, many.A.tobytes())
+              for r in rows if r.shape[0] == 2]
+    pairs = [many.A[at:at + 2, at:at + 2] for at in starts]
+    rotations = [p for p in pairs if p[1, 0] != 0.0]
+    jordans = [p for p in pairs if p[1, 0] == 0.0]
+    assert len(rotations) == 6 and len(jordans) == 4
+    return {
+        "rotation": [
+            ([README_TRIPLET.A[:2, :2]], -np.linspace(0.0, 10.0, 101)),
+            ([flow[:2, :2]], np.linspace(0.0, 2.0, 101)),
+            (rotations, -np.linspace(0.0, 10.0, 17)),
+        ],
+        "jordan": [
+            ([np.array([[0.9, -1.0], [0.0, 0.9]]), *jordans], -np.linspace(0.0, 10.0, 21)),
+            ([many_flow[at:at + 2, at:at + 2] for at in starts if many.A[at + 1, at] == 0.0],
+             np.linspace(0.0, 1.0, 21)),
+        ],
+        # b c from 1e-4 a^2 down to 1e-20 a^2: nearly a Jordan block
+        "near-parabolic": [([np.array([[0.7, 1.0], [-10.0 ** -k * 0.49, 0.7]])
+                             for k in (4, 8, 12, 16, 20)], np.linspace(-8.0, 8.0, 21))],
+        # |m01 / m10| = 2e7
+        "non-normal": [([np.array([[0.3, 2e3], [-1e-4, -0.1]])], np.linspace(-6.0, 6.0, 101))],
+    }
+
+
+@pytest.mark.parametrize("kind", list(_closed_form_cases()))
+def test_closed_form_blocks_no_farther_from_oracle_than_pade(kind):
+    closed, pade = np.max([_closed_and_pade_errors(*case) for case in _closed_form_cases()[kind]],
+                          axis=0)
+    assert closed <= pade and closed <= 1e-14, (closed, pade)
 
 
 def _mp_u_log_det(triplet, x: float, t: float, dps: int = 50):

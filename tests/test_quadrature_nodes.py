@@ -232,6 +232,17 @@ def test_fourier_quadrature_stopped_on_rounding_above_tolerance_raises():
         omega_quadrature_check(spec, (0.5, 1.0, 2.0))
 
 
+def test_non_finite_error_estimate_stops_the_quadrature(monkeypatch):
+    # the Kronrod sums of r = 4.75e307 leave the float range: the error estimate is NaN
+    # after the first round, which used to bisect on to QUAD_LIMIT (200 rounds)
+    rounds = counter(monkeypatch, verification, "_gk21")
+    spec = ScatteringSpec(imaginary_poles=(ImaginaryPole(omega=2.0, coefficients=(4.75e307,)),))
+    with pytest.raises(NumericalError, match=r"^quadrature error estimate nan or its rounding "
+                                             r"estimate inf is not finite$"):
+        omega_quadrature_check(spec, (0.5, 1.0, 2.0))   # verify's ys
+    assert 1 <= len(rounds) <= 2
+
+
 @pytest.mark.parametrize("x, y, index", [
     ([0.1, 1.0, 0.2], [0.5, 0.5, 0.9], 1),   # x > y
     ([0.1, 0.2, -0.3], [0.5, 0.5, 0.9], 2),  # x < 0
