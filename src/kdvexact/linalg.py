@@ -42,16 +42,16 @@ from .errors import (
 RESIDUAL_TOL = 1e-12   # relative residual bound for verified solves
 PIVOT_TOL = 1e-14      # singularity threshold, times max |entry|
 
-# Numpy below, LAPACK through scipy above. Stacked LU: members up to
-# this size are eliminated all at once on a points-last copy, one column
-# per numpy step; larger ones go to LAPACK one call per member, in place
-# on a Fortran-ordered copy, where the flops outweigh the per-call
-# overhead. Factor plus a two-column solve, best of 15 on 2,020-member
-# stacks, one thread of a 2-vCPU Xeon:
-# elimination 0.14 us per member at n = 3 and 0.81 us at n = 6, LAPACK
-# 2.0 us and 2.5 us. Lyapunov solve, same thread: the P^2 x P^2
-# Kronecker system in numpy takes 12/15/34 us at P = 1/3/6 against
-# 54/49/51 us for scipy's solve_sylvester, which draws level at P = 8.
+# Numpy below, LAPACK through scipy above. Stacked LU: members up to this
+# size are eliminated all at once on a points-last copy, one column per
+# numpy step; larger ones go to LAPACK, one in-place call per Fortran-
+# ordered member. Factor plus a two-column solve, per member, best of 60
+# on one thread of a 2-vCPU Xeon, elimination against LAPACK as the P > 6
+# kernel runs it: 0.36/1.5/2.2/5.0 against 6.8/4.2/4.5/5.1 us at n =
+# 3/6/8/10 on 2,020-member stacks, 5.5/16/26 against 7.6/8.5/9.0 us at
+# n = 3/6/8 on 41-member stacks (one many-poles chunk). Lyapunov solve:
+# the P^2 x P^2 Kronecker system in numpy takes 12/15/34 us at P = 1/3/6
+# against 54/49/51 us for scipy's solve_sylvester, level at P = 8.
 ELIMINATION_MAX_N = 6
 
 
@@ -245,15 +245,15 @@ def _pivot_gate(min_pivot, max_abs):
 class LuFactors:
     """Pivoted LU factorizations of a (k, n, n) stack of square matrices.
 
-    lu_factor_stack makes every one; lu_factor's single matrix is a
-    stack of one. lu and piv are the packed LAPACK-style factors (row i
-    of a member was swapped with row piv[..., i] at step i); max_abs is
-    the largest absolute entry of each original member, used for the
-    relative pivot gate, and norm_inf its largest absolute row sum.
-    min_pivot, singular and permutation_sign return one value per
-    member; an empty (n = 0) member has min pivot 0, so it is singular.
-    lu is laid out as lu_factor_stack leaves it, so lu_solve_stack reads
-    it without a copy: a (k, n, n) view of points-last factors up to
+    Made by lu_factor_stack, or by _lu_factor_in_place in the P > 6
+    kernel; lu_factor's is a stack of one. lu and piv are the packed
+    LAPACK-style factors (row i of a member was swapped with row
+    piv[..., i] at step i); max_abs is the largest absolute entry of each
+    original member, used for the relative pivot gate, and norm_inf its
+    largest absolute row sum. min_pivot, singular and permutation_sign
+    return one value per member; an empty (n = 0) member has min pivot 0,
+    so it is singular. lu is laid out for lu_solve_stack to read without
+    a copy: a (k, n, n) view of points-last factors up to
     ELIMINATION_MAX_N, Fortran-ordered members above it.
     """
 
@@ -353,11 +353,10 @@ def lu_factor_stack(m: np.ndarray) -> LuFactors:
     entry of largest magnitude); a column with a zero pivot is left
     uneliminated, as LAPACK leaves it. lu is returned as a (k, n, n)
     view of that copy, and max_abs and norm_inf come from one |m| pass
-    over it. Larger members are copied once, transposed, into a stack of
-    Fortran-ordered members, and dgetrf factors each member of that copy
-    in place; their magnitudes come from |m|. m is left intact. Members
-    must be finite; no pivot gate is applied, so callers read singular()
-    and mask.
+    over it. Larger members take theirs from |m| and are copied once,
+    transposed, into Fortran-ordered members that _lu_factor_in_place
+    factors there. m is left intact. Members must be finite; no pivot
+    gate is applied, so callers read singular() and mask.
     """
     m = np.asarray(m, dtype=float)
     k, n, _ = m.shape
@@ -370,11 +369,8 @@ def lu_factor_stack(m: np.ndarray) -> LuFactors:
         max_abs = np.max(mag, axis=(0, 1), initial=0.0)
         norm_inf = np.max(np.sum(mag, axis=1), axis=0, initial=0.0)
     if n > ELIMINATION_MAX_N:
-        import scipy.linalg as sla
         lu = m.transpose(0, 2, 1).copy().transpose(0, 2, 1)   # Fortran-ordered members
-        for i in range(k):   # in place: the assignment back is a no-op
-            lu[i], piv[i], _ = sla.lapack.dgetrf(lu[i], overwrite_a=True)
-        return LuFactors(lu=lu, piv=piv, max_abs=max_abs, norm_inf=norm_inf)
+        return _lu_factor_in_place(lu, max_abs, norm_inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
             p = j + np.argmax(np.abs(a[j:, j]), axis=0)
@@ -386,6 +382,18 @@ def lu_factor_stack(m: np.ndarray) -> LuFactors:
     return LuFactors(lu=a.transpose(2, 0, 1), piv=piv, max_abs=max_abs, norm_inf=norm_inf)
 
 
+def _lu_factor_in_place(lu: np.ndarray, max_abs: np.ndarray, norm_inf: np.ndarray) -> LuFactors:
+    """dgetrf on each Fortran-ordered member of lu in place; the caller takes the magnitudes first.
+
+    A non-finite member gives meaningless factors; callers mask it.
+    """
+    import scipy.linalg as sla
+    piv = np.empty(lu.shape[:2], dtype=np.intp)
+    for i in range(len(lu)):   # in place: the assignment back is a no-op
+        lu[i], piv[i], _ = sla.lapack.dgetrf(lu[i], overwrite_a=True)
+    return LuFactors(lu=lu, piv=piv, max_abs=max_abs, norm_inf=norm_inf)
+
+
 def lu_solve_stack(factors: LuFactors, rhs: np.ndarray) -> np.ndarray:
     """Solve every system of a factored (k, n, n) stack.
 
@@ -393,23 +401,14 @@ def lu_solve_stack(factors: LuFactors, rhs: np.ndarray) -> np.ndarray:
     substitutions run on points-last (n, n, k) factors, copied only if
     lu is not a view of them as lu_factor_stack and take return it, and
     an (n, r, k) copy of rhs; the (k, n, r) result is a view. Above it
-    dgetrs solves each member in place on a copy of rhs with
-    Fortran-ordered members, reading Fortran-ordered factors without a
-    copy, and the result is returned C-contiguous. Members with a zero
-    pivot give non-finite solutions instead of raising; callers gate
-    them first.
+    dgetrs solves each member (_lu_solve_members). Members with a zero
+    pivot give non-finite solutions instead of raising; callers gate them.
     """
     lu, piv = factors.lu, factors.piv
     k, n, _ = lu.shape
     shape = (k, n, np.shape(rhs)[-1])
     if n > ELIMINATION_MAX_N:
-        import scipy.linalg as sla
-        x = np.array(np.broadcast_to(rhs, shape).transpose(0, 2, 1), dtype=float,
-                     order="C").transpose(0, 2, 1)             # Fortran-ordered members
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for i in range(k):   # in place: the assignment back is a no-op
-                x[i], _ = sla.lapack.dgetrs(lu[i], piv[i], x[i], overwrite_b=True)
-        return np.ascontiguousarray(x)
+        return _lu_solve_members(factors, range(k), rhs)
     lu = np.ascontiguousarray(lu.transpose(1, 2, 0))
     x = np.array(np.broadcast_to(rhs, shape).transpose(1, 2, 0), dtype=float, order="C")
     for j in range(n):
@@ -421,6 +420,19 @@ def lu_solve_stack(factors: LuFactors, rhs: np.ndarray) -> np.ndarray:
             x[j] /= lu[j, j]
             x[:j] -= lu[:j, j, None] * x[j, None]
     return x.transpose(2, 0, 1)
+
+
+def _lu_solve_members(factors: LuFactors, idx, rhs: np.ndarray) -> np.ndarray:
+    """lu_solve_stack(factors.take(idx), rhs), reading Fortran-ordered factors where they lie."""
+    if factors.n <= ELIMINATION_MAX_N:
+        return lu_solve_stack(factors.take(idx), rhs)
+    import scipy.linalg as sla
+    x = np.array(np.broadcast_to(rhs, (len(idx), factors.n, np.shape(rhs)[-1])).transpose(0, 2, 1),
+                 dtype=float, order="C").transpose(0, 2, 1)   # Fortran-ordered members
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for r, i in enumerate(idx):   # in place: the assignment back is a no-op
+            x[r], _ = sla.lapack.dgetrs(factors.lu[i], factors.piv[i], x[r], overwrite_b=True)
+    return np.ascontiguousarray(x)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ linalg.solve, the checked front ends of the kernel's stacked LU.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +44,11 @@ FLAG_OK = "ok"
 FLAG_NEAR_SINGULAR = "near-singular"
 FLAG_OVERFLOW = "overflow"
 
-# Byte budget of the batched kernel's (t rows, x points, P, P)
-# temporaries: t rows are evaluated in chunks that fit it (at least one
-# row per chunk). The per-axis stacks, exp(-xA) per x and E(t) per t,
-# are formed once per evaluate and take O((n_x + n_t) P^2) on their own.
+# Byte budget of one chunk of the batched kernel's Gamma (points x P x P):
+# whole t rows, or part of one row when a row alone exceeds it. Above
+# ELIMINATION_MAX_N each evaluate call allocates it once as the workspace
+# every chunk is formed and factored in; the per-axis stacks, exp(-xA) and
+# S(x) per x and E(t) per t, take O((n_x + n_t) P^2) on their own.
 CHUNK_BYTES = 1 << 21
 
 # Near-singular gate: |det Gamma| < NEAR_SINGULAR_TOL (1 + ||Gamma||_inf^P).
@@ -162,7 +164,9 @@ class GammaEvaluator:
         near-singular. Otherwise, with_u, both resolvent solves run and a
         non-finite solution or u is overflow again. No point raises; a
         negative or non-finite x or a non-finite t raises SpecValidationError,
-        whatever the other axis holds (empty included).
+        whatever the other axis holds (empty included). Each call works in
+        its own chunks and workspace (CHUNK_BYTES), so threads may share
+        an evaluator.
         """
         xs = np.array(xs, dtype=float, ndmin=1)
         ts = np.array(ts, dtype=float, ndmin=1)
@@ -192,43 +196,57 @@ class GammaEvaluator:
             # both solves' right sides, points-last: (P, 2, x)
             rhs = np.concatenate([rb, a @ rb], axis=-1).transpose(1, 2, 0).copy()
         props, t_overflow = linalg.expm_stack(self.flow, ts)   # E(t), per t
-        rows = max(1, CHUNK_BYTES // max(1, 8 * p * p * xs.size))
-        for lo in range(0, ts.size, rows):
-            sl = slice(lo, lo + rows)
-            prop = props[sl]
+        cols = min(xs.size, max(1, CHUNK_BYTES // (8 * p * p)))   # rows = 1 if cols < xs.size,
+        rows = max(1, CHUNK_BYTES // (8 * p * p * cols))          # so outputs stay flat views
+        work = np.empty((min(rows, ts.size) * cols, p, p)) if p > linalg.ELIMINATION_MAX_N else None
+        for lo, x_lo in itertools.product(range(0, ts.size, rows), range(0, xs.size, cols)):
+            sl, xl = slice(lo, lo + rows), slice(x_lo, x_lo + cols)
+            prop, part = props[sl], side[xl]
+            overflow = x_overflow[xl] | t_overflow[sl, None]
             with np.errstate(over="ignore", invalid="ignore"):
-                gamma = np.eye(p) + side @ prop[:, None]
                 ce = c @ prop                            # C E(t), per t
-            overflow = (x_overflow | t_overflow[sl, None]
-                        | ~np.all(np.isfinite(gamma), axis=(-2, -1)))
-            gamma[overflow] = np.eye(p)
-            self._fill_rows(gamma.reshape(-1, p, p), overflow.reshape(-1), with_u,
-                            exa, ce, rhs, u[sl].reshape(-1), det[sl].reshape(-1),
-                            code[sl].reshape(-1))
+                if p <= linalg.ELIMINATION_MAX_N:
+                    gamma = np.eye(p) + part @ prop[:, None]
+                    overflow |= ~np.all(np.isfinite(gamma), axis=(-2, -1))
+                    gamma[overflow] = np.eye(p)
+                    factors = linalg.lu_factor_stack(gamma.reshape(-1, p, p))
+                else:   # Gamma^T = E(t)^T S(x)^T: each Gamma Fortran-ordered, factored in place
+                    gt = work[:overflow.size]
+                    np.matmul(prop.transpose(0, 2, 1)[:, None], part.transpose(0, 2, 1),
+                              out=gt.reshape(overflow.shape + (p, p)))
+                    gt.reshape(len(gt), -1)[:, ::p + 1] += 1.0
+                    mag = np.abs(gt)   # max |entry|; Gamma's row sums are its column sums
+                    max_abs = np.max(mag.reshape(len(gt), -1), axis=1)
+                    norm_inf = np.max(np.ones(p) @ mag, axis=-1)
+                    del mag   # before the next chunk's
+                    factors = linalg._lu_factor_in_place(gt.transpose(0, 2, 1), max_abs, norm_inf)
+                    overflow |= ~np.isfinite(max_abs).reshape(overflow.shape)
+            self._fill_rows(factors, overflow.reshape(-1), with_u, exa[xl], ce, rhs[..., xl],
+                            u[sl, xl].reshape(-1), det[sl, xl].reshape(-1),
+                            code[sl, xl].reshape(-1))
 
-    def _fill_rows(self, gamma, overflow, with_u, exa, ce, rhs, u, det, code) -> None:
-        """Factor, gate and solve one chunk; the outputs are flat views."""
+    def _fill_rows(self, factors, overflow, with_u, exa, ce, rhs, u, det, code) -> None:
+        """Gate and solve one factored chunk; the outputs are flat views."""
         n_x = exa.shape[0]
-        factors = linalg.lu_factor_stack(gamma)
         with np.errstate(over="ignore", invalid="ignore"):
             d = factors.permutation_sign() * np.prod(factors.pivots(), axis=-1)
-        overflow |= ~np.isfinite(d)
-        det[~overflow] = d[~overflow]
-        code[overflow] = _OVERFLOW
-        with np.errstate(over="ignore"):
+            overflow |= ~np.isfinite(d)
+            det[~overflow] = d[~overflow]
+            code[overflow] = _OVERFLOW
             norm = np.maximum(1.0, factors.norm_inf)
             near = np.abs(d) < NEAR_SINGULAR_TOL * (1.0 + norm ** self.P)
-        near = ~overflow & (near | factors.singular())
+            near = ~overflow & (near | factors.singular())
         code[near] = _NEAR_SINGULAR
         idx = np.flatnonzero(~overflow & ~near)
         if not (with_u and idx.size):
             return
         i, j = np.divmod(idx, n_x)
-        sol = linalg.lu_solve_stack(factors.take(idx),
-                                    np.take(rhs, j, axis=-1).transpose(2, 0, 1))
-        a = self.triplet.A
+        sol = linalg._lu_solve_members(factors, idx, np.take(rhs, j, axis=-1).transpose(2, 0, 1))
+        a, p = self.triplet.A, self.P
         with np.errstate(over="ignore", invalid="ignore"):
-            row = ce[i] @ exa[j]                         # C E(t) exp(-xA)
+            # C E(t) exp(-xA); BLAS-sized rows for the whole chunk cost less than a gather per point
+            row = ((ce[:, None] @ exa).reshape(-1, 1, p)[idx] if p > linalg.ELIMINATION_MAX_N
+                   else ce[i] @ exa[j])
             v, w = sol[..., :1], sol[..., 1:]
             rv = row @ v
             val = (2.0 * (-(row @ (a @ v)) + rv * rv - row @ w))[:, 0, 0]

@@ -1,6 +1,9 @@
 """The batched evaluation kernel: grid, scalar and check routes agree exactly."""
 from __future__ import annotations
 
+import sys
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -33,9 +36,10 @@ import helpers
 README_EV = make_evaluator(build_triplet(helpers.three_block_spec()))
 
 
-def _chunk_rows(ev, n_x: int, rows: int):
-    """Patch the kernel's byte budget so each chunk holds `rows` t rows."""
-    return mock.patch.object(solution, "CHUNK_BYTES", 8 * ev.P * ev.P * n_x * rows)
+def _chunk_rows(ev, n_x: int, rows: int, cols: int | None = None):
+    """Patch the kernel's byte budget: chunks of `rows` t rows, or of `cols` x points of one."""
+    members = n_x * rows if cols is None else cols
+    return mock.patch.object(solution, "CHUNK_BYTES", 8 * ev.P * ev.P * members)
 
 
 def _pointwise(ev, xs, ts):
@@ -97,6 +101,146 @@ def test_lapack_branch_grid_matches_pointwise_sample_bit_for_bit(rows):
     with _chunk_rows(ev, len(xs), rows):
         grid = _assert_grid_equals_pointwise(ev, xs, ts)
     assert set(grid.flags.ravel()) == {FLAG_OK, FLAG_NEAR_SINGULAR, FLAG_OVERFLOW}
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+@pytest.mark.parametrize("ev", [README_EV, make_evaluator(helpers.many_poles_triplet(1))],
+                         ids=["P3", "P64"])
+def test_rows_split_along_x_match_pointwise_sample_bit_for_bit(ev, cols):
+    xs = [0.0, 2.0, 5.0, 10.0, 0.5]
+    ts = [0.0, 5.0, 0.1, 3000.0]   # the last row overflows everywhere
+    with _chunk_rows(ev, len(xs), 1, cols):
+        grid = _assert_grid_equals_pointwise(ev, xs, ts)
+    assert np.all(grid.flags[-1] == FLAG_OVERFLOW)
+    assert FLAG_OK in grid.flags
+
+
+def _traced_peak(ev, xs, ts):
+    """tracemalloc's peak over one evaluate call."""
+    tracemalloc.start()
+    try:
+        ev.evaluate(xs, ts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunks_honour_the_byte_budget_along_x():
+    # one t row of Gamma at P = 64 over 201 x points is 6.6 MB, three budgets
+    ev = make_evaluator(helpers.many_poles_triplet(1))
+    xs = np.linspace(0.0, 10.0, 201)
+    stack = 8 * ev.P * ev.P * xs.size   # one per-x stack: exp(-xA), S(x) or the product between
+    assert _traced_peak(ev, xs, [0.0, 0.05]) <= 3 * stack + 2 * solution.CHUNK_BYTES + (1 << 20)
+
+
+def test_lapack_kernel_working_set():
+    # 41 x 11 at P = 64, as the many-poles benchmark workload evaluates it
+    ev = make_evaluator(helpers.many_poles_triplet(1))
+    xs, ts = np.linspace(0.0, 10.0, 41), np.linspace(0.0, 0.1, 11)
+    ev.evaluate(xs, ts)
+    assert _traced_peak(ev, xs, ts) <= 6.9e6
+
+
+def _copying_kernel(ev, xs, ts):
+    """u, det Gamma and flags as the P > ELIMINATION_MAX_N kernel formed them before it
+    factored Gamma in place: Gamma = I + S(x) E(t) in C order over the whole grid, the
+    copying lu_factor_stack, the solves on take(), and C E(t) exp(-xA) gathered per point.
+    Kept as the reference for the in-place kernel."""
+    a, b, c, p = ev.triplet.A, ev.triplet.B, ev.triplet.C, ev.P
+    xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
+    exa, x_overflow = linalg.expm_stack(a, -xs)
+    props, t_overflow = linalg.expm_stack(ev.flow, ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        side = exa @ ev.Q @ exa
+        rb = exa @ b
+        rhs = np.concatenate([rb, a @ rb], axis=-1)
+        gamma = np.eye(p) + side @ props[:, None]
+        ce = c @ props
+    overflow = (x_overflow | t_overflow[:, None]
+                | ~np.all(np.isfinite(gamma), axis=(-2, -1))).reshape(-1)
+    gamma = gamma.reshape(-1, p, p)
+    gamma[overflow] = np.eye(p)
+    f = linalg.lu_factor_stack(gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = f.permutation_sign() * np.prod(f.pivots(), axis=-1)
+    overflow |= ~np.isfinite(d)
+    with np.errstate(over="ignore"):
+        near = np.abs(d) < solution.NEAR_SINGULAR_TOL * (1.0 + np.maximum(1.0, f.norm_inf) ** p)
+    near = ~overflow & (near | f.singular())
+    idx = np.flatnonzero(~overflow & ~near)
+    i, j = np.divmod(idx, xs.size)
+    sol = linalg.lu_solve_stack(f.take(idx), rhs[j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = ce[i] @ exa[j]
+        v, w = sol[..., :1], sol[..., 1:]
+        rv = row @ v
+        val = (2.0 * (-(row @ (a @ v)) + rv * rv - row @ w))[:, 0, 0]
+    overflow[idx[~np.isfinite(val)]] = True
+    u = np.full(overflow.size, np.nan)
+    det = np.where(overflow, np.nan, d)
+    ok = idx[np.isfinite(val)]
+    u[ok] = val[np.isfinite(val)]
+    flags = np.where(overflow, FLAG_OVERFLOW, np.where(near, FLAG_NEAR_SINGULAR, FLAG_OK))
+    shape = (ts.size, xs.size)
+    return u.reshape(shape), det.reshape(shape), flags.reshape(shape)
+
+
+def _dense_triplet(n):
+    """A raw P = n triplet whose grid below reaches ok, near-singular and overflow."""
+    rng = np.random.default_rng(0)
+    a = np.diag(np.linspace(0.5, 1.5, n)) + 0.1 * rng.standard_normal((n, n))
+    return Triplet(A=a, B=rng.standard_normal(n), C=rng.standard_normal(n))
+
+
+_MANY_POLES_GRID = (np.linspace(0.0, 10.0, 41), np.linspace(0.0, 0.1, 11))
+_DENSE_GRID = (np.linspace(0.0, 10.0, 11), [0.0, 0.2, 0.5, 1.0, 3.0, 40.0])
+
+
+@pytest.mark.parametrize("triplet, grid", [
+    (helpers.many_poles_triplet(1), _MANY_POLES_GRID),
+    (helpers.many_poles_triplet(2), _MANY_POLES_GRID),
+    (helpers.many_poles_triplet(3), _MANY_POLES_GRID),
+    (_dense_triplet(8), _DENSE_GRID),
+    (_dense_triplet(12), _DENSE_GRID),
+], ids=["many-poles-1", "many-poles-2", "many-poles-3", "dense-8", "dense-12"])
+def test_in_place_kernel_equals_the_copying_kernel_bit_for_bit(triplet, grid):
+    ev = make_evaluator(triplet)
+    assert ev.P > linalg.ELIMINATION_MAX_N
+    u, det, flags = _copying_kernel(ev, *grid)
+    got = ev.evaluate(*grid)
+    assert got.u.tobytes() == u.tobytes()
+    assert got.det_gamma.tobytes() == det.tobytes()
+    assert np.array_equal(got.flags, flags)
+    if ev.P < 64:   # the dense grids reach every outcome
+        assert set(flags.ravel()) == {FLAG_OK, FLAG_NEAR_SINGULAR, FLAG_OVERFLOW}
+
+
+def test_threads_share_one_lapack_evaluator():
+    ev = make_evaluator(helpers.many_poles_triplet(1))
+    xs, ts = np.linspace(0.0, 10.0, 11), [0.0, 0.05, 0.1]
+    want = ev.evaluate(xs, ts)
+    results = [None] * 4   # more threads than this 2-core host has cores
+    start = threading.Barrier(len(results))
+
+    def work(k):
+        start.wait(timeout=60)
+        results[k] = [ev.evaluate(xs, ts) for _ in range(2)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got in (g for r in results for g in r):
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.det_gamma.tobytes() == want.det_gamma.tobytes()
+        assert np.array_equal(got.flags, want.flags)
 
 
 def test_evaluate_forms_every_propagator_in_one_call():
