@@ -7,9 +7,11 @@ form and other block sizes by a vectorized Pade, and reports overflow as
 a mask; expm, for the per-point routes and checks, is its front end), the
 Lyapunov solve A Q + Q A = RHS with a residual check (numpy's solve of
 the Kronecker system up to ELIMINATION_MAX_N, Bartels-Stewart through
-scipy's Sylvester solver above it), the stacked pivoted LU with
-lu_factor, solve, determinant and inverse as its checked front ends for
-one matrix, eigenvalue extraction, and the resolvent (k I - i A)^{-1} b,
+scipy's Sylvester solver above it), one stacked pivoted LU
+(_lu_factor_members, the one place the factor layout and the gate
+scales are decided; lu_factor_stack copies a stack into its layout,
+lu_solve_stack solves chosen members, and lu_factor, solve, determinant
+and inverse are checked front ends for one matrix), eigenvalue extraction, and the resolvent (k I - i A)^{-1} b,
 by one complex Schur reduction and one triangular solve per call.
 
 scipy.linalg is imported only inside resolvent_apply and the branches
@@ -245,16 +247,13 @@ def _pivot_gate(min_pivot, max_abs):
 class LuFactors:
     """Pivoted LU factorizations of a (k, n, n) stack of square matrices.
 
-    Made by lu_factor_stack, or by _lu_factor_in_place in the P > 6
-    kernel; lu_factor's is a stack of one. lu and piv are the packed
+    Made by _lu_factor_members only. lu and piv are the packed
     LAPACK-style factors (row i of a member was swapped with row
-    piv[..., i] at step i); max_abs is the largest absolute entry of each
-    original member, used for the relative pivot gate, and norm_inf its
-    largest absolute row sum. min_pivot, singular and permutation_sign
-    return one value per member; an empty (n = 0) member has min pivot 0,
-    so it is singular. lu is laid out for lu_solve_stack to read without
-    a copy: a (k, n, n) view of points-last factors up to
-    ELIMINATION_MAX_N, Fortran-ordered members above it.
+    piv[..., i] at step i), laid out for lu_solve_stack; max_abs is the
+    largest absolute entry of each original member, used for the
+    relative pivot gate, and norm_inf its largest absolute row sum.
+    min_pivot, singular and permutation_sign return one value per
+    member; an empty (n = 0) member has min pivot 0, so it is singular.
     """
 
     lu: np.ndarray
@@ -282,17 +281,6 @@ class LuFactors:
     def permutation_sign(self) -> np.ndarray:
         swaps = np.count_nonzero(self.piv != np.arange(self.n), axis=-1)
         return 1.0 - 2.0 * (swaps % 2)
-
-    def take(self, idx) -> LuFactors:
-        """Members idx of a stack, in lu_factor_stack's layout of lu.
-
-        Up to ELIMINATION_MAX_N lu stays a (k, n, n) view of points-last
-        factors; above it each member stays Fortran-ordered.
-        """
-        lu = (np.take(self.lu.transpose(0, 2, 1), idx, axis=0).transpose(0, 2, 1)
-              if self.n > ELIMINATION_MAX_N
-              else np.take(self.lu.transpose(1, 2, 0), idx, axis=-1).transpose(2, 0, 1))
-        return LuFactors(lu, self.piv[idx], self.max_abs[idx], self.norm_inf[idx])
 
 
 def lu_factor(m: np.ndarray) -> LuFactors:
@@ -325,7 +313,7 @@ def solve(factors: LuFactors, rhs: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(
             f"solve: matrix is singular to working precision (pivot {pivot:.3e})")
     rhs = np.asarray(rhs, dtype=float)
-    out = lu_solve_stack(factors, rhs.reshape(len(rhs), -1))[0].reshape(rhs.shape)
+    out = lu_solve_stack(factors, [0], rhs.reshape(len(rhs), -1))[0].reshape(rhs.shape)
     return _check_finite(out, "solve")
 
 
@@ -344,34 +332,48 @@ def _swap_rows(a: np.ndarray, j: int, p: np.ndarray) -> None:
 
 
 def lu_factor_stack(m: np.ndarray) -> LuFactors:
-    """Partial-pivoting LU of every matrix in a (k, n, n) stack.
+    """Partial-pivoting LU of every matrix in a (k, n, n) stack, m left intact.
 
-    The package's one LU; lu_factor is its checked front end. Up to
-    ELIMINATION_MAX_N, Gaussian elimination runs on one points-last
-    (n, n, k) copy of the stack, one column per step, each step a vector
-    operation over all k members, with LAPACK's pivot choice (the first
-    entry of largest magnitude); a column with a zero pivot is left
-    uneliminated, as LAPACK leaves it. lu is returned as a (k, n, n)
-    view of that copy, and max_abs and norm_inf come from one |m| pass
-    over it. Larger members take theirs from |m| and are copied once,
-    transposed, into Fortran-ordered members that _lu_factor_in_place
-    factors there. m is left intact. Members must be finite; no pivot
-    gate is applied, so callers read singular() and mask.
+    _lu_factor_members on a copy of m in Fortran-ordered members. No
+    pivot gate is applied, so callers read singular() and mask; a
+    non-finite member gets a non-finite max_abs and meaningless factors.
     """
     m = np.asarray(m, dtype=float)
-    k, n, _ = m.shape
+    return _lu_factor_members(m.transpose(0, 2, 1).copy().transpose(0, 2, 1))
+
+
+def _lu_factor_members(lu: np.ndarray) -> LuFactors:
+    """The package's one LU: factor a (k, n, n) stack of Fortran-ordered members.
+
+    Both gate scales, max_abs and norm_inf, come from one |m| pass over
+    what the factorization reads. Up to ELIMINATION_MAX_N that is one
+    points-last (n, n, k) copy, whose row sums are accumulated in
+    column order, and Gaussian elimination runs on it one column per step, each
+    step a vector operation over all k members, with LAPACK's pivot
+    choice (the first entry of largest magnitude); a column with a zero
+    pivot is left uneliminated, as LAPACK leaves it. The factors are a
+    (k, n, n) view of that copy. Above it the pass reads the members as
+    the C-ordered m^T, whose BLAS column sums are the row sums of m, and
+    dgetrf factors each member where it lies, overwriting it. A member's
+    factors do not depend on the rest of the stack; a non-finite
+    member's are meaningless.
+    """
+    k, n, _ = lu.shape
     piv = np.empty((k, n), dtype=np.intp)
-    a = m.transpose(1, 2, 0)
-    if n <= ELIMINATION_MAX_N:
-        a = a.copy()
-    mag = np.abs(a)
-    with np.errstate(over="ignore"):
+    if n > ELIMINATION_MAX_N:
+        import scipy.linalg as sla
+        with np.errstate(over="ignore", invalid="ignore"):
+            mag = np.abs(lu.transpose(0, 2, 1))
+            max_abs = np.max(mag.reshape(k, n * n), axis=1, initial=0.0)
+            norm_inf = np.max(np.ones(n) @ mag, axis=-1, initial=0.0)
+        for i in range(k):   # in place: the assignment back is a no-op
+            lu[i], piv[i], _ = sla.lapack.dgetrf(lu[i], overwrite_a=True)
+        return LuFactors(lu=lu, piv=piv, max_abs=max_abs, norm_inf=norm_inf)
+    a = lu.transpose(1, 2, 0).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = np.abs(a)
         max_abs = np.max(mag, axis=(0, 1), initial=0.0)
         norm_inf = np.max(np.sum(mag, axis=1), axis=0, initial=0.0)
-    if n > ELIMINATION_MAX_N:
-        lu = m.transpose(0, 2, 1).copy().transpose(0, 2, 1)   # Fortran-ordered members
-        return _lu_factor_in_place(lu, max_abs, norm_inf)
-    with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
             p = j + np.argmax(np.abs(a[j:, j]), axis=0)
             piv[:, j] = p
@@ -382,34 +384,30 @@ def lu_factor_stack(m: np.ndarray) -> LuFactors:
     return LuFactors(lu=a.transpose(2, 0, 1), piv=piv, max_abs=max_abs, norm_inf=norm_inf)
 
 
-def _lu_factor_in_place(lu: np.ndarray, max_abs: np.ndarray, norm_inf: np.ndarray) -> LuFactors:
-    """dgetrf on each Fortran-ordered member of lu in place; the caller takes the magnitudes first.
+def lu_solve_stack(factors: LuFactors, idx, rhs: np.ndarray) -> np.ndarray:
+    """Solve the systems of members idx of a factored (k, n, n) stack.
 
-    A non-finite member gives meaningless factors; callers mask it.
-    """
-    import scipy.linalg as sla
-    piv = np.empty(lu.shape[:2], dtype=np.intp)
-    for i in range(len(lu)):   # in place: the assignment back is a no-op
-        lu[i], piv[i], _ = sla.lapack.dgetrf(lu[i], overwrite_a=True)
-    return LuFactors(lu=lu, piv=piv, max_abs=max_abs, norm_inf=norm_inf)
-
-
-def lu_solve_stack(factors: LuFactors, rhs: np.ndarray) -> np.ndarray:
-    """Solve every system of a factored (k, n, n) stack.
-
-    rhs is (k, n, r) or broadcasts to it. Up to ELIMINATION_MAX_N the
-    substitutions run on points-last (n, n, k) factors, copied only if
-    lu is not a view of them as lu_factor_stack and take return it, and
-    an (n, r, k) copy of rhs; the (k, n, r) result is a view. Above it
-    dgetrs solves each member (_lu_solve_members). Members with a zero
+    rhs is (len(idx), n, r) or broadcasts to it, and so is the result.
+    Up to ELIMINATION_MAX_N the substitutions run on a points-last
+    gather of the members' factors and a points-last copy of rhs, of
+    which the result is a view. Above it dgetrs solves each member on a
+    Fortran-ordered copy of its right-hand sides, reading its factors
+    where they lie, and the result is C-contiguous. Members with a zero
     pivot give non-finite solutions instead of raising; callers gate them.
     """
-    lu, piv = factors.lu, factors.piv
-    k, n, _ = lu.shape
-    shape = (k, n, np.shape(rhs)[-1])
+    n = factors.n
+    shape = (len(idx), n, np.shape(rhs)[-1])
     if n > ELIMINATION_MAX_N:
-        return _lu_solve_members(factors, range(k), rhs)
-    lu = np.ascontiguousarray(lu.transpose(1, 2, 0))
+        import scipy.linalg as sla
+        x = np.array(np.broadcast_to(rhs, shape).transpose(0, 2, 1),
+                     dtype=float, order="C").transpose(0, 2, 1)   # Fortran-ordered members
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for r, i in enumerate(idx):   # in place: the assignment back is a no-op
+                x[r], _ = sla.lapack.dgetrs(factors.lu[i], factors.piv[i], x[r],
+                                            overwrite_b=True)
+        return np.ascontiguousarray(x)
+    lu = np.take(factors.lu.transpose(1, 2, 0), idx, axis=-1)
+    piv = factors.piv[idx]
     x = np.array(np.broadcast_to(rhs, shape).transpose(1, 2, 0), dtype=float, order="C")
     for j in range(n):
         _swap_rows(x, j, piv[:, j])
@@ -420,19 +418,6 @@ def lu_solve_stack(factors: LuFactors, rhs: np.ndarray) -> np.ndarray:
             x[j] /= lu[j, j]
             x[:j] -= lu[:j, j, None] * x[j, None]
     return x.transpose(2, 0, 1)
-
-
-def _lu_solve_members(factors: LuFactors, idx, rhs: np.ndarray) -> np.ndarray:
-    """lu_solve_stack(factors.take(idx), rhs), reading Fortran-ordered factors where they lie."""
-    if factors.n <= ELIMINATION_MAX_N:
-        return lu_solve_stack(factors.take(idx), rhs)
-    import scipy.linalg as sla
-    x = np.array(np.broadcast_to(rhs, (len(idx), factors.n, np.shape(rhs)[-1])).transpose(0, 2, 1),
-                 dtype=float, order="C").transpose(0, 2, 1)   # Fortran-ordered members
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for r, i in enumerate(idx):   # in place: the assignment back is a no-op
-            x[r], _ = sla.lapack.dgetrs(factors.lu[i], factors.piv[i], x[r], overwrite_b=True)
-    return np.ascontiguousarray(x)
 
 
 @dataclass(frozen=True)

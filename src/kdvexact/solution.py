@@ -13,9 +13,10 @@ integral-kernel quantities they both come from.
 The resolvent-kernel form runs on one batched kernel,
 GammaEvaluator.evaluate: a stack of exp(-x A) per x and of E(t) per t
 (linalg.expm_stack, per diagonal block of A: closed form or Pade),
-Gamma for the whole (t, x) grid by broadcasting, one stacked LU per
-point for det Gamma, both gates and both solves, and the flags as
-masks. A point that fails a gate is flagged, never raised for. Scalar
+then per chunk of the (t, x) grid Gamma^T = E(t)^T S(x)^T + I written
+into one workspace and handed to linalg's stacked LU as Fortran-ordered
+members, which gives det Gamma, both gate scales and both solves, and
+the flags as masks. A point that fails a gate is flagged, never raised for. Scalar
 sample() is a batch of one, so grid and scalar values agree bit for
 bit. Gamma, the log-det route and the kernel K stay per point and off
 the batched kernel, as independent checks of its algebra: one builder
@@ -45,10 +46,10 @@ FLAG_NEAR_SINGULAR = "near-singular"
 FLAG_OVERFLOW = "overflow"
 
 # Byte budget of one chunk of the batched kernel's Gamma (points x P x P):
-# whole t rows, or part of one row when a row alone exceeds it. Above
-# ELIMINATION_MAX_N each evaluate call allocates it once as the workspace
-# every chunk is formed and factored in; the per-axis stacks, exp(-xA) and
-# S(x) per x and E(t) per t, take O((n_x + n_t) P^2) on their own.
+# whole t rows, or part of one row when a row alone exceeds it. Each
+# evaluate call allocates it once as the workspace every chunk is formed
+# and factored in; the per-axis stacks, exp(-xA) and S(x) per x and E(t)
+# per t, take O((n_x + n_t) P^2) on their own.
 CHUNK_BYTES = 1 << 21
 
 # Near-singular gate: |det Gamma| < NEAR_SINGULAR_TOL (1 + ||Gamma||_inf^P).
@@ -162,14 +163,18 @@ class GammaEvaluator:
         determinant below the near-singular gate or a factorization
         that fails the pivot gate (linalg.LuFactors.singular) gives
         near-singular. Otherwise, with_u, both resolvent solves run and a
-        non-finite solution or u is overflow again. No point raises; a
-        negative or non-finite x or a non-finite t raises SpecValidationError,
-        whatever the other axis holds (empty included). Each call works in
+        non-finite solution or u is overflow again. No point raises; an
+        axis of more than one dimension, a negative or non-finite x or a
+        non-finite t raises SpecValidationError, whatever the other axis
+        holds (empty included). Each call works in
         its own chunks and workspace (CHUNK_BYTES), so threads may share
         an evaluator.
         """
         xs = np.array(xs, dtype=float, ndmin=1)
         ts = np.array(ts, dtype=float, ndmin=1)
+        if xs.ndim > 1 or ts.ndim > 1:
+            raise SpecValidationError(
+                f"x and t must be scalars or 1-D, got shapes {xs.shape} and {ts.shape}")
         bad = ~np.isfinite(xs) | (xs < 0.0)
         if bad.any():
             raise SpecValidationError(f"x must be finite and >= 0, got {float(xs[bad][0])!r}")
@@ -198,30 +203,21 @@ class GammaEvaluator:
         props, t_overflow = linalg.expm_stack(self.flow, ts)   # E(t), per t
         cols = min(xs.size, max(1, CHUNK_BYTES // (8 * p * p)))   # rows = 1 if cols < xs.size,
         rows = max(1, CHUNK_BYTES // (8 * p * p * cols))          # so outputs stay flat views
-        work = np.empty((min(rows, ts.size) * cols, p, p)) if p > linalg.ELIMINATION_MAX_N else None
+        work = np.empty((min(rows, ts.size) * cols, p, p))
         for lo, x_lo in itertools.product(range(0, ts.size, rows), range(0, xs.size, cols)):
             sl, xl = slice(lo, lo + rows), slice(x_lo, x_lo + cols)
             prop, part = props[sl], side[xl]
-            overflow = x_overflow[xl] | t_overflow[sl, None]
+            gt = work[:len(prop) * len(part)]
             with np.errstate(over="ignore", invalid="ignore"):
                 ce = c @ prop                            # C E(t), per t
-                if p <= linalg.ELIMINATION_MAX_N:
-                    gamma = np.eye(p) + part @ prop[:, None]
-                    overflow |= ~np.all(np.isfinite(gamma), axis=(-2, -1))
-                    gamma[overflow] = np.eye(p)
-                    factors = linalg.lu_factor_stack(gamma.reshape(-1, p, p))
-                else:   # Gamma^T = E(t)^T S(x)^T: each Gamma Fortran-ordered, factored in place
-                    gt = work[:overflow.size]
-                    np.matmul(prop.transpose(0, 2, 1)[:, None], part.transpose(0, 2, 1),
-                              out=gt.reshape(overflow.shape + (p, p)))
-                    gt.reshape(len(gt), -1)[:, ::p + 1] += 1.0
-                    mag = np.abs(gt)   # max |entry|; Gamma's row sums are its column sums
-                    max_abs = np.max(mag.reshape(len(gt), -1), axis=1)
-                    norm_inf = np.max(np.ones(p) @ mag, axis=-1)
-                    del mag   # before the next chunk's
-                    factors = linalg._lu_factor_in_place(gt.transpose(0, 2, 1), max_abs, norm_inf)
-                    overflow |= ~np.isfinite(max_abs).reshape(overflow.shape)
-            self._fill_rows(factors, overflow.reshape(-1), with_u, exa[xl], ce, rhs[..., xl],
+                # Gamma^T = E(t)^T S(x)^T, so each Gamma is a Fortran-ordered member
+                np.matmul(prop.transpose(0, 2, 1)[:, None], part.transpose(0, 2, 1),
+                          out=gt.reshape(len(prop), len(part), p, p))
+                gt.reshape(len(gt), -1)[:, ::p + 1] += 1.0
+            factors = linalg._lu_factor_members(gt.transpose(0, 2, 1))
+            overflow = ((x_overflow[xl] | t_overflow[sl, None]).reshape(-1)
+                        | ~np.isfinite(factors.max_abs))
+            self._fill_rows(factors, overflow, with_u, exa[xl], ce, rhs[..., xl],
                             u[sl, xl].reshape(-1), det[sl, xl].reshape(-1),
                             code[sl, xl].reshape(-1))
 
@@ -241,7 +237,7 @@ class GammaEvaluator:
         if not (with_u and idx.size):
             return
         i, j = np.divmod(idx, n_x)
-        sol = linalg._lu_solve_members(factors, idx, np.take(rhs, j, axis=-1).transpose(2, 0, 1))
+        sol = linalg.lu_solve_stack(factors, idx, np.take(rhs, j, axis=-1).transpose(2, 0, 1))
         a, p = self.triplet.A, self.P
         with np.errstate(over="ignore", invalid="ignore"):
             # C E(t) exp(-xA); BLAS-sized rows for the whole chunk cost less than a gather per point
@@ -296,12 +292,14 @@ class GammaEvaluator:
         return u if np.isfinite(u) else float("nan")
 
     def marchenko_kernel(self, x: float, y: float, t: float) -> float:
-        """K(x, y; t) = -C E(t) exp(-xA) Gamma(x,t)^{-1} exp(-yA) B, y >= x >= 0.
+        """K(x, y; t) = -C E(t) exp(-xA) Gamma(x,t)^{-1} exp(-yA) B, finite y >= x >= 0.
 
         u(x, t) = -2 d/dx K(x, x; t).
         """
         x = float(x)
         y = float(y)
+        if not np.isfinite(y):
+            raise SpecValidationError(f"y must be finite, got {y!r}")
         if y < x:
             raise SpecValidationError(f"kernel needs y >= x, got x={x!r}, y={y!r}")
         exa, e, gamma = self._reference(x, t)

@@ -349,15 +349,15 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t):
         rhs = np.concatenate([exa, (eya @ b)[..., None]], axis=-1)
     if np.any(c) and not np.any(ce):
         raise NumericalError("C E(t) underflows to 0 at every sample, so nothing was compared")
-    finite = np.all(np.isfinite(gamma), axis=(1, 2))
-    factors = linalg.lu_factor_stack(np.where(finite[:, None, None], gamma, np.eye(trip.P)))
+    factors = linalg.lu_factor_stack(gamma)
+    finite = np.isfinite(factors.max_abs)
     bad = np.flatnonzero(~finite | factors.singular())   # the first bad sample raises
     if bad.size and not finite[bad[0]]:
         raise OverflowDetectedError("overflow in lu_factor input")
     if bad.size:
         raise SingularMatrixError("solve: matrix is singular to working precision "
                                   f"(pivot {factors.min_pivot()[bad[0]]:.3e})")
-    sol = linalg.lu_solve_stack(factors, rhs)
+    sol = linalg.lu_solve_stack(factors, range(len(x)), rhs)
     with np.errstate(over="ignore", invalid="ignore"):
         rg = np.einsum("np,npq->nq", row, sol)                  # C E exp(-xA) Gamma^{-1} [...]
         rows, kernel = rg[:, :-1], -rg[:, -1]

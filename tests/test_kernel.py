@@ -1,6 +1,7 @@
 """The batched evaluation kernel: grid, scalar and check routes agree exactly."""
 from __future__ import annotations
 
+import functools
 import sys
 import threading
 import tracemalloc
@@ -142,10 +143,10 @@ def test_lapack_kernel_working_set():
 
 
 def _copying_kernel(ev, xs, ts):
-    """u, det Gamma and flags as the P > ELIMINATION_MAX_N kernel formed them before it
-    factored Gamma in place: Gamma = I + S(x) E(t) in C order over the whole grid, the
-    copying lu_factor_stack, the solves on take(), and C E(t) exp(-xA) gathered per point.
-    Kept as the reference for the in-place kernel."""
+    """u, det Gamma and flags as the kernel formed them before it factored Gamma in place:
+    Gamma = I + S(x) E(t) in C order over the whole grid, overflowing members replaced by
+    I, the copying lu_factor_stack, the solves on the passing indices, and C E(t) exp(-xA)
+    gathered per point. Kept as the reference for the in-place kernel."""
     a, b, c, p = ev.triplet.A, ev.triplet.B, ev.triplet.C, ev.P
     xs, ts = np.asarray(xs, dtype=float), np.asarray(ts, dtype=float)
     exa, x_overflow = linalg.expm_stack(a, -xs)
@@ -169,7 +170,7 @@ def _copying_kernel(ev, xs, ts):
     near = ~overflow & (near | f.singular())
     idx = np.flatnonzero(~overflow & ~near)
     i, j = np.divmod(idx, xs.size)
-    sol = linalg.lu_solve_stack(f.take(idx), rhs[j])
+    sol = linalg.lu_solve_stack(f, idx, rhs[j])
     with np.errstate(over="ignore", invalid="ignore"):
         row = ce[i] @ exa[j]
         v, w = sol[..., :1], sol[..., 1:]
@@ -200,12 +201,14 @@ _DENSE_GRID = (np.linspace(0.0, 10.0, 11), [0.0, 0.2, 0.5, 1.0, 3.0, 40.0])
     (helpers.many_poles_triplet(1), _MANY_POLES_GRID),
     (helpers.many_poles_triplet(2), _MANY_POLES_GRID),
     (helpers.many_poles_triplet(3), _MANY_POLES_GRID),
+    (_dense_triplet(3), _DENSE_GRID),
+    (_dense_triplet(linalg.ELIMINATION_MAX_N), _DENSE_GRID),
     (_dense_triplet(8), _DENSE_GRID),
     (_dense_triplet(12), _DENSE_GRID),
-], ids=["many-poles-1", "many-poles-2", "many-poles-3", "dense-8", "dense-12"])
+], ids=["many-poles-1", "many-poles-2", "many-poles-3", "dense-3", "dense-6", "dense-8",
+        "dense-12"])
 def test_in_place_kernel_equals_the_copying_kernel_bit_for_bit(triplet, grid):
     ev = make_evaluator(triplet)
-    assert ev.P > linalg.ELIMINATION_MAX_N
     u, det, flags = _copying_kernel(ev, *grid)
     got = ev.evaluate(*grid)
     assert got.u.tobytes() == u.tobytes()
@@ -347,9 +350,14 @@ def test_lu_factor_stack_matches_lapack(n):
     f = linalg.lu_factor_stack(m)
     assert np.all(np.isfinite(f.lu))
     assert f.piv[3:3 + n, 0].tolist() == list(range(n))
-    # both gate magnitudes equal their definitions bit for bit
+    # both gate magnitudes equal their definitions bit for bit: the row sums of |m| are
+    # summed in column order up to ELIMINATION_MAX_N and taken as BLAS column sums of the
+    # C-ordered |m^T| above it, as the kernel takes them of Gamma
     assert f.max_abs.tobytes() == np.max(np.abs(m), axis=(1, 2)).tobytes()
-    assert f.norm_inf.tobytes() == np.max(np.sum(np.abs(m), axis=-1), axis=-1).tobytes()
+    mag = np.abs(m)
+    row_sums = (functools.reduce(np.add, mag.transpose(2, 0, 1)) if n <= linalg.ELIMINATION_MAX_N
+                else np.ones(n) @ mag.transpose(0, 2, 1).copy())
+    assert f.norm_inf.tobytes() == np.max(row_sums, axis=-1).tobytes()
     single = m[2 + n:3 + n].copy()               # a stack of one that swaps at step 0
     linalg.lu_factor_stack(single)
     assert np.array_equal(single, m[2 + n:3 + n])   # the input is left intact
@@ -362,13 +370,15 @@ def test_lu_factor_stack_matches_lapack(n):
                                                  abs=1e-300)
     assert f.min_pivot()[0] == 0.0 and f.min_pivot()[1] == 0.0
     rhs = rng.standard_normal((m.shape[0] - 2, n, 2))
-    sub = f.take(np.arange(2, m.shape[0]))
-    assert np.array_equal(sub.lu, f.lu[2:]) and np.array_equal(sub.norm_inf, f.norm_inf[2:])
-    x = linalg.lu_solve_stack(sub, rhs)
+    idx = np.arange(2, m.shape[0])
+    x = linalg.lu_solve_stack(f, idx, rhs)
     assert np.allclose(m[2:] @ x, rhs, rtol=0.0, atol=1e-10)
+    for r, i in enumerate(idx[::7]):   # a member solves alike alone and among the others
+        assert linalg.lu_solve_stack(f, [i], rhs[7 * r])[0].tobytes() == x[7 * r].tobytes()
     empty = linalg.lu_factor_stack(np.zeros((0, n, n)))
     assert empty.lu.shape == (0, n, n) and empty.piv.shape == (0, n)
-    assert linalg.lu_solve_stack(empty, np.zeros((0, n, 2))).shape == (0, n, 2)
+    assert linalg.lu_solve_stack(empty, [], np.zeros((0, n, 2))).shape == (0, n, 2)
+    assert linalg.lu_solve_stack(f, [], rhs[:0]).shape == (0, n, 2)
 
 
 def _lapack_per_member(m, rhs):
@@ -393,13 +403,12 @@ def test_lapack_branch_equals_per_member_lapack_bit_for_bit(n):
     assert f.lu.tobytes() == lu.tobytes() and f.piv.tobytes() == piv.tobytes()
     assert all(member.flags.f_contiguous for member in f.lu)
     idx = np.array([8, 2, 0, 5, 1])
-    sub = f.take(idx)
-    assert sub.lu.tobytes() == lu[idx].tobytes() and sub.piv.tobytes() == piv[idx].tobytes()
-    assert all(member.flags.f_contiguous for member in sub.lu)
-    for got, want in [(linalg.lu_solve_stack(f, rhs), x),
-                      (linalg.lu_solve_stack(sub, rhs[idx]), x[idx])]:
+    for got, want in [(linalg.lu_solve_stack(f, range(9), rhs), x),
+                      (linalg.lu_solve_stack(f, idx, rhs[idx]), x[idx])]:
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+    # the solves read the factors where they lie and leave them as they were
+    assert f.lu.tobytes() == lu.tobytes() and f.piv.tobytes() == piv.tobytes()
     assert not np.all(np.isfinite(x[:2]))        # the singular members' solutions
     assert (m.tobytes(), rhs.tobytes()) == before   # both inputs are left intact
 
@@ -413,17 +422,24 @@ _entries = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, 1.0, -1.0, 2.
 def test_lu_stack_member_equals_batch_of_one(data, n, k):
     m = np.array(data.draw(st.lists(_entries, min_size=k * n * n, max_size=k * n * n)))
     m = m.reshape(k, n, n)
+    # non-finite entries, as an overflowing Gamma holds, spoil only their own member
+    for i, r, c, v in data.draw(st.lists(st.tuples(
+            st.integers(0, k - 1), st.integers(0, n - 1), st.integers(0, n - 1),
+            st.sampled_from([np.inf, -np.inf, np.nan])), max_size=k)):
+        m[i, r, c] = v
     rhs = np.array(data.draw(st.lists(_entries, min_size=k * n * 2, max_size=k * n * 2)))
     rhs = rhs.reshape(k, n, 2)
     before = m.copy()
     f = linalg.lu_factor_stack(m)
-    x = linalg.lu_solve_stack(f, rhs)
+    x = linalg.lu_solve_stack(f, range(k), rhs)
     for i in range(k):
+        if not np.all(np.isfinite(m[i])):
+            assert not np.isfinite(f.max_abs[i])
+            continue
         one = linalg.lu_factor_stack(m[i:i + 1])
-        assert f.lu[i].tobytes() == one.lu[0].tobytes()
-        assert f.piv[i].tobytes() == one.piv[0].tobytes()
-        assert f.max_abs[i] == one.max_abs[0]
-        assert x[i].tobytes() == linalg.lu_solve_stack(one, rhs[i:i + 1])[0].tobytes()
+        for name in ("lu", "piv", "max_abs", "norm_inf"):
+            assert getattr(f, name)[i].tobytes() == getattr(one, name)[0].tobytes(), name
+        assert x[i].tobytes() == linalg.lu_solve_stack(one, [0], rhs[i:i + 1])[0].tobytes()
     assert m.tobytes() == before.tobytes()
 
 

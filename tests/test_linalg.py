@@ -288,7 +288,7 @@ def test_single_matrix_front_ends_are_member_zero_of_the_stacked_lu(n):
         for rhs, got in ((rhs_1, linalg.solve(f, rhs_1)), (rhs_2, linalg.solve(f, rhs_2)),
                          (np.eye(n), linalg.inverse(f))):
             assert got.shape == rhs.shape
-            one = linalg.lu_solve_stack(stack, rhs.reshape(n, -1)[None])[0]
+            one = linalg.lu_solve_stack(stack, [0], rhs.reshape(n, -1)[None])[0]
             assert got.tobytes() == one.reshape(rhs.shape).tobytes()
             ref = sla.lu_solve((lu, piv), rhs, check_finite=False)
             assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))

@@ -1,6 +1,7 @@
 """Closed-form solution machinery: Gamma, determinants, u, Omega, K."""
 from __future__ import annotations
 
+import functools
 import re
 import threading
 import warnings
@@ -321,6 +322,30 @@ def test_non_finite_t_rejected_before_any_work(monkeypatch, route, args, named):
 def test_evaluate_checks_each_axis_whatever_the_other_holds(xs, ts, named):
     with pytest.raises(SpecValidationError, match=f"^{re.escape(named)}$"):
         one_soliton_evaluator().evaluate(xs, ts)
+
+
+@pytest.mark.parametrize("xs, ts, shapes", [
+    ([[0.0, 1.0], [2.0, 3.0]], [0.0], "(2, 2) and (1,)"),
+    ([0.5], [[0.0], [0.1]], "(1,) and (2, 1)"),
+    ([], [[]], "(0,) and (1, 0)"),
+], ids=["2-D-x", "2-D-t", "2-D-empty-t"])
+def test_evaluate_and_sample_grid_reject_an_axis_of_more_than_one_dimension(xs, ts, shapes):
+    ev = one_soliton_evaluator()
+    named = f"x and t must be scalars or 1-D, got shapes {shapes}"
+    for call in (ev.evaluate, functools.partial(sample_grid, ev)):
+        with pytest.raises(SpecValidationError, match=f"^{re.escape(named)}$"):
+            call(xs, ts)
+
+
+@pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
+def test_kernel_rejects_a_non_finite_y_before_any_work(monkeypatch, y):
+    ev = one_soliton_evaluator()
+    for name in ("expm", "expm_stack"):
+        monkeypatch.setattr(linalg, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+    with pytest.raises(SpecValidationError, match=f"^y must be finite, got {y!r}$"):
+        ev.marchenko_kernel(0.5, y, 0.0)
+    with pytest.raises(SpecValidationError, match=r"^kernel needs y >= x, got x=1\.0, y=0\.5$"):
+        ev.marchenko_kernel(1.0, 0.5, 0.0)
 
 
 @pytest.mark.parametrize("xs, ts", [([], []), ([0.0, 1.0], []), ([], [-1.0, 2.0])])
