@@ -8,11 +8,12 @@ a mask; expm, for the per-point routes and checks, is its front end), the
 Lyapunov solve A Q + Q A = RHS with a residual check (numpy's solve of
 the Kronecker system up to ELIMINATION_MAX_N, Bartels-Stewart through
 scipy's Sylvester solver above it), one stacked pivoted LU
-(_lu_factor_members, the one place the factor layout and the gate
-scales are decided; lu_factor_stack copies a stack into its layout,
-lu_solve_stack solves chosen members, and lu_factor, solve, determinant
-and inverse are checked front ends for one matrix), eigenvalue extraction, and the resolvent (k I - i A)^{-1} b,
-by one complex Schur reduction and one triangular solve per call.
+(_lu_factor_members takes the factor layout and gate scales, and
+LuFactors alone judges the members; lu_factor_stack copies a stack into
+its layout, lu_solve_stack solves chosen members, and lu_factor, solve,
+determinant and inverse are checked front ends for one matrix),
+eigenvalue extraction, and the resolvent (k I - i A)^{-1} b, by one
+complex Schur reduction and one triangular solve per call.
 
 scipy.linalg is imported only inside resolvent_apply and the branches
 that take members wider than ELIMINATION_MAX_N, so no caller loads it
@@ -43,6 +44,9 @@ from .errors import (
 # Gate values, the same for every caller.
 RESIDUAL_TOL = 1e-12   # relative residual bound for verified solves
 PIVOT_TOL = 1e-14      # singularity threshold, times max |entry|
+# near-singular bound on |det m|, times 1 + max(1, ||m||_inf)^n: the natural size of
+# det m, so a huge-entry m whose det only survives by cancellation is flagged
+NEAR_SINGULAR_TOL = 1e-8
 
 # Numpy below, LAPACK through scipy above. Stacked LU: members up to this
 # size are eliminated all at once on a points-last copy, one column per
@@ -247,13 +251,13 @@ def _pivot_gate(min_pivot, max_abs):
 class LuFactors:
     """Pivoted LU factorizations of a (k, n, n) stack of square matrices.
 
-    Made by _lu_factor_members only. lu and piv are the packed
+    Made by _lu_factor_members only, and judged by other modules only
+    through gates() and check_solvable(). lu and piv are the packed
     LAPACK-style factors (row i of a member was swapped with row
-    piv[..., i] at step i), laid out for lu_solve_stack; max_abs is the
-    largest absolute entry of each original member, used for the
-    relative pivot gate, and norm_inf its largest absolute row sum.
-    min_pivot, singular and permutation_sign return one value per
-    member; an empty (n = 0) member has min pivot 0, so it is singular.
+    piv[..., i] at step i), laid out for lu_solve_stack; max_abs and
+    norm_inf, the largest absolute entry and row sum of each original
+    member, scale the pivot and the near-singular gate. The methods give
+    one value per member; an empty member (n = 0, min pivot 0) is singular.
     """
 
     lu: np.ndarray
@@ -282,36 +286,45 @@ class LuFactors:
         swaps = np.count_nonzero(self.piv != np.arange(self.n), axis=-1)
         return 1.0 - 2.0 * (swaps % 2)
 
+    def gates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(det, overflow: a non-finite entry or det, near_singular: either gate, not overflow)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = self.permutation_sign() * np.prod(self.pivots(), axis=-1)
+            near = np.abs(det) < NEAR_SINGULAR_TOL * (1 + np.maximum(1, self.norm_inf) ** self.n)
+        overflow = ~np.isfinite(self.max_abs) | ~np.isfinite(det)
+        return det, overflow, ~overflow & (near | self.singular())
+
+    def check_solvable(self) -> None:
+        """Raise for the first member that is non-finite or fails the pivot gate."""
+        for i in np.flatnonzero(~np.isfinite(self.max_abs) | self.singular())[:1]:
+            if not np.isfinite(self.max_abs[i]):
+                raise OverflowDetectedError("overflow in lu_factor input")
+            raise SingularMatrixError("solve: matrix is singular to working precision "
+                                      f"(pivot {self.min_pivot()[i]:.3e})")
+
 
 def lu_factor(m: np.ndarray) -> LuFactors:
     """Factor a real square matrix: lu_factor_stack on a stack of one, checked."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SpecValidationError(f"lu_factor: square matrix required, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise OverflowDetectedError("overflow in lu_factor input")
-    return lu_factor_stack(m[None])
+    return lu_factor_stack(_check_finite(m, "lu_factor input")[None])
 
 
 def determinant(factors: LuFactors) -> float:
     """Determinant of member 0 from its LU diagonal; overflow raises, zero is fine."""
-    diag = factors.pivots()[0]
-    with np.errstate(over="ignore"):
-        det = float(factors.permutation_sign()[0]) * float(np.prod(diag))
+    det = float(factors.gates()[0][0])
     if not np.isfinite(det):
         # recompute in log space to report log|det| before failing
         with np.errstate(divide="ignore"):
-            log_mag = float(np.sum(np.log(np.abs(diag))))
+            log_mag = float(np.sum(np.log(np.abs(factors.pivots()[0]))))
         raise OverflowDetectedError(f"determinant overflow, log|det| = {log_mag:.6g}")
     return det
 
 
 def solve(factors: LuFactors, rhs: np.ndarray) -> np.ndarray:
-    """Solve member 0 for a 1-D or 2-D rhs by lu_solve_stack; the pivot gate raises."""
-    if factors.singular()[0]:
-        pivot = factors.min_pivot()[0]
-        raise SingularMatrixError(
-            f"solve: matrix is singular to working precision (pivot {pivot:.3e})")
+    """Solve lu_factor's one member for a 1-D or 2-D rhs by lu_solve_stack, after check_solvable."""
+    factors.check_solvable()
     rhs = np.asarray(rhs, dtype=float)
     out = lu_solve_stack(factors, [0], rhs.reshape(len(rhs), -1))[0].reshape(rhs.shape)
     return _check_finite(out, "solve")
@@ -335,7 +348,7 @@ def lu_factor_stack(m: np.ndarray) -> LuFactors:
     """Partial-pivoting LU of every matrix in a (k, n, n) stack, m left intact.
 
     _lu_factor_members on a copy of m in Fortran-ordered members. No
-    pivot gate is applied, so callers read singular() and mask; a
+    gate is applied, so callers read gates() or check_solvable(); a
     non-finite member gets a non-finite max_abs and meaningless factors.
     """
     m = np.asarray(m, dtype=float)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import SpecValidationError
+from .errors import SingularMatrixError, SpecValidationError
 
 
 def _finite(value, name: str) -> float:
@@ -300,9 +300,12 @@ def reflection_partial_fractions(spec: ScatteringSpec, k: complex) -> complex:
 
     Independent of the realization matrices; used as the oracle the
     resolvent route is checked against, and as the integrand of
-    verification.omega_quadrature_check.
+    verification.omega_quadrature_check. A pole raises SingularMatrixError.
     """
-    return _partial_fraction_sum(_partial_fraction_terms(spec), complex(k))
+    terms, k = _partial_fraction_terms(spec), complex(k)
+    if any(k == z for z, _ in terms):
+        raise SingularMatrixError(f"reflection_partial_fractions: k = {k} is a pole")
+    return _partial_fraction_sum(terms, k)
 
 
 def _log_tau(spec: ScatteringSpec, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ GammaEvaluator.evaluate: a stack of exp(-x A) per x and of E(t) per t
 (linalg.expm_stack, per diagonal block of A: closed form or Pade),
 then per chunk of the (t, x) grid Gamma^T = E(t)^T S(x)^T + I written
 into one workspace and handed to linalg's stacked LU as Fortran-ordered
-members, which gives det Gamma, both gate scales and both solves, and
-the flags as masks. A point that fails a gate is flagged, never raised for. Scalar
+members. linalg.LuFactors.gates gives det Gamma and the flags as masks,
+and the passing points are solved. A point that fails a gate is flagged, never raised for. Scalar
 sample() is a batch of one, so grid and scalar values agree bit for
 bit. Gamma, the log-det route and the kernel K stay per point and off
 the batched kernel, as independent checks of its algebra: one builder
@@ -51,11 +51,6 @@ FLAG_OVERFLOW = "overflow"
 # and factored in; the per-axis stacks, exp(-xA) and S(x) per x and E(t)
 # per t, take O((n_x + n_t) P^2) on their own.
 CHUNK_BYTES = 1 << 21
-
-# Near-singular gate: |det Gamma| < NEAR_SINGULAR_TOL (1 + ||Gamma||_inf^P).
-# The scale is the natural size of the determinant, so huge-entry
-# matrices whose determinant only survives by cancellation are flagged.
-NEAR_SINGULAR_TOL = 1e-8
 
 # Per-point outcome codes of the batched kernel, indexing the flag names.
 _OK, _NEAR_SINGULAR, _OVERFLOW = range(3)
@@ -158,12 +153,11 @@ class GammaEvaluator:
         """The batched kernel over the grid ts x xs (t-major).
 
         Each point gets exactly the values and outcome of the per-point
-        definition, whatever else is in the batch. Overflow anywhere in
-        the exponentials or the determinant gives flag overflow; a
-        determinant below the near-singular gate or a factorization
-        that fails the pivot gate (linalg.LuFactors.singular) gives
-        near-singular. Otherwise, with_u, both resolvent solves run and a
-        non-finite solution or u is overflow again. No point raises; an
+        definition, whatever else is in the batch. Overflow in the
+        exponentials or in Gamma or det Gamma gives flag overflow, and
+        failing either gate of linalg.LuFactors.gates gives near-singular.
+        Otherwise, with_u, both resolvent solves run and a non-finite
+        solution or u is overflow again. No point raises; an
         axis of more than one dimension, a negative or non-finite x or a
         non-finite t raises SpecValidationError, whatever the other axis
         holds (empty included). Each call works in
@@ -195,12 +189,14 @@ class GammaEvaluator:
     def _fill(self, xs, ts, with_u, u, det, code) -> None:
         a, b, c, p = self.triplet.A, self.triplet.B, self.triplet.C, self.P
         exa, x_overflow = linalg.expm_stack(a, -xs)
+        exa[x_overflow] = np.nan   # an overflowed member makes a NaN Gamma: the gates read overflow
         with np.errstate(over="ignore", invalid="ignore"):
             side = exa @ self.Q @ exa                   # exp(-xA) Q exp(-xA), per x
             rb = exa @ b
             # both solves' right sides, points-last: (P, 2, x)
             rhs = np.concatenate([rb, a @ rb], axis=-1).transpose(1, 2, 0).copy()
         props, t_overflow = linalg.expm_stack(self.flow, ts)   # E(t), per t
+        props[t_overflow] = np.nan   # likewise
         cols = min(xs.size, max(1, CHUNK_BYTES // (8 * p * p)))   # rows = 1 if cols < xs.size,
         rows = max(1, CHUNK_BYTES // (8 * p * p * cols))          # so outputs stay flat views
         work = np.empty((min(rows, ts.size) * cols, p, p))
@@ -215,23 +211,15 @@ class GammaEvaluator:
                           out=gt.reshape(len(prop), len(part), p, p))
                 gt.reshape(len(gt), -1)[:, ::p + 1] += 1.0
             factors = linalg._lu_factor_members(gt.transpose(0, 2, 1))
-            overflow = ((x_overflow[xl] | t_overflow[sl, None]).reshape(-1)
-                        | ~np.isfinite(factors.max_abs))
-            self._fill_rows(factors, overflow, with_u, exa[xl], ce, rhs[..., xl],
-                            u[sl, xl].reshape(-1), det[sl, xl].reshape(-1),
-                            code[sl, xl].reshape(-1))
+            self._fill_rows(factors, with_u, exa[xl], ce, rhs[..., xl], u[sl, xl].reshape(-1),
+                            det[sl, xl].reshape(-1), code[sl, xl].reshape(-1))
 
-    def _fill_rows(self, factors, overflow, with_u, exa, ce, rhs, u, det, code) -> None:
-        """Gate and solve one factored chunk; the outputs are flat views."""
+    def _fill_rows(self, factors, with_u, exa, ce, rhs, u, det, code) -> None:
+        """Gate (LuFactors.gates) and solve one factored chunk; the outputs are flat views."""
         n_x = exa.shape[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = factors.permutation_sign() * np.prod(factors.pivots(), axis=-1)
-            overflow |= ~np.isfinite(d)
-            det[~overflow] = d[~overflow]
-            code[overflow] = _OVERFLOW
-            norm = np.maximum(1.0, factors.norm_inf)
-            near = np.abs(d) < NEAR_SINGULAR_TOL * (1.0 + norm ** self.P)
-            near = ~overflow & (near | factors.singular())
+        d, overflow, near = factors.gates()
+        det[~overflow] = d[~overflow]
+        code[overflow] = _OVERFLOW
         code[near] = _NEAR_SINGULAR
         idx = np.flatnonzero(~overflow & ~near)
         if not (with_u and idx.size):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, realization, solution
-from .errors import (FormalModeError, NumericalError, OverflowDetectedError, SingularMatrixError,
+from .errors import (FormalModeError, NumericalError, OverflowDetectedError,
                      SpecValidationError)
 
 # fourth-order central first derivative: (f-2 - 8 f-1 + 8 f+1 - f+2) / (12 h)
@@ -139,6 +139,8 @@ def _stencil_values(evaluator: solution.GammaEvaluator, xs, ts, h_x, h_t) -> np.
 
 def _check_grid(x_window, t_window, **counts: int) -> None:
     for name, n in counts.items():
+        if not isinstance(n, (int, np.integer)):
+            raise SpecValidationError(f"{name} must be an integer, got {n!r}")
         if not n >= 1:
             raise SpecValidationError(f"{name} must be at least 1, got {n!r}")
     for name, window in (("x_window", x_window), ("t_window", t_window)):
@@ -157,8 +159,8 @@ def pde_residual(evaluator: solution.GammaEvaluator, x_window, t_window, n_x: in
     the spectrum of A. The window is clipped so every stencil node has
     x >= 0 and t >= 0. A flagged or non-finite stencil sample rejects the
     window with SpecValidationError, naming the point. A non-evaluator
-    argument, a non-finite window bound, or an h_x not finite and > 0
-    raises it before any sampling.
+    argument, a non-finite window bound, a count not an integer >= 1, or
+    an h_x not finite and > 0 raises it before any sampling.
     """
     _check_grid(x_window, t_window, n_x=n_x, n_t=n_t)
     if not (math.isfinite(h_x) and h_x > 0.0):
@@ -350,13 +352,7 @@ def marchenko_residual(evaluator: solution.GammaEvaluator, x, y, t):
     if np.any(c) and not np.any(ce):
         raise NumericalError("C E(t) underflows to 0 at every sample, so nothing was compared")
     factors = linalg.lu_factor_stack(gamma)
-    finite = np.isfinite(factors.max_abs)
-    bad = np.flatnonzero(~finite | factors.singular())   # the first bad sample raises
-    if bad.size and not finite[bad[0]]:
-        raise OverflowDetectedError("overflow in lu_factor input")
-    if bad.size:
-        raise SingularMatrixError("solve: matrix is singular to working precision "
-                                  f"(pivot {factors.min_pivot()[bad[0]]:.3e})")
+    factors.check_solvable()   # the first bad sample raises
     sol = linalg.lu_solve_stack(factors, range(len(x)), rhs)
     with np.errstate(over="ignore", invalid="ignore"):
         rg = np.einsum("np,npq->nq", row, sol)                  # C E exp(-xA) Gamma^{-1} [...]
@@ -413,12 +409,12 @@ def omega_quadrature_check(spec: realization.ScatteringSpec,
     (those of realization.reflection_partial_fractions, in one array
     call per quadrature round), so an error in the realization shows
     as a mismatch. Bound states carry no continuous spectrum, so specs
-    without reflection data compare 0 against 0. Every y is checked
-    before any quadrature runs. NumericalError is raised when the
-    cycles of all ys exceed OMEGA_MAX_CYCLES, on reaching QUAD_LIMIT
-    subintervals, or when the error estimate (a bound per cycle; a y's
-    value sums n0 + OMEGA_CYCLES cycles) or a last averaging step
-    exceeds OMEGA_EPSABS.
+    without reflection data compare 0 against 0; an empty ys gives ().
+    Every y is checked before any quadrature runs. NumericalError is
+    raised when the cycles of all ys exceed OMEGA_MAX_CYCLES, on reaching
+    QUAD_LIMIT subintervals, or when the error estimate (a bound per
+    cycle; a y's value sums n0 + OMEGA_CYCLES cycles) or a last averaging
+    step exceeds OMEGA_EPSABS.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     for y in ys.tolist():
@@ -426,7 +422,7 @@ def omega_quadrature_check(spec: realization.ScatteringSpec,
             raise SpecValidationError(
                 f"omega quadrature check needs a finite y > 0 (contour closure), got {y!r}")
     terms = realization._partial_fraction_terms(spec)
-    if not terms:
+    if not (terms and ys.size):
         return tuple(OmegaQuadratureCheck(y=y, quadrature=0.0, reference=0.0) for y in ys.tolist())
     reach = max(abs(z.real) for z, _ in terms)
     need = np.ceil(ys * reach / math.pi) + OMEGA_CYCLES
@@ -575,9 +571,9 @@ def soliton_equivalence(evaluator: solution.GammaEvaluator,
     exponential or factorization with the kernel it checks. The first
     point, in t-major order, where the triplet side overflowed raises
     OverflowDetectedError naming it, before tau is formed. A non-finite
-    window bound, or a triplet not built from a bound-states-only spec
-    of at most SOLITON_MAX_STATES states, raises SpecValidationError
-    before any work.
+    window bound, a count not an integer >= 1, or a triplet not built
+    from a bound-states-only spec of at most SOLITON_MAX_STATES states
+    raises SpecValidationError before any work.
     """
     _check_grid(x_window, t_window, n_x=n_x, n_t=n_t)
     spec = _soliton_spec(evaluator)

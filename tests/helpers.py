@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from kdvexact import (BoundState, ComplexPolePair, ImaginaryPole, ScatteringSpec, Triplet,
-                      build_triplet, documents)
+                      build_triplet, documents, realization)
 from kdvexact.documents import format_float
 
 S3 = np.sqrt(3.0)
@@ -135,3 +136,32 @@ def many_poles_triplet(seed: int) -> Triplet:
     sys.modules[spec.name] = workloads   # its dataclasses look their module up
     spec.loader.exec_module(workloads)
     return build_triplet(documents.parse_input_document(workloads.many_poles_spec(seed)))
+
+
+def simple_pole_tau(spec: ScatteringSpec, xs, ts) -> np.ndarray:
+    """det Gamma of a spec whose poles are all simple, as a tau-function of the spec alone.
+
+    Each reflection pole z with coefficient c (realization._partial_fraction_terms)
+    gives lambda = -i z and rho = i c, each bound state lambda = kappa and rho = c;
+    tau = sum over subsets S of prod_{j in S} rho_j / (2 lambda_j)
+    exp(-2 lambda_j x + (8 lambda_j^3 + 2 eta lambda_j) t)
+    prod_{i<j in S} ((lambda_i - lambda_j) / (lambda_i + lambda_j))^2, complex, at
+    broadcast xs, ts. It shares no matrix, exponential or factorization with the kernel.
+    """
+    terms = realization._partial_fraction_terms(spec)
+    if any(len(coeffs) != 1 for _, coeffs in terms):
+        raise ValueError("simple_pole_tau takes simple poles only")
+    lam = [-1j * z for z, _ in terms] + [complex(s.kappa) for s in spec.bound_states]
+    rho = [1j * coeffs[0] for _, coeffs in terms] + [complex(s.c) for s in spec.bound_states]
+    xs, ts = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ts, dtype=float))
+    tau = np.zeros(xs.shape, dtype=complex)
+    for members in itertools.product((False, True), repeat=len(lam)):
+        sel = [j for j, inside in enumerate(members) if inside]
+        term = np.ones(xs.shape, dtype=complex)
+        for j in sel:
+            theta = -2.0 * lam[j] * xs + (8.0 * lam[j] ** 3 + 2.0 * spec.eta * lam[j]) * ts
+            term *= rho[j] / (2.0 * lam[j]) * np.exp(theta)
+        for i, j in itertools.combinations(sel, 2):
+            term *= ((lam[i] - lam[j]) / (lam[i] + lam[j])) ** 2
+        tau += term
+    return tau

@@ -11,9 +11,9 @@ from kdvexact import (
     FLAG_NEAR_SINGULAR,
     FLAG_OK,
     Triplet,
+    linalg,
     make_evaluator,
     sample_grid,
-    solution,
 )
 from kdvexact.cli import main
 
@@ -30,7 +30,7 @@ def _zero_det_evaluator():
 def test_pivot_gate_flags_instead_of_raising():
     ev = _zero_det_evaluator()
     # with the near-singular gate off, the pivot gate alone decides
-    with mock.patch.object(solution, "NEAR_SINGULAR_TOL", 0.0):
+    with mock.patch.object(linalg, "NEAR_SINGULAR_TOL", 0.0):
         s = ev.sample(0.0, 0.0)
         grid = sample_grid(ev, [0.0, 1.0, 2.0], [0.0])
     assert s.flag == FLAG_NEAR_SINGULAR and s.det_gamma == 0.0 and np.isnan(s.u)

@@ -166,7 +166,7 @@ def _copying_kernel(ev, xs, ts):
         d = f.permutation_sign() * np.prod(f.pivots(), axis=-1)
     overflow |= ~np.isfinite(d)
     with np.errstate(over="ignore"):
-        near = np.abs(d) < solution.NEAR_SINGULAR_TOL * (1.0 + np.maximum(1.0, f.norm_inf) ** p)
+        near = np.abs(d) < linalg.NEAR_SINGULAR_TOL * (1.0 + np.maximum(1.0, f.norm_inf) ** p)
     near = ~overflow & (near | f.singular())
     idx = np.flatnonzero(~overflow & ~near)
     i, j = np.divmod(idx, xs.size)
@@ -276,6 +276,15 @@ def test_det_gamma_is_a_batch_of_one():
     # an overflowed point reads NaN, as sample() and every grid do, instead of raising
     assert README_EV.sample(0.0, 30.0).flag == FLAG_OVERFLOW
     assert np.isnan(README_EV.det_gamma(0.0, 30.0))
+
+
+@pytest.mark.parametrize("n", [1, 3, linalg.ELIMINATION_MAX_N + 2])
+def test_an_exponential_whose_scale_leaves_the_float_range_reads_overflow(n):
+    # expm_stack drops a scale s whose s max |m| is past the float range and reports it in
+    # its mask alone, so the kernel flags the point from that mask, not from Gamma's entries
+    growing = make_evaluator(Triplet(A=-2.0 * np.eye(n), B=np.ones(n), C=np.ones(n)))
+    flags = growing.evaluate([0.0, 1e308], [0.0, 1e308, -1e308]).flags   # flow -64 I
+    assert flags[0, 1] == FLAG_OVERFLOW and set(flags[1:].ravel()) == {FLAG_OVERFLOW}
 
 
 def test_grid_without_u_keeps_both_gates():
@@ -432,11 +441,15 @@ def test_lu_stack_member_equals_batch_of_one(data, n, k):
     before = m.copy()
     f = linalg.lu_factor_stack(m)
     x = linalg.lu_solve_stack(f, range(k), rhs)
+    gates = f.gates()
     for i in range(k):
-        if not np.all(np.isfinite(m[i])):
-            assert not np.isfinite(f.max_abs[i])
-            continue
         one = linalg.lu_factor_stack(m[i:i + 1])
+        # a member's det and masks are those of its batch of one, non-finite members included
+        for name, got, want in zip(("det", "overflow", "near_singular"), gates, one.gates()):
+            assert got[i:i + 1].tobytes() == want.tobytes(), name
+        if not np.all(np.isfinite(m[i])):
+            assert not np.isfinite(f.max_abs[i]) and gates[1][i] and not gates[2][i]
+            continue
         for name in ("lu", "piv", "max_abs", "norm_inf"):
             assert getattr(f, name)[i].tobytes() == getattr(one, name)[0].tobytes(), name
         assert x[i].tobytes() == linalg.lu_solve_stack(one, [0], rhs[i:i + 1])[0].tobytes()

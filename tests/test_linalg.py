@@ -313,6 +313,35 @@ def test_single_matrix_front_end_messages():
         linalg.solve(empty, np.zeros(0))
 
 
+def test_gates_read_a_non_finite_entry_as_overflow_whatever_the_pivots():
+    # finite pivots (det 1) and a non-finite max_abs: only the entry clause flags members 1, 2
+    f = linalg.LuFactors(lu=np.array([np.eye(2)] * 3), piv=np.tile(np.arange(2), (3, 1)),
+                         max_abs=np.array([1.0, np.inf, np.nan]),
+                         norm_inf=np.array([1.0, np.inf, np.nan]))
+    det, overflow, near = f.gates()
+    assert det.tolist() == [1.0, 1.0, 1.0]
+    assert overflow.tolist() == [False, True, True]
+    assert near.tolist() == [False, False, False]
+    with pytest.raises(OverflowDetectedError, match=r"^overflow in lu_factor input$"):
+        f.check_solvable()
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("n", [2, linalg.ELIMINATION_MAX_N, linalg.ELIMINATION_MAX_N + 1,
+                               linalg.ELIMINATION_MAX_N + 3])
+def test_exactly_singular_members_read_near_singular_on_both_sides_of_the_split(n):
+    rng = np.random.default_rng(300 + n)
+    m = rng.standard_normal((3, n, n)) + n * np.eye(n)
+    m[0, n // 2] = 0.0                 # a zero row
+    m[1, -1] = m[1, 0]                 # two equal rows
+    f = linalg.lu_factor_stack(m)
+    det, overflow, near = f.gates()
+    assert overflow.tolist() == [False, False, False]
+    assert near.tolist() == f.singular().tolist() == [True, True, False]
+    assert det[0] == 0.0 and det[1] == 0.0   # a zero pivot, either sign
+    assert det[2] == pytest.approx(np.linalg.det(m[2]), rel=1e-12)
+
+
 def test_eigenvalues_sorted_and_rotation_spectrum():
     m = np.diag([3.0, 1.0, 2.0])
     spec = linalg.eigenvalues(m)

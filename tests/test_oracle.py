@@ -8,14 +8,16 @@ determinant of the N-soliton matrix.
 """
 from __future__ import annotations
 
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kdvexact import (FLAG_OK, BoundState, ScatteringSpec, build_triplet, linalg,
+from kdvexact import (FLAG_OK, BoundState, ScatteringSpec, build_triplet, documents, linalg,
                       make_evaluator, realization)
-from kdvexact.cli import main
+from kdvexact.cli import DEFAULT_T, DEFAULT_X, main
 
 import helpers
 
@@ -226,3 +228,26 @@ def test_soliton_report_measures_the_kernel_error_alone(tmp_path, capsys):
     with mp.workdps(60):
         want = float(abs(mp.mpf(det_kernel) / _mp_n_soliton_det(CLOSE_STATES, 0.0, x, t) - 1))
     assert deviation > 1e-10 and abs(deviation - want) <= 1e-13, (deviation, want)
+
+
+def _readme_json_spec() -> ScatteringSpec:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    doc = re.search(r"^```json\n(.*?)^```", readme, re.M | re.S).group(1)
+    return documents.parse_input_document(json.loads(doc))
+
+
+@pytest.mark.parametrize("spec", [
+    helpers.three_block_spec(),
+    _readme_json_spec(),
+    ScatteringSpec(bound_states=(BoundState(0.5, 1.0), BoundState(0.7, 1.5),
+                                 BoundState(0.9, 0.8)), eta=1.0),
+], ids=["readme-spec", "readme-json-document", "three-bound"])
+def test_det_gamma_matches_the_simple_pole_tau_at_every_point(spec):
+    """det Gamma on the default grid, flagged points included, against a tau built from
+    the spec's poles and bound states alone; 1.2e-14, 2.1e-14 and 7.5e-14 at most when
+    this was written, with 17,359, 17,641 and 1,550 of the 20,301 points flagged."""
+    xs, ts = np.linspace(*DEFAULT_X), np.linspace(*DEFAULT_T)
+    det = make_evaluator(build_triplet(spec)).evaluate(xs, ts, with_u=False).det_gamma
+    assert np.all(np.isfinite(det))   # no overflow: every point is compared
+    dev = np.abs(det / helpers.simple_pole_tau(spec, xs, ts[:, None]) - 1.0)
+    assert np.max(dev) <= 1e-12, np.max(dev)

@@ -305,6 +305,22 @@ def test_reflection_pole_proximity():
     assert abs(near) > 100.0
 
 
+def test_both_reflection_routes_raise_singular_at_a_pole():
+    # the README spec's pair has poles at +-sqrt(3)/2 + i/2; the partial-fraction sum
+    # divided by zero there, where the resolvent route's pivot gate fires
+    spec = helpers.three_block_spec()
+    refl = build_reflection_triplet(spec)
+    for k in (complex(S3 / 2, 0.5), complex(-S3 / 2, 0.5)):
+        with pytest.raises(SingularMatrixError,
+                           match=f"^reflection_partial_fractions: k = {re.escape(str(k))} is a pole$"):
+            reflection_partial_fractions(spec, k)
+        with pytest.raises(SingularMatrixError):
+            eval_reflection(refl, k)
+        near = k + 1e-9
+        assert reflection_partial_fractions(spec, near) == pytest.approx(
+            eval_reflection(refl, near), rel=1e-6)
+
+
 def test_bound_state_only_reflection_is_zero():
     spec = ScatteringSpec(bound_states=(BoundState(1.0, 2.0),))
     assert spec.is_bound_state_only and not spec.has_reflection

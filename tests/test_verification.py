@@ -195,6 +195,13 @@ def test_omega_quadrature_bound_state_only_is_vacuous():
         assert chk.error <= 1e-10
 
 
+def test_omega_quadrature_with_no_y_returns_an_empty_tuple():
+    # the README spec has reflection poles; the bound-state-only spec has none
+    for spec in (helpers.three_block_spec(), ScatteringSpec(bound_states=(BoundState(1.0, 2.0),))):
+        assert omega_quadrature_check(spec, []) == ()
+        assert omega_quadrature_check(spec, np.zeros(0)) == ()
+
+
 def test_omega_quadrature_rejects_nonpositive_y():
     spec = helpers.rotation_spec(0.5, 0.5)
     with pytest.raises(SpecValidationError):
@@ -286,6 +293,23 @@ def test_pde_residual_rejects_empty_grid_before_any_work(monkeypatch):
     forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
     with pytest.raises(SpecValidationError, match="n_x must be at least 1, got 0"):
         pde_residual(ev, (0.5, 1.0), (0.1, 0.2), n_x=0)
+
+
+@pytest.mark.parametrize("check, counts, named", [
+    (pde_residual, {"n_x": 2.5}, "n_x must be an integer, got 2.5"),
+    (pde_residual, {"n_t": 3.0}, "n_t must be an integer, got 3.0"),
+    (soliton_equivalence, {"n_x": 2.5}, "n_x must be an integer, got 2.5"),
+    (soliton_equivalence, {"n_t": "11"}, "n_t must be an integer, got '11'"),
+])
+def test_grid_counts_must_be_integers_before_any_work(monkeypatch, check, counts, named):
+    ev = bound_states_evaluator((BoundState(0.5, 1.0), BoundState(0.7, 1.5),
+                                 BoundState(0.9, 0.8)), eta=1.0)   # three-bound
+    windows = ((1.0, 2.0), (0.1, 0.2)) if check is pde_residual else ()
+    forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
+    with pytest.raises(SpecValidationError, match=f"^{re.escape(named)}$"):
+        check(ev, *windows, **counts)
+    monkeypatch.undo()
+    check(ev, *windows, **{name: np.int64(3) for name in counts})   # numpy integers are integers
 
 
 @pytest.mark.parametrize("x_window, t_window, named", [
