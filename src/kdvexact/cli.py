@@ -5,8 +5,9 @@ Subcommands, one row each of the COMMANDS table: build (spec document
 structured document), verify (independent check suite -> report
 document), soliton (bound-states-only grid plus det Gamma against
 Hirota's tau-function), frames (one x,u file per t value). Exit codes:
-0 success, 2 parse or validation failure or unwritable output, 3
-numerical failure (every grid point flagged too), 4 verification failure.
+0 success, 2 bad input (unreadable or undecodable too) or a failed write
+to stdout or --output, 3 numerical failure (every grid point flagged
+too), 4 verification failure.
 Each subcommand but build works on one evaluator; the Fourier and soliton
 checks read the spec from its triplet (None for a raw triplet).
 
@@ -84,26 +85,27 @@ def _read_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecValidationError(f"cannot read input: {exc}") from None
     return documents.loads_document(text)
 
 
 @contextlib.contextmanager
 def _output_errors():
-    """Report an OSError from creating or writing --output as "cannot write output"."""
+    """Report an OSError from creating, writing or flushing output as "cannot write output"."""
     try:
         yield
     except OSError as exc:
         raise SpecValidationError(f"cannot write output: {exc}") from None
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with _output_errors(), open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The one writer: stdout (never closed) or path, flushed inside _output_errors."""
+    with _output_errors(), (contextlib.nullcontext(sys.stdout) if path is None
+                            else open(path, "w", encoding="utf-8", newline="")) as fh:
+        yield fh
+        fh.flush()
 
 
 def _apply_eta(parsed, eta):
@@ -132,14 +134,11 @@ def _sample(args, evaluator) -> solution.SolutionGrid:
 
 
 def _write_grid(args, grid: solution.SolutionGrid) -> None:
-    if args.format == "structured-document":
-        _write_text(args.output, documents.dumps_document(documents.grid_document(grid)))
-        return
-    if args.output is None:
-        documents.write_grid_csv(sys.stdout, grid)
-        return
-    with _output_errors(), open(args.output, "w", encoding="utf-8", newline="") as fh:
-        documents.write_grid_csv(fh, grid)
+    with _output(args.output) as fh:
+        if args.format == "structured-document":
+            fh.write(documents.dumps_document(documents.grid_document(grid)))
+        else:
+            documents.write_grid_csv(fh, grid)
 
 
 def cmd_build(args) -> int:
@@ -149,8 +148,8 @@ def cmd_build(args) -> int:
     spec = _apply_eta(parsed, args.eta)
     triplet = realization.build_triplet(spec)
     diagnostics = realization.validate_triplet(triplet)
-    _write_text(args.output, documents.dumps_document(
-        documents.triplet_document(triplet, diagnostics)))
+    with _output(args.output) as fh:
+        fh.write(documents.dumps_document(documents.triplet_document(triplet, diagnostics)))
     return 0
 
 
@@ -283,8 +282,8 @@ def cmd_verify(args) -> int:
                        "measured": measured if math.isfinite(measured) else None,
                        "tolerance": threshold, "detail": detail})
     passed = all(c["passed"] for c in checks)
-    _write_text(args.output, documents.dumps_document(
-        dict(v.report, passed=passed, perCheckStatus=checks)))
+    with _output(args.output) as fh:
+        fh.write(documents.dumps_document(dict(v.report, passed=passed, perCheckStatus=checks)))
     return 0 if passed else 4
 
 
@@ -309,11 +308,10 @@ def cmd_frames(args) -> int:
     grid = _sample(args, _evaluator_from_args(args))
     with _output_errors():
         os.makedirs(args.output, exist_ok=True)
-        x_cells = [documents.format_float(x) for x in grid.x.tolist()]
-        for i, us in enumerate(grid.u.tolist()):
-            path = os.path.join(args.output, f"frame_{i:04d}.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                documents.write_frame_csv(fh, x_cells, us)
+    x_cells = [documents.format_float(x) for x in grid.x.tolist()]
+    for i, us in enumerate(grid.u.tolist()):
+        with _output(os.path.join(args.output, f"frame_{i:04d}.csv")) as fh:
+            documents.write_frame_csv(fh, x_cells, us)
     return 0
 
 

@@ -295,10 +295,11 @@ class LuFactors:
         return det, overflow, ~overflow & (near | self.singular())
 
     def check_solvable(self) -> None:
-        """Raise for the first member that is non-finite or fails the pivot gate."""
+        """Raise for the first member that is non-finite ("overflow in member i of a factored
+        stack") or fails the pivot gate ("solve: matrix is singular ...")."""
         for i in np.flatnonzero(~np.isfinite(self.max_abs) | self.singular())[:1]:
             if not np.isfinite(self.max_abs[i]):
-                raise OverflowDetectedError("overflow in lu_factor input")
+                raise OverflowDetectedError(f"overflow in member {i} of a factored stack")
             raise SingularMatrixError("solve: matrix is singular to working precision "
                                       f"(pivot {self.min_pivot()[i]:.3e})")
 

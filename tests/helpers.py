@@ -138,23 +138,28 @@ def many_poles_triplet(seed: int) -> Triplet:
     return build_triplet(documents.parse_input_document(workloads.many_poles_spec(seed)))
 
 
-def simple_pole_tau(spec: ScatteringSpec, xs, ts) -> np.ndarray:
-    """det Gamma of a spec whose poles are all simple, as a tau-function of the spec alone.
+def simple_pole_lambda_rho(spec: ScatteringSpec) -> tuple[list, list]:
+    """(lambda_j, rho_j) of a spec whose poles are all simple.
 
     Each reflection pole z with coefficient c (realization._partial_fraction_terms)
-    gives lambda = -i z and rho = i c, each bound state lambda = kappa and rho = c;
-    tau = sum over subsets S of prod_{j in S} rho_j / (2 lambda_j)
-    exp(-2 lambda_j x + (8 lambda_j^3 + 2 eta lambda_j) t)
-    prod_{i<j in S} ((lambda_i - lambda_j) / (lambda_i + lambda_j))^2, complex, at
-    broadcast xs, ts. It shares no matrix, exponential or factorization with the kernel.
+    gives lambda = -i z and rho = i c, each bound state lambda = kappa and rho = c,
+    so that C e^{-yA} B = sum_j rho_j e^{-lambda_j y}.
     """
     terms = realization._partial_fraction_terms(spec)
     if any(len(coeffs) != 1 for _, coeffs in terms):
-        raise ValueError("simple_pole_tau takes simple poles only")
+        raise ValueError("simple-pole oracles take simple poles only")
     lam = [-1j * z for z, _ in terms] + [complex(s.kappa) for s in spec.bound_states]
     rho = [1j * coeffs[0] for _, coeffs in terms] + [complex(s.c) for s in spec.bound_states]
+    return lam, rho
+
+
+def _subset_terms(spec: ScatteringSpec, xs, ts):
+    """(Lambda_S, T_S) for each subset S of simple_pole_lambda_rho's terms, at broadcast xs, ts:
+    Lambda_S = sum_{j in S} lambda_j and T_S = prod_{j in S} rho_j / (2 lambda_j)
+    exp(-2 lambda_j x + (8 lambda_j^3 + 2 eta lambda_j) t)
+    prod_{i<j in S} ((lambda_i - lambda_j) / (lambda_i + lambda_j))^2, complex."""
+    lam, rho = simple_pole_lambda_rho(spec)
     xs, ts = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ts, dtype=float))
-    tau = np.zeros(xs.shape, dtype=complex)
     for members in itertools.product((False, True), repeat=len(lam)):
         sel = [j for j, inside in enumerate(members) if inside]
         term = np.ones(xs.shape, dtype=complex)
@@ -163,5 +168,27 @@ def simple_pole_tau(spec: ScatteringSpec, xs, ts) -> np.ndarray:
             term *= rho[j] / (2.0 * lam[j]) * np.exp(theta)
         for i, j in itertools.combinations(sel, 2):
             term *= ((lam[i] - lam[j]) / (lam[i] + lam[j])) ** 2
-        tau += term
-    return tau
+        yield sum(lam[j] for j in sel), term
+
+
+def simple_pole_tau(spec: ScatteringSpec, xs, ts) -> np.ndarray:
+    """det Gamma of a spec whose poles are all simple, as a tau-function of the spec alone.
+
+    tau = sum over subsets S of T_S (_subset_terms), complex, at broadcast xs, ts.
+    It shares no matrix, exponential or factorization with the kernel.
+    """
+    return sum(term for _, term in _subset_terms(spec, xs, ts))
+
+
+def simple_pole_u(spec: ScatteringSpec, xs, ts) -> np.ndarray:
+    """u = -2 (log tau)_xx from simple_pole_tau's subset sum, complex.
+
+    Each T_S depends on x through exp(-2 Lambda_S x), so tau_x = sum -2 Lambda_S T_S
+    and tau_xx = sum 4 Lambda_S^2 T_S, and u = -2 (tau_xx / tau - (tau_x / tau)^2).
+    """
+    tau = tau_x = tau_xx = 0.0
+    for lam_s, term in _subset_terms(spec, xs, ts):
+        tau = tau + term
+        tau_x = tau_x - 2.0 * lam_s * term
+        tau_xx = tau_xx + 4.0 * lam_s ** 2 * term
+    return -2.0 * (tau_xx / tau - (tau_x / tau) ** 2)

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import io
 import json
 import math
 import os
@@ -533,6 +535,70 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert "cannot read input" in capsys.readouterr().err
 
 
+class FailingStream(io.StringIO):
+    """A stdout whose write or flush raises OSError(errno)."""
+
+    def __init__(self, method: str, errno_: int):
+        super().__init__()
+        self.method, self.errno = method, errno_
+
+    def _check(self, method):
+        if method == self.method:
+            raise OSError(self.errno, os.strerror(self.errno))
+
+    def write(self, text):
+        self._check("write")
+        return super().write(text)
+
+    def flush(self):
+        self._check("flush")
+        super().flush()
+
+
+_SMALL_GRID = ["--x", "0:1:2", "--t", "0:1:2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["build"], ["eval", *_SMALL_GRID], ["eval", "--format", "structured-document", *_SMALL_GRID],
+    ["verify", "--x", "0:1:3", "--t", "0:0.5:3"], ["soliton", *_SMALL_GRID],
+], ids=["build", "eval-csv", "eval-structured-document", "verify", "soliton"])
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("errno_", [errno.EPIPE, errno.ENOSPC], ids=["EPIPE", "ENOSPC"])
+def test_failed_stdout_write_exits_2(tmp_path, capsys, monkeypatch, argv, method, errno_):
+    monkeypatch.setattr(sys, "stdout", FailingStream(method, errno_))
+    assert main(argv + ["--input", write_doc(tmp_path, ONE_SOLITON_DOC)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write output: [Errno {errno_}] {os.strerror(errno_)}\n")
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_undecodable_input_exits_2(tmp_path, capsys, command):
+    src = tmp_path / "bad.json"
+    src.write_bytes(b"\xff\xfe{}")
+    assert main([command, "--input", str(src), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read input: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_full_or_closed_stdout_exits_2_in_a_fresh_interpreter(tmp_path):
+    # the only stderr line is the error: nothing at interpreter exit flushes the
+    # failed stdout again. The ~1 MB CSV outgrows the pipe's buffer, so a read end
+    # closed after one read makes a later write fail.
+    argv = [sys.executable, "-c", "import sys; from kdvexact.cli import main; sys.exit(main())",
+            "eval", "--input", write_doc(tmp_path, ONE_SOLITON_DOC)]
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, env=fresh_env())
+    assert (out.returncode, out.stderr) == (
+        2, "error: cannot write output: [Errno 28] No space left on device\n")
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=fresh_env()) as proc:
+        assert proc.stdout.read(1) == "x"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (2, "error: cannot write output: [Errno 32] Broken pipe\n")
+
+
 def test_console_script_smoke(tmp_path):
     script = shutil.which("kdvexact")
     cmd = [script] if script else [sys.executable, "-m", "kdvexact.cli"]
@@ -574,11 +640,16 @@ def write_readme_doc(tmp_path) -> str:
     return str(readme_doc)
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports kdvexact from this checkout."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
     """Run script in a fresh interpreter that imports kdvexact from this checkout."""
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+                          env=fresh_env())
 
 
 def test_no_subcommand_loads_scipy_integrate(tmp_path):

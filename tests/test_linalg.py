@@ -322,7 +322,7 @@ def test_gates_read_a_non_finite_entry_as_overflow_whatever_the_pivots():
     assert det.tolist() == [1.0, 1.0, 1.0]
     assert overflow.tolist() == [False, True, True]
     assert near.tolist() == [False, False, False]
-    with pytest.raises(OverflowDetectedError, match=r"^overflow in lu_factor input$"):
+    with pytest.raises(OverflowDetectedError, match=r"^overflow in member 1 of a factored stack$"):
         f.check_solvable()
 
 

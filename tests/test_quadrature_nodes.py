@@ -259,7 +259,7 @@ def test_marchenko_rejects_bad_sample_before_any_work(monkeypatch, x, y, index):
 
 @pytest.mark.parametrize("first, error, message", [
     (0, SingularMatrixError, r"singular to working precision \(pivot 9.848e-01\)"),
-    (1, OverflowDetectedError, "overflow in lu_factor input"),
+    (1, OverflowDetectedError, r"^overflow in member 0 of a factored stack$"),
 ])
 def test_marchenko_raises_for_the_first_bad_sample(monkeypatch, first, error, message):
     # the README JSON document's Gamma fails the pivot gate at x = 0, t = 0.5; the
