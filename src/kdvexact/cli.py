@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import io
 import math
 import os
 import sys
@@ -108,6 +109,15 @@ def _output(path: str | None):
         fh.flush()
 
 
+def _write_document(fh, doc: dict) -> None:
+    """documents.dumps_document(doc) in pieces of io.DEFAULT_BUFFER_SIZE characters, as
+    write_grid_csv writes a row at a time: one write larger than a pipe can hold may end
+    short without an error when the reader goes, and the next piece's write raises it."""
+    text = documents.dumps_document(doc)
+    for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+        fh.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
+
+
 def _apply_eta(parsed, eta):
     return parsed if eta is None else dataclasses.replace(parsed, eta=eta)
 
@@ -136,7 +146,7 @@ def _sample(args, evaluator) -> solution.SolutionGrid:
 def _write_grid(args, grid: solution.SolutionGrid) -> None:
     with _output(args.output) as fh:
         if args.format == "structured-document":
-            fh.write(documents.dumps_document(documents.grid_document(grid)))
+            _write_document(fh, documents.grid_document(grid))
         else:
             documents.write_grid_csv(fh, grid)
 
@@ -149,7 +159,7 @@ def cmd_build(args) -> int:
     triplet = realization.build_triplet(spec)
     diagnostics = realization.validate_triplet(triplet)
     with _output(args.output) as fh:
-        fh.write(documents.dumps_document(documents.triplet_document(triplet, diagnostics)))
+        _write_document(fh, documents.triplet_document(triplet, diagnostics))
     return 0
 
 
@@ -283,7 +293,7 @@ def cmd_verify(args) -> int:
                        "tolerance": threshold, "detail": detail})
     passed = all(c["passed"] for c in checks)
     with _output(args.output) as fh:
-        fh.write(documents.dumps_document(dict(v.report, passed=passed, perCheckStatus=checks)))
+        _write_document(fh, dict(v.report, passed=passed, perCheckStatus=checks))
     return 0 if passed else 4
 
 

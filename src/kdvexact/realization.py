@@ -300,11 +300,17 @@ def reflection_partial_fractions(spec: ScatteringSpec, k: complex) -> complex:
 
     Independent of the realization matrices; used as the oracle the
     resolvent route is checked against, and as the integrand of
-    verification.omega_quadrature_check. A pole raises SingularMatrixError.
+    verification.omega_quadrature_check. A k that is a pole to working
+    precision raises SingularMatrixError: the resolvent route's pivot
+    gate (linalg._pivot_gate) on the distances |k - z| to the poles z,
+    the least against the largest, so next to a pole both routes raise
+    or both return.
     """
     terms, k = _partial_fraction_terms(spec), complex(k)
-    if any(k == z for z, _ in terms):
-        raise SingularMatrixError(f"reflection_partial_fractions: k = {k} is a pole")
+    dist = [abs(k - z) for z, _ in terms]
+    if dist and linalg._pivot_gate(min(dist), max(dist)):
+        raise SingularMatrixError(f"reflection_partial_fractions: k = {k} is a pole to working "
+                                  f"precision (distance {min(dist):.3e})")
     return _partial_fraction_sum(terms, k)
 
 

@@ -14,12 +14,17 @@ The resolvent-kernel form runs on one batched kernel,
 GammaEvaluator.evaluate: a stack of exp(-x A) per x and of E(t) per t
 (linalg.expm_stack, per diagonal block of A: closed form or Pade),
 then per chunk of the (t, x) grid Gamma^T = E(t)^T S(x)^T + I written
-into one workspace and handed to linalg's stacked LU as Fortran-ordered
+into a workspace and handed to linalg's stacked LU as Fortran-ordered
 members. linalg.LuFactors.gates gives det Gamma and the flags as masks,
-and the passing points are solved. A point that fails a gate is flagged, never raised for. Scalar
-sample() is a batch of one, so grid and scalar values agree bit for
-bit. Gamma, the log-det route and the kernel K stay per point and off
-the batched kernel, as independent checks of its algebra: one builder
+and the passing points are solved. A point that fails a gate is flagged,
+never raised for. A grid of one chunk runs on the calling thread; a
+larger one is shared with a helper thread when the process may run on
+more than one CPU, each with its own workspace. Every member is formed,
+factored and solved alone, so the bytes depend on neither the chunking
+nor the schedule. Scalar sample() is a batch of one, so grid and scalar
+values agree bit for bit. Gamma, the log-det route and the kernel K
+stay per point and off the batched kernel, as independent checks of its
+algebra: one builder
 forms exp(-x A), E(t) and Gamma for all three through linalg.expm, the
 checked front end of the kernel's exponential, and the log-det route
 and K factor and solve Gamma per point through linalg.lu_factor and
@@ -27,8 +32,10 @@ linalg.solve, the checked front ends of the kernel's stacked LU.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +54,27 @@ FLAG_OVERFLOW = "overflow"
 
 # Byte budget of one chunk of the batched kernel's Gamma (points x P x P):
 # whole t rows, or part of one row when a row alone exceeds it. Each
-# evaluate call allocates it once as the workspace every chunk is formed
-# and factored in; the per-axis stacks, exp(-xA) and S(x) per x and E(t)
-# per t, take O((n_x + n_t) P^2) on their own.
+# worker of an evaluate call allocates it once as the workspace its chunks
+# are formed and factored in; the per-axis stacks, exp(-xA) and S(x) per x
+# and E(t) per t, take O((n_x + n_t) P^2) on their own.
 CHUNK_BYTES = 1 << 21
+# Workers of one evaluate call, the calling thread included, when its grid
+# has more than one chunk. The helper's workspace takes the place of the
+# chunk-sized |Gamma| copy the LAPACK branch of the stacked LU no longer
+# makes, so the call stays within the working set of one worker; a third
+# would add a workspace (P = 64 on 41 x 11 points: 8.1 MB against 6.5 MB).
+_MAX_WORKERS = 2
+
+
+def _workers(chunks: int) -> int:
+    """Threads for a grid of this many chunks: the CPUs this process may run on, at most
+    one per chunk and _MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(chunks, cpus, _MAX_WORKERS)
+
 
 # Per-point outcome codes of the batched kernel, indexing the flag names.
 _OK, _NEAR_SINGULAR, _OVERFLOW = range(3)
@@ -102,8 +126,10 @@ class GammaEvaluator:
     """Holds the x- and t-independent pieces of Gamma(x, t).
 
     Q is the verified Lyapunov solution and flow = 8 A^3 + 2 eta A.
-    Every evaluation computes its own exponentials, so an evaluator
-    holds no mutable state and can be shared between threads.
+    Every evaluation computes its own exponentials and workspaces, and
+    its helper thread, if any, ends with the call, so an evaluator holds
+    no mutable state and can be shared between threads and used after
+    os.fork.
     """
 
     triplet: realization.Triplet
@@ -160,9 +186,12 @@ class GammaEvaluator:
         solution or u is overflow again. No point raises; an
         axis of more than one dimension, a negative or non-finite x or a
         non-finite t raises SpecValidationError, whatever the other axis
-        holds (empty included). Each call works in
-        its own chunks and workspace (CHUNK_BYTES), so threads may share
-        an evaluator.
+        holds (empty included). Each call works in its own chunks and
+        workspaces (CHUNK_BYTES each), so threads may share an evaluator.
+        A grid of more than one chunk is shared between the calling
+        thread and up to _MAX_WORKERS - 1 helpers, as many as the CPUs
+        the process may run on (os.sched_getaffinity), started and
+        joined within the call.
         """
         xs = np.array(xs, dtype=float, ndmin=1)
         ts = np.array(ts, dtype=float, ndmin=1)
@@ -187,32 +216,70 @@ class GammaEvaluator:
         return SolutionGrid(x=xs, t=ts, u=u, det_gamma=det, flags=flags)
 
     def _fill(self, xs, ts, with_u, u, det, code) -> None:
+        """Fill the outputs: set up the per-axis stacks, then gate and solve chunk by chunk.
+
+        A grid of one chunk runs on the calling thread alone. Otherwise n = _workers
+        threads share both steps, the caller and n - 1 helpers of a pool made for this
+        call, each with its own workspace: worker k forms S(x) for the k-th n-th of the x
+        points, and then works every n-th chunk from the k-th. The helpers call no public
+        function, so nothing a tracer wraps runs off the calling thread.
+        """
         a, b, c, p = self.triplet.A, self.triplet.B, self.triplet.C, self.P
-        exa, x_overflow = linalg.expm_stack(a, -xs)
-        exa[x_overflow] = np.nan   # an overflowed member makes a NaN Gamma: the gates read overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            side = exa @ self.Q @ exa                   # exp(-xA) Q exp(-xA), per x
-            rb = exa @ b
-            # both solves' right sides, points-last: (P, 2, x)
-            rhs = np.concatenate([rb, a @ rb], axis=-1).transpose(1, 2, 0).copy()
-        props, t_overflow = linalg.expm_stack(self.flow, ts)   # E(t), per t
-        props[t_overflow] = np.nan   # likewise
         cols = min(xs.size, max(1, CHUNK_BYTES // (8 * p * p)))   # rows = 1 if cols < xs.size,
         rows = max(1, CHUNK_BYTES // (8 * p * p * cols))          # so outputs stay flat views
-        work = np.empty((min(rows, ts.size) * cols, p, p))
-        for lo, x_lo in itertools.product(range(0, ts.size, rows), range(0, xs.size, cols)):
-            sl, xl = slice(lo, lo + rows), slice(x_lo, x_lo + cols)
-            prop, part = props[sl], side[xl]
-            gt = work[:len(prop) * len(part)]
+        chunks = list(itertools.product(range(0, ts.size, rows), range(0, xs.size, cols)))
+        n = _workers(len(chunks))
+        works = [np.empty((min(rows, ts.size) * cols, p, p)) for _ in range(n)]
+        exa, x_overflow = linalg.expm_stack(a, -xs)
+        exa[x_overflow] = np.nan   # an overflowed member makes a NaN Gamma: the gates read overflow
+        side = np.empty_like(exa)
+        cuts = [xs.size * k // n for k in range(n + 1)]
+
+        def form_side(k, work):
+            """S(x) = exp(-xA) Q exp(-xA) for the k-th n-th of the x points, through work."""
             with np.errstate(over="ignore", invalid="ignore"):
-                ce = c @ prop                            # C E(t), per t
-                # Gamma^T = E(t)^T S(x)^T, so each Gamma is a Fortran-ordered member
-                np.matmul(prop.transpose(0, 2, 1)[:, None], part.transpose(0, 2, 1),
-                          out=gt.reshape(len(prop), len(part), p, p))
-                gt.reshape(len(gt), -1)[:, ::p + 1] += 1.0
-            factors = linalg._lu_factor_members(gt.transpose(0, 2, 1))
-            self._fill_rows(factors, with_u, exa[xl], ce, rhs[..., xl], u[sl, xl].reshape(-1),
-                            det[sl, xl].reshape(-1), code[sl, xl].reshape(-1))
+                for x_lo in range(cuts[k], cuts[k + 1], len(work)):
+                    part = exa[x_lo:min(x_lo + len(work), cuts[k + 1])]
+                    np.matmul(np.matmul(part, self.Q, out=work[:len(part)]), part,
+                              out=side[x_lo:x_lo + len(part)])
+
+        def run(share, work):
+            for lo, x_lo in share:
+                sl, xl = slice(lo, lo + rows), slice(x_lo, x_lo + cols)
+                prop, part = props[sl], side[xl]
+                gt = work[:len(prop) * len(part)]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ce = c @ prop                            # C E(t), per t
+                    # Gamma^T = E(t)^T S(x)^T, so each Gamma is a Fortran-ordered member
+                    np.matmul(prop.transpose(0, 2, 1)[:, None], part.transpose(0, 2, 1),
+                              out=gt.reshape(len(prop), len(part), p, p))
+                    gt.reshape(len(gt), -1)[:, ::p + 1] += 1.0
+                factors = linalg._lu_factor_members(gt.transpose(0, 2, 1))
+                self._fill_rows(factors, with_u, exa[xl], ce, rhs[..., xl],
+                                u[sl, xl].reshape(-1), det[sl, xl].reshape(-1),
+                                code[sl, xl].reshape(-1))
+
+        # every member and chunk is written by one worker alone, so no schedule moves a
+        # bit; the pool lives for this call only, so no thread outlives it into a fork
+        pool = contextlib.nullcontext()
+        if n > 1:
+            import concurrent.futures   # it loads logging: only a shared grid pays for that
+            pool = concurrent.futures.ThreadPoolExecutor(n - 1)
+        with pool:
+            helpers = [pool.submit(form_side, k, works[k]) for k in range(1, n)]
+            props, t_overflow = linalg.expm_stack(self.flow, ts)   # E(t), per t
+            props[t_overflow] = np.nan   # likewise
+            form_side(0, works[0])
+            with np.errstate(over="ignore", invalid="ignore"):
+                rb = exa @ b
+                # both solves' right sides, points-last: (P, 2, x)
+                rhs = np.concatenate([rb, a @ rb], axis=-1).transpose(1, 2, 0).copy()
+            for helper in helpers:
+                helper.result()
+            helpers = [pool.submit(run, chunks[k::n], works[k]) for k in range(1, n)]
+            run(chunks[::n], works[0])
+            for helper in helpers:
+                helper.result()
 
     def _fill_rows(self, factors, with_u, exa, ce, rhs, u, det, code) -> None:
         """Gate (LuFactors.gates) and solve one factored chunk; the outputs are flat views."""

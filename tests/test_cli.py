@@ -583,20 +583,23 @@ def test_undecodable_input_exits_2(tmp_path, capsys, command):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
 def test_full_or_closed_stdout_exits_2_in_a_fresh_interpreter(tmp_path):
     # the only stderr line is the error: nothing at interpreter exit flushes the
-    # failed stdout again. The ~1 MB CSV outgrows the pipe's buffer, so a read end
-    # closed after one read makes a later write fail.
-    argv = [sys.executable, "-c", "import sys; from kdvexact.cli import main; sys.exit(main())",
-            "eval", "--input", write_doc(tmp_path, ONE_SOLITON_DOC)]
-    with open("/dev/full", "w") as full:
-        out = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, env=fresh_env())
-    assert (out.returncode, out.stderr) == (
-        2, "error: cannot write output: [Errno 28] No space left on device\n")
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                          env=fresh_env()) as proc:
-        assert proc.stdout.read(1) == "x"
-        proc.stdout.close()
-        err = proc.stderr.read()
-    assert (proc.returncode, err) == (2, "error: cannot write output: [Errno 32] Broken pipe\n")
+    # failed stdout again. The ~1 MB CSV and structured document outgrow the pipe's
+    # buffer, so a read end closed after one read makes a later write fail.
+    for fmt, first in (("csv", "x"), ("structured-document", "{")):
+        argv = [sys.executable, "-c", "import sys; from kdvexact.cli import main; sys.exit(main())",
+                "eval", "--input", write_doc(tmp_path, ONE_SOLITON_DOC), "--format", fmt]
+        with open("/dev/full", "w") as full:
+            out = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                                 env=fresh_env())
+        assert (out.returncode, out.stderr) == (
+            2, "error: cannot write output: [Errno 28] No space left on device\n"), fmt
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=fresh_env()) as proc:
+            assert proc.stdout.read(1) == first
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (
+            2, "error: cannot write output: [Errno 32] Broken pipe\n"), fmt
 
 
 def test_console_script_smoke(tmp_path):

@@ -1,10 +1,16 @@
 """The batched evaluation kernel: grid, scalar and check routes agree exactly."""
 from __future__ import annotations
 
+import contextlib
 import functools
+import hashlib
+import os
+import select
+import signal
 import sys
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -244,6 +250,109 @@ def test_threads_share_one_lapack_evaluator():
         assert got.u.tobytes() == want.u.tobytes()
         assert got.det_gamma.tobytes() == want.det_gamma.tobytes()
         assert np.array_equal(got.flags, want.flags)
+
+
+@contextlib.contextmanager
+def _workers(n: int):
+    """Let evaluate run on n CPUs, and on n workers where n exceeds solution._MAX_WORKERS."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)), create=True), \
+            mock.patch.object(solution, "_MAX_WORKERS", max(n, solution._MAX_WORKERS)):
+        yield
+
+
+@contextlib.contextmanager
+def _factoring_threads():
+    """Record the thread that factors each chunk of evaluate, in a list."""
+    seen, factor = [], linalg._lu_factor_members
+
+    def recorded(m):
+        seen.append(threading.get_ident())
+        return factor(m)
+
+    with mock.patch.object(linalg, "_lu_factor_members", recorded):
+        yield seen
+
+
+def _digest(grid) -> bytes:
+    return hashlib.sha256(grid.u.tobytes() + grid.det_gamma.tobytes()
+                          + grid.flags.tobytes()).digest()
+
+
+_WORKER_GRIDS = {   # (evaluator, xs, ts, one-row chunks?)
+    "P3": (README_EV, np.linspace(0.0, 10.0, 11), [0.0, 0.3, 1.0, 5.0, 11.0, 30.0], True),
+    "P8": (make_evaluator(_dense_triplet(8)), *_DENSE_GRID, True),
+    # P = 64 rows of 201 x points, each split into four chunks by the byte budget itself
+    "P64-x-split": (make_evaluator(helpers.many_poles_triplet(1)), np.linspace(0.0, 10.0, 201),
+                    [0.0, 0.05], False),
+}
+
+
+@pytest.mark.parametrize("grid", list(_WORKER_GRIDS))
+def test_worker_count_moves_no_bit(grid):
+    ev, xs, ts, one_row = _WORKER_GRIDS[grid]
+    results, threads = {}, {}
+    for n in (1, 2, 4):
+        chunking = _chunk_rows(ev, len(xs), 1) if one_row else contextlib.nullcontext()
+        with chunking, _workers(n), _factoring_threads() as seen:
+            results[n] = ev.evaluate(xs, ts)
+        threads[n] = len(set(seen))
+    # the pool may hand a quick share to a helper that has finished its own
+    assert len(seen) >= 5 and threads[1] == 1 and threads[2] == 2 and 2 <= threads[4] <= 4
+    for n in (2, 4):
+        assert results[n].u.tobytes() == results[1].u.tobytes()
+        assert results[n].det_gamma.tobytes() == results[1].det_gamma.tobytes()
+        assert np.array_equal(results[n].flags, results[1].flags)
+    if grid != "P64-x-split":
+        assert set(results[1].flags.ravel()) == {FLAG_OK, FLAG_NEAR_SINGULAR, FLAG_OVERFLOW}
+
+
+def test_affinity_beyond_max_workers_starts_no_more_threads():
+    ev, xs, ts, _ = _WORKER_GRIDS["P64-x-split"]
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(8)), create=True), \
+            _factoring_threads() as seen:
+        ev.evaluate(xs, ts)
+    assert len(seen) == 8 and len(set(seen)) == solution._MAX_WORKERS == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_multi_chunk_evaluate_finishes_in_a_fork_child():
+    ev, xs, ts, _ = _WORKER_GRIDS["P64-x-split"]
+    ready = []
+    with _workers(2):
+        want = _digest(ev.evaluate(xs, ts))   # the parent starts and joins a helper first
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:   # the child never returns into the test runner
+            try:
+                os.write(write, _digest(ev.evaluate(xs, ts)))
+            finally:
+                os._exit(0)
+    os.close(write)
+    try:
+        ready, _, _ = select.select([read], [], [], 120)
+        got = os.read(read, len(want)) if ready else b""
+    finally:
+        os.close(read)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert ready, "the child's evaluate did not finish in 120 s"
+    assert got == want
+
+
+@pytest.mark.parametrize("ev, ts", [
+    (README_EV, [0.0, 10.43, 0.3, 30.0]),
+    (make_evaluator(_dense_triplet(8)), [0.0, 31.75, 0.5, 40.0]),
+], ids=["P3", "P8"])
+def test_a_helper_share_with_overflow_leaks_no_warning(ev, ts):
+    # one t row a chunk: the helper of two workers takes rows 1 and 3. Its thread starts with
+    # numpy's default error state, and Gamma's matmul overflows at t = 10.43 (P = 3) and
+    # 31.75 (P = 8), so only the kernel's own errstate keeps it quiet
+    xs = np.linspace(0.0, 10.0, 11)
+    with _chunk_rows(ev, len(xs), 1), _workers(2), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flags = ev.evaluate(xs, ts).flags
+    assert FLAG_OVERFLOW in flags[1::2]
 
 
 def test_evaluate_forms_every_propagator_in_one_call():

@@ -342,13 +342,34 @@ def test_both_reflection_routes_raise_singular_at_a_pole():
     refl = build_reflection_triplet(spec)
     for k in (complex(S3 / 2, 0.5), complex(-S3 / 2, 0.5)):
         with pytest.raises(SingularMatrixError,
-                           match=f"^reflection_partial_fractions: k = {re.escape(str(k))} is a pole$"):
+                           match=f"^reflection_partial_fractions: k = {re.escape(str(k))} is a "
+                                 r"pole to working precision \(distance 0\.000e\+00\)$"):
             reflection_partial_fractions(spec, k)
         with pytest.raises(SingularMatrixError):
             eval_reflection(refl, k)
         near = k + 1e-9
         assert reflection_partial_fractions(spec, near) == pytest.approx(
             eval_reflection(refl, near), rel=1e-6)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-15, 1e-14, 1e-13, 1e-12])
+def test_reflection_routes_agree_on_raising_next_to_a_pole(delta):
+    # both routes take the pivot gate relative to the largest distance: at the README
+    # spec's poles they raise up to 1e-14 away and return from 1e-13, in every direction
+    spec = helpers.three_block_spec()
+    refl = build_reflection_triplet(spec)
+    for pole in (complex(S3 / 2, 0.5), complex(-S3 / 2, 0.5)):
+        for k in (pole + delta, pole - delta, pole + 1j * delta, pole - 1j * delta):
+            outcomes = []
+            for route, arg in ((reflection_partial_fractions, spec), (eval_reflection, refl)):
+                try:
+                    outcomes.append(route(arg, k))
+                except SingularMatrixError:
+                    outcomes.append(None)
+            pf, resolvent = outcomes
+            assert (pf is None) == (resolvent is None) == (delta <= 1e-14), (k, outcomes)
+            if pf is not None:   # |r| ~ 1 / delta: the routes differ by the resolvent's rounding
+                assert pf == pytest.approx(resolvent, rel=1e-2)
 
 
 def test_bound_state_only_reflection_is_zero():
