@@ -24,6 +24,7 @@ import functools
 import io
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -138,8 +139,8 @@ def _sample(args, evaluator) -> solution.SolutionGrid:
     grid = solution.sample_grid(evaluator, np.linspace(x0, x1, nx), np.linspace(t0, t1, nt))
     if np.any(grid.flags == solution.FLAG_OK):
         return grid
-    labels, counts = np.unique(grid.flags, return_counts=True)
-    summary = ", ".join(f"{label}: {count}" for label, count in zip(labels, counts))
+    labels = sorted(set(grid.flags.ravel().tolist()))   # not np.unique, which loads numpy.ma
+    summary = ", ".join(f"{label}: {np.count_nonzero(grid.flags == label)}" for label in labels)
     raise NumericalError(f"every grid point is flagged ({summary})")
 
 
@@ -322,6 +323,10 @@ def cmd_frames(args) -> int:
     for i, us in enumerate(grid.u.tolist()):
         with _output(os.path.join(args.output, f"frame_{i:04d}.csv")) as fh:
             documents.write_frame_csv(fh, x_cells, us)
+    with _output_errors():   # drop what a longer earlier run left: the directory holds this run
+        for name in os.listdir(args.output):
+            if re.fullmatch(r"frame_\d{4,}\.csv", name) and int(name[6:-4]) >= grid.t.size:
+                os.remove(os.path.join(args.output, name))
     return 0
 
 

@@ -135,8 +135,9 @@ def _block_plan(shape: tuple, data: bytes) -> tuple:
 
     m splits into diagonal blocks by its exact-zero pattern: a block ends
     at j when no nonzero entry couples rows or columns 0..j with
-    j+1..n-1. One (rows, blocks, closed) group per block size: rows
-    gathers the blocks, its transpose their columns. 2 x 2 blocks with
+    j+1..n-1. One (rows, blocks, closed) group per block size, smallest
+    first (a set, not np.unique, which loads numpy.ma): rows gathers the
+    blocks, its transpose their columns. 2 x 2 blocks with
     delta = ((m00 - m11) / 2)^2 + m01 m10 <= 0 (a sign no scale changes,
     taken exactly on the block over a power of two) form their own group:
     blocks holds N and closed (mu, r), block = mu I + N, N^2 = -r^2 I.
@@ -147,7 +148,7 @@ def _block_plan(shape: tuple, data: bytes) -> tuple:
     ends = np.flatnonzero(np.maximum.accumulate(reach) == idx) + 1
     starts, sizes = np.concatenate([[0], ends])[:-1], np.diff(ends, prepend=0)
     plan = []
-    for size in np.unique(sizes):
+    for size in sorted(set(sizes.tolist())):
         rows = starts[sizes == size][:, None, None] + np.arange(size)[:, None]
         blocks = m[rows, rows.transpose(0, 2, 1)]
         route = np.zeros(len(rows), dtype=bool)   # the blocks that take the closed form
@@ -390,8 +391,9 @@ def _lu_factor_members(lu: np.ndarray) -> LuFactors:
                 mag = np.abs(lu[sl].transpose(0, 2, 1), out=buf[:len(lu[sl])])
                 max_abs[sl] = np.max(mag.reshape(len(mag), n * n), axis=1, initial=0.0)
                 norm_inf[sl] = np.max(np.ones(n) @ mag, axis=-1, initial=0.0)
-        for i in range(k):   # in place: the assignment back is a no-op
-            lu[i], piv[i], _ = sla.lapack.dgetrf(lu[i], overwrite_a=True)
+        getrf = sla.lapack.dgetrf
+        for member, p in zip(lu, piv):   # in place (overwrite_a): only the pivots are copied out
+            p[:] = getrf(member, 1)[1]
         return LuFactors(lu=lu, piv=piv, max_abs=max_abs, norm_inf=norm_inf)
     a = lu.transpose(1, 2, 0).copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -425,10 +427,10 @@ def lu_solve_stack(factors: LuFactors, idx, rhs: np.ndarray) -> np.ndarray:
         import scipy.linalg as sla
         x = np.array(np.broadcast_to(rhs, shape).transpose(0, 2, 1),
                      dtype=float, order="C").transpose(0, 2, 1)   # Fortran-ordered members
+        getrs, piv = sla.lapack.dgetrs, factors.piv[idx].astype(np.int32)   # LAPACK's int
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for r, i in enumerate(idx):   # in place: the assignment back is a no-op
-                x[r], _ = sla.lapack.dgetrs(factors.lu[i], factors.piv[i], x[r],
-                                            overwrite_b=True)
+            for i, p, b in zip(idx, piv, x):   # in place (overwrite_b, trans 0)
+                getrs(factors.lu[i], p, b, 0, 1)
         return np.ascontiguousarray(x)
     lu = np.take(factors.lu.transpose(1, 2, 0), idx, axis=-1)
     piv = factors.piv[idx]

@@ -11,7 +11,7 @@ form and a trace form of the log-determinant derivatives), plus the
 integral-kernel quantities they both come from.
 
 The resolvent-kernel form runs on one batched kernel,
-GammaEvaluator.evaluate: a stack of exp(-x A) per x and of E(t) per t
+GammaEvaluator.evaluate: blocks of exp(-x A) per x and of E(t) per t
 (linalg.expm_stack, per diagonal block of A: closed form or Pade),
 then per chunk of the (t, x) grid Gamma^T = E(t)^T S(x)^T + I written
 into a workspace and handed to linalg's stacked LU as Fortran-ordered
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import os
 from dataclasses import dataclass
 
@@ -55,14 +54,14 @@ FLAG_OVERFLOW = "overflow"
 # Byte budget of one chunk of the batched kernel's Gamma (points x P x P):
 # whole t rows, or part of one row when a row alone exceeds it. Each
 # worker of an evaluate call allocates it once as the workspace its chunks
-# are formed and factored in; the per-axis stacks, exp(-xA) and S(x) per x
-# and E(t) per t, take O((n_x + n_t) P^2) on their own.
+# are formed and factored in, and caps each per-axis block (exp(-xA), S(x)
+# per x block, E(t) per t block), so memory does not grow with the grid.
 CHUNK_BYTES = 1 << 21
-# Workers of one evaluate call, the calling thread included, when its grid
-# has more than one chunk. The helper's workspace takes the place of the
-# chunk-sized |Gamma| copy the LAPACK branch of the stacked LU no longer
-# makes, so the call stays within the working set of one worker; a third
-# would add a workspace (P = 64 on 41 x 11 points: 8.1 MB against 6.5 MB).
+# Workers of one evaluate call, the calling thread included, sharing each
+# block of a grid of more than one chunk. The helper's workspace takes the
+# place of the chunk-sized |Gamma| copy the LAPACK branch of the stacked LU
+# no longer makes, so the call stays within the working set of one worker;
+# a third would add a workspace (P = 64, 41 x 11 points: 8.1 against 6.5 MB).
 _MAX_WORKERS = 2
 
 
@@ -186,12 +185,12 @@ class GammaEvaluator:
         solution or u is overflow again. No point raises; an
         axis of more than one dimension, a negative or non-finite x or a
         non-finite t raises SpecValidationError, whatever the other axis
-        holds (empty included). Each call works in its own chunks and
-        workspaces (CHUNK_BYTES each), so threads may share an evaluator.
-        A grid of more than one chunk is shared between the calling
-        thread and up to _MAX_WORKERS - 1 helpers, as many as the CPUs
-        the process may run on (os.sched_getaffinity), started and
-        joined within the call.
+        holds (empty included). Each call works in its own chunks, per-axis
+        blocks and workspaces (CHUNK_BYTES each), so threads may share an
+        evaluator and memory does not grow with the grid. A grid of more
+        than one chunk is shared between the calling thread and up to
+        _MAX_WORKERS - 1 helpers, as many as the CPUs the process may run
+        on (os.sched_getaffinity), started and joined within the call.
         """
         xs = np.array(xs, dtype=float, ndmin=1)
         ts = np.array(ts, dtype=float, ndmin=1)
@@ -216,37 +215,37 @@ class GammaEvaluator:
         return SolutionGrid(x=xs, t=ts, u=u, det_gamma=det, flags=flags)
 
     def _fill(self, xs, ts, with_u, u, det, code) -> None:
-        """Fill the outputs: set up the per-axis stacks, then gate and solve chunk by chunk.
+        """Fill the outputs: per x block exp(-xA), S(x) and the right sides, per t block
+        E(t), each of at most CHUNK_BYTES, then gate and solve chunk by chunk.
 
         A grid of one chunk runs on the calling thread alone. Otherwise n = _workers
-        threads share both steps, the caller and n - 1 helpers of a pool made for this
+        threads share each block, the caller and n - 1 helpers of a pool made for this
         call, each with its own workspace: worker k forms S(x) for the k-th n-th of the x
-        points, and then works every n-th chunk from the k-th. The helpers call no public
-        function, so nothing a tracer wraps runs off the calling thread.
+        block, and then works every n-th of the block's chunks from the k-th. A grid wider
+        than a block on both axes forms E(t) again for each x block. The helpers call no
+        public function, so nothing a tracer wraps runs off the calling thread.
         """
         a, b, c, p = self.triplet.A, self.triplet.B, self.triplet.C, self.P
-        cols = min(xs.size, max(1, CHUNK_BYTES // (8 * p * p)))   # rows = 1 if cols < xs.size,
-        rows = max(1, CHUNK_BYTES // (8 * p * p * cols))          # so outputs stay flat views
-        chunks = list(itertools.product(range(0, ts.size, rows), range(0, xs.size, cols)))
-        n = _workers(len(chunks))
+        block = max(1, CHUNK_BYTES // (8 * p * p))   # members of one chunk or per-axis block
+        cols = min(xs.size, block)                   # rows = 1 if cols < xs.size,
+        rows = max(1, block // cols)                 # so outputs stay flat views
+        n = _workers(len(range(0, ts.size, rows)) * len(range(0, xs.size, cols)))
         works = [np.empty((min(rows, ts.size) * cols, p, p)) for _ in range(n)]
-        exa, x_overflow = linalg.expm_stack(a, -xs)
-        exa[x_overflow] = np.nan   # an overflowed member makes a NaN Gamma: the gates read overflow
-        side = np.empty_like(exa)
-        cuts = [xs.size * k // n for k in range(n + 1)]
 
+        # the closures read the current blocks' names, rebound only once their shares joined
         def form_side(k, work):
-            """S(x) = exp(-xA) Q exp(-xA) for the k-th n-th of the x points, through work."""
+            """S(x) = exp(-xA) Q exp(-xA) for the k-th n-th of the x block, through work."""
             with np.errstate(over="ignore", invalid="ignore"):
-                for x_lo in range(cuts[k], cuts[k + 1], len(work)):
-                    part = exa[x_lo:min(x_lo + len(work), cuts[k + 1])]
+                stop = len(exa) * (k + 1) // n
+                for lo in range(len(exa) * k // n, stop, len(work)):
+                    part = exa[lo:min(lo + len(work), stop)]
                     np.matmul(np.matmul(part, self.Q, out=work[:len(part)]), part,
-                              out=side[x_lo:x_lo + len(part)])
+                              out=side[lo:lo + len(part)])
 
         def run(share, work):
             for lo, x_lo in share:
-                sl, xl = slice(lo, lo + rows), slice(x_lo, x_lo + cols)
-                prop, part = props[sl], side[xl]
+                xw = slice(x_lo, x_lo + width)
+                prop, part = props[lo:lo + rows], side[xw]
                 gt = work[:len(prop) * len(part)]
                 with np.errstate(over="ignore", invalid="ignore"):
                     ce = c @ prop                            # C E(t), per t
@@ -255,9 +254,10 @@ class GammaEvaluator:
                               out=gt.reshape(len(prop), len(part), p, p))
                     gt.reshape(len(gt), -1)[:, ::p + 1] += 1.0
                 factors = linalg._lu_factor_members(gt.transpose(0, 2, 1))
-                self._fill_rows(factors, with_u, exa[xl], ce, rhs[..., xl],
-                                u[sl, xl].reshape(-1), det[sl, xl].reshape(-1),
-                                code[sl, xl].reshape(-1))
+                sl = slice(t_lo + lo, t_lo + lo + len(prop))
+                ol = slice(xl.start + x_lo, xl.start + x_lo + len(part))
+                self._fill_rows(factors, with_u, exa[xw], ce, rhs[..., xw], u[sl, ol].reshape(-1),
+                                det[sl, ol].reshape(-1), code[sl, ol].reshape(-1))
 
         # every member and chunk is written by one worker alone, so no schedule moves a
         # bit; the pool lives for this call only, so no thread outlives it into a fork
@@ -266,20 +266,34 @@ class GammaEvaluator:
             import concurrent.futures   # it loads logging: only a shared grid pays for that
             pool = concurrent.futures.ThreadPoolExecutor(n - 1)
         with pool:
-            helpers = [pool.submit(form_side, k, works[k]) for k in range(1, n)]
-            props, t_overflow = linalg.expm_stack(self.flow, ts)   # E(t), per t
-            props[t_overflow] = np.nan   # likewise
-            form_side(0, works[0])
-            with np.errstate(over="ignore", invalid="ignore"):
-                rb = exa @ b
-                # both solves' right sides, points-last: (P, 2, x)
-                rhs = np.concatenate([rb, a @ rb], axis=-1).transpose(1, 2, 0).copy()
-            for helper in helpers:
-                helper.result()
-            helpers = [pool.submit(run, chunks[k::n], works[k]) for k in range(1, n)]
-            run(chunks[::n], works[0])
-            for helper in helpers:
-                helper.result()
+            for xl in (slice(lo, lo + cols) for lo in range(0, xs.size, cols)):
+                exa, x_overflow = linalg.expm_stack(a, -xs[xl])
+                exa[x_overflow] = np.nan   # an overflowed member makes a NaN Gamma: overflow
+                side = np.empty_like(exa)
+                helpers = [pool.submit(form_side, k, works[k]) for k in range(1, n)]
+                for t_lo in range(0, ts.size, block):
+                    if ts.size > block or not xl.start:   # one t block serves every x block
+                        props, t_overflow = linalg.expm_stack(self.flow, ts[t_lo:t_lo + block])
+                        props[t_overflow] = np.nan   # likewise
+                    if not t_lo:   # the caller's share of S(x), while the helpers form theirs
+                        form_side(0, works[0])
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            rb = exa @ b
+                            # both solves' right sides, points-last: (P, 2, x)
+                            rhs = np.concatenate([rb, a @ rb], axis=-1).transpose(1, 2, 0).copy()
+                        for helper in helpers:
+                            helper.result()
+                    # one-row chunks of a block of fewer rows than workers split along x
+                    width = -(-len(side) // n) if rows == 1 and len(props) < n else len(side)
+                    chunks = [(lo, x_lo) for lo in range(0, len(props), rows)
+                              for x_lo in range(0, len(side), width)]
+                    helpers = [pool.submit(run, chunks[k::n], works[k]) for k in range(1, n)]
+                    run(chunks[::n], works[0])
+                    for helper in helpers:
+                        helper.result()
+                    if ts.size > block:
+                        props = None   # so the next block's stacks replace these, not join them
+                exa = side = None
 
     def _fill_rows(self, factors, with_u, exa, ce, rhs, u, det, code) -> None:
         """Gate (LuFactors.gates) and solve one factored chunk; the outputs are flat views."""

@@ -488,6 +488,24 @@ def test_frames_single_t_and_missing_output(tmp_path, capsys):
     assert "needs --output" in capsys.readouterr().err
 
 
+def test_frames_into_a_reused_directory_holds_this_run_alone(tmp_path):
+    src = write_doc(tmp_path, ONE_SOLITON_DOC)
+    outdir = tmp_path / "frames"
+    assert main(["frames", "--input", src, "--x", "0:1:3", "--t", "0:0.1:5",
+                 "--output", str(outdir)]) == 0
+    for name in ("notes.txt", "frame_0003.txt", "frame_12345.csv"):   # the last is stale too
+        (outdir / name).write_text("x,u\n")
+    assert main(["frames", "--input", src, "--x", "0:1:3", "--t", "0:0.1:2",
+                 "--output", str(outdir)]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "frame_0000.csv", "frame_0001.csv", "frame_0003.txt", "notes.txt"]
+    ev = make_evaluator(build_triplet(ScatteringSpec(bound_states=(BoundState(1.0, 2.0),))))
+    grid = solution.sample_grid(ev, np.linspace(0.0, 1.0, 3), [0.0, 0.1])
+    for i in range(2):
+        assert ((outdir / f"frame_{i:04d}.csv").read_bytes()
+                == helpers.frame_csv_per_cell(grid.x, grid.u[i]).encode())
+
+
 def test_malformed_documents_exit_2(tmp_path, capsys):
     bad_docs = [
         '{"boundStates": [{"kappa": 1}]}',
@@ -714,6 +732,30 @@ def test_grid_subcommands_up_to_six_poles_leave_scipy_linalg_unloaded(tmp_path):
     seven = scipy_runs([["eval", "--input", write_doc(tmp_path, SEVEN_POLE_DOC),
                          "--output", str(tmp_path / "seven.csv")] + grid])
     assert seven[0][0] == 0 and "scipy.linalg" in seven[0][1]
+
+
+_NUMPY_MA_SCRIPT = """
+import json, sys
+import numpy
+
+def loaded():
+    return {m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"] or m.startswith("scipy")}
+
+baseline = loaded()   # numpy below 2 loads numpy.ma in its own import
+from kdvexact import cli
+readme, out = sys.argv[1:3]
+codes = [cli.main([cmd, "--input", readme, "--output", f"{out}/{cmd}.out"])
+         for cmd in ("eval", "frames", "verify")]
+print(json.dumps({"codes": codes, "added": sorted(loaded() - baseline)}))
+"""
+
+
+def test_readme_document_runs_load_neither_numpy_ma_nor_scipy(tmp_path):
+    # np.unique loads numpy.ma on numpy 2; nothing on the P <= 6 path may call it
+    out = run_fresh(_NUMPY_MA_SCRIPT, write_readme_doc(tmp_path), str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    # verify fails two checks of the README document on its default windows (exit 4)
+    assert json.loads(out.stdout) == {"codes": [0, 0, 4], "added": []}
 
 
 _PER_POINT_ROUTES_SCRIPT = """

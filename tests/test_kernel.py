@@ -132,12 +132,35 @@ def _traced_peak(ev, xs, ts):
         tracemalloc.stop()
 
 
+def _working_set(ev, xs, ts):
+    """_traced_peak less the arrays evaluate fills (u, det Gamma, the outcome codes) and its
+    axes; the flags are formed from the codes after the stacks and workspaces are freed."""
+    n = len(xs) * len(ts)
+    return _traced_peak(ev, xs, ts) - 17 * n - 8 * (len(xs) + len(ts))
+
+
+def _assert_working_set_flat(ev, grids):
+    """The working set of the first grid, within 10 % on the second, stays within five
+    budgets: per x block exp(-xA) and S(x), per t block E(t), and two workspaces. The first
+    grid's bytes equal those of one block per axis, as a budget of the whole grid forms it."""
+    small, large = (_working_set(ev, xs, ts) for xs, ts in grids)
+    assert abs(large - small) <= 0.1 * small and max(small, large) <= 5 * solution.CHUNK_BYTES
+    xs, ts = grids[0]
+    with _chunk_rows(ev, len(xs), len(ts)):
+        whole = ev.evaluate(xs, ts)
+    assert _digest(ev.evaluate(xs, ts)) == _digest(whole)
+
+
 def test_chunks_honour_the_byte_budget_along_x():
-    # one t row of Gamma at P = 64 over 201 x points is 6.6 MB, three budgets
+    # P = 64 rows of 201 and 2,001 x points: 4 and 32 x blocks, each within CHUNK_BYTES
     ev = make_evaluator(helpers.many_poles_triplet(1))
-    xs = np.linspace(0.0, 10.0, 201)
-    stack = 8 * ev.P * ev.P * xs.size   # one per-x stack: exp(-xA), S(x) or the product between
-    assert _traced_peak(ev, xs, [0.0, 0.05]) <= 3 * stack + 2 * solution.CHUNK_BYTES + (1 << 20)
+    _assert_working_set_flat(ev, [(np.linspace(0.0, 10.0, n), [0.0, 0.05]) for n in (201, 2001)])
+
+
+def test_chunks_honour_the_byte_budget_along_t():
+    # P = 64 columns of 201 and 2,001 t points: 4 and 32 t blocks, each within CHUNK_BYTES
+    ev = make_evaluator(helpers.many_poles_triplet(1))
+    _assert_working_set_flat(ev, [([0.0, 2.0], np.linspace(0.0, 1.0, n)) for n in (201, 2001)])
 
 
 def test_lapack_kernel_working_set():
@@ -284,6 +307,9 @@ _WORKER_GRIDS = {   # (evaluator, xs, ts, one-row chunks?)
     # P = 64 rows of 201 x points, each split into four chunks by the byte budget itself
     "P64-x-split": (make_evaluator(helpers.many_poles_triplet(1)), np.linspace(0.0, 10.0, 201),
                     [0.0, 0.05], False),
+    # one row: each x block's one chunk is split between the workers, or one would idle
+    "P64-one-row": (make_evaluator(helpers.many_poles_triplet(1)), np.linspace(0.0, 10.0, 201),
+                    [0.05], False),
 }
 
 
@@ -302,7 +328,7 @@ def test_worker_count_moves_no_bit(grid):
         assert results[n].u.tobytes() == results[1].u.tobytes()
         assert results[n].det_gamma.tobytes() == results[1].det_gamma.tobytes()
         assert np.array_equal(results[n].flags, results[1].flags)
-    if grid != "P64-x-split":
+    if not grid.startswith("P64"):
         assert set(results[1].flags.ravel()) == {FLAG_OK, FLAG_NEAR_SINGULAR, FLAG_OVERFLOW}
 
 
@@ -369,9 +395,15 @@ def test_evaluate_forms_every_propagator_in_one_call():
     with _chunk_rows(ev, xs.size, 1), mock.patch.object(linalg, "expm_stack", counted):
         chunked = ev.evaluate(xs, ts)
     assert calls.count(True) == 1   # E(t) for all four one-row chunks
-    assert chunked.u.tobytes() == whole.u.tobytes()
-    assert chunked.det_gamma.tobytes() == whole.det_gamma.tobytes()
-    assert np.array_equal(chunked.flags, whole.flags)
+    calls.clear()
+    # blocks of four points: two x blocks (4 and 1 points) share the one t block's E(t)
+    with _chunk_rows(ev, xs.size, 1, len(ts)), mock.patch.object(linalg, "expm_stack", counted):
+        split = ev.evaluate(xs, ts)
+    assert calls == [False, True, False]
+    for got in (chunked, split):
+        assert got.u.tobytes() == whole.u.tobytes()
+        assert got.det_gamma.tobytes() == whole.det_gamma.tobytes()
+        assert np.array_equal(got.flags, whole.flags)
     assert {FLAG_OK, FLAG_OVERFLOW} <= set(whole.flags.ravel())
 
 
