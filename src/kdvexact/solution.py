@@ -13,13 +13,14 @@ integral-kernel quantities they both come from.
 The resolvent-kernel form runs on one batched kernel,
 GammaEvaluator.evaluate: blocks of exp(-x A) per x and of E(t) per t
 (linalg.expm_stack, per diagonal block of A: closed form or Pade),
-then per chunk of the (t, x) grid Gamma^T = E(t)^T S(x)^T + I written
-into a workspace and handed to linalg's stacked LU as Fortran-ordered
-members. linalg.LuFactors.gates gives det Gamma and the flags as masks,
-and the passing points are solved. A point that fails a gate is flagged,
-never raised for. A grid of one chunk runs on the calling thread; a
-larger one is shared with a helper thread when the process may run on
-more than one CPU, each with its own workspace. Every member is formed,
+then per chunk of the (t, x) grid S(x) = exp(-x A) Q exp(-x A) and
+Gamma^T = E(t)^T S(x)^T + I written into a workspace and handed to
+linalg's stacked LU as Fortran-ordered members. linalg.LuFactors.gates
+gives det Gamma and the flags as masks, and the passing points are
+solved. A point that fails a gate is flagged, never raised for. A grid
+of one chunk runs on the calling thread; a larger one is shared with a
+helper thread when the process may run on more than one CPU, each with
+its own workspace, one hand-off per block. Every member is formed,
 factored and solved alone, so the bytes depend on neither the chunking
 nor the schedule. Scalar sample() is a batch of one, so grid and scalar
 values agree bit for bit. Gamma, the log-det route and the kernel K
@@ -51,17 +52,17 @@ FLAG_OK = "ok"
 FLAG_NEAR_SINGULAR = "near-singular"
 FLAG_OVERFLOW = "overflow"
 
-# Byte budget of one chunk of the batched kernel's Gamma (points x P x P):
-# whole t rows, or part of one row when a row alone exceeds it. Each
-# worker of an evaluate call allocates it once as the workspace its chunks
-# are formed and factored in, and caps each per-axis block (exp(-xA), S(x)
-# per x block, E(t) per t block), so memory does not grow with the grid.
+# Byte budget of the batched kernel (points x P x P): each per-axis block
+# (exp(-xA) per x block, E(t) per t block) and each chunk's Gamma, a t
+# block's rows by as many x points as fit. Each worker of an evaluate call
+# allocates one workspace, a chunk's Gamma and S(x), and forms and factors
+# its chunks in it, so memory does not grow with the grid.
 CHUNK_BYTES = 1 << 21
-# Workers of one evaluate call, the calling thread included, sharing each
-# block of a grid of more than one chunk. The helper's workspace takes the
-# place of the chunk-sized |Gamma| copy the LAPACK branch of the stacked LU
-# no longer makes, so the call stays within the working set of one worker;
-# a third would add a workspace (P = 64, 41 x 11 points: 8.1 against 6.5 MB).
+# Workers of one evaluate call, the calling thread included, sharing the
+# chunks of each block of a grid of more than one chunk. The helper's
+# workspace takes the place of the chunk-sized |Gamma| copy the LAPACK
+# branch of the stacked LU no longer makes; a third would add a workspace
+# (P = 64, 41 x 11 points: 8.7 against 6.4 MB, one worker 4.1 MB).
 _MAX_WORKERS = 2
 
 
@@ -185,11 +186,11 @@ class GammaEvaluator:
         solution or u is overflow again. No point raises; an
         axis of more than one dimension, a negative or non-finite x or a
         non-finite t raises SpecValidationError, whatever the other axis
-        holds (empty included). Each call works in its own chunks, per-axis
-        blocks and workspaces (CHUNK_BYTES each), so threads may share an
-        evaluator and memory does not grow with the grid. A grid of more
-        than one chunk is shared between the calling thread and up to
-        _MAX_WORKERS - 1 helpers, as many as the CPUs the process may run
+        holds (empty included). Each call works in its own per-axis blocks
+        and chunks (CHUNK_BYTES each) and workspaces, so threads may share
+        an evaluator and memory does not grow with the grid. The chunks of a
+        grid of more than one are shared between the calling thread and up
+        to _MAX_WORKERS - 1 helpers, as many as the CPUs the process may run
         on (os.sched_getaffinity), started and joined within the call.
         """
         xs = np.array(xs, dtype=float, ndmin=1)
@@ -215,49 +216,22 @@ class GammaEvaluator:
         return SolutionGrid(x=xs, t=ts, u=u, det_gamma=det, flags=flags)
 
     def _fill(self, xs, ts, with_u, u, det, code) -> None:
-        """Fill the outputs: per x block exp(-xA), S(x) and the right sides, per t block
-        E(t), each of at most CHUNK_BYTES, then gate and solve chunk by chunk.
+        """Fill the outputs block by block, each chunk forming its own S(x) (_fill_chunks).
 
-        A grid of one chunk runs on the calling thread alone. Otherwise n = _workers
-        threads share each block, the caller and n - 1 helpers of a pool made for this
-        call, each with its own workspace: worker k forms S(x) for the k-th n-th of the x
-        block, and then works every n-th of the block's chunks from the k-th. A grid wider
-        than a block on both axes forms E(t) again for each x block. The helpers call no
-        public function, so nothing a tracer wraps runs off the calling thread.
+        Per x block the caller forms exp(-xA) and the right sides, per t block E(t) and
+        C E(t), each of at most CHUNK_BYTES points; a chunk is the t block's rows by at most
+        width points of one x block. One chunk runs on the calling thread alone. Otherwise
+        n = _workers threads share each (x block, t block) in one hand-off, the caller and
+        n - 1 helpers of a pool made for this call, each with its own workspace: chunks of at
+        most an n-th of a block, dealt round-robin. A grid wider than a block on both axes
+        forms E(t) again per x block. Helpers call no public function: a tracer sees the caller.
         """
-        a, b, c, p = self.triplet.A, self.triplet.B, self.triplet.C, self.P
+        a, b, p = self.triplet.A, self.triplet.B, self.P
         block = max(1, CHUNK_BYTES // (8 * p * p))   # members of one chunk or per-axis block
-        cols = min(xs.size, block)                   # rows = 1 if cols < xs.size,
-        rows = max(1, block // cols)                 # so outputs stay flat views
-        n = _workers(len(range(0, ts.size, rows)) * len(range(0, xs.size, cols)))
-        works = [np.empty((min(rows, ts.size) * cols, p, p)) for _ in range(n)]
-
-        # the closures read the current blocks' names, rebound only once their shares joined
-        def form_side(k, work):
-            """S(x) = exp(-xA) Q exp(-xA) for the k-th n-th of the x block, through work."""
-            with np.errstate(over="ignore", invalid="ignore"):
-                stop = len(exa) * (k + 1) // n
-                for lo in range(len(exa) * k // n, stop, len(work)):
-                    part = exa[lo:min(lo + len(work), stop)]
-                    np.matmul(np.matmul(part, self.Q, out=work[:len(part)]), part,
-                              out=side[lo:lo + len(part)])
-
-        def run(share, work):
-            for lo, x_lo in share:
-                xw = slice(x_lo, x_lo + width)
-                prop, part = props[lo:lo + rows], side[xw]
-                gt = work[:len(prop) * len(part)]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    ce = c @ prop                            # C E(t), per t
-                    # Gamma^T = E(t)^T S(x)^T, so each Gamma is a Fortran-ordered member
-                    np.matmul(prop.transpose(0, 2, 1)[:, None], part.transpose(0, 2, 1),
-                              out=gt.reshape(len(prop), len(part), p, p))
-                    gt.reshape(len(gt), -1)[:, ::p + 1] += 1.0
-                factors = linalg._lu_factor_members(gt.transpose(0, 2, 1))
-                sl = slice(t_lo + lo, t_lo + lo + len(prop))
-                ol = slice(xl.start + x_lo, xl.start + x_lo + len(part))
-                self._fill_rows(factors, with_u, exa[xw], ce, rhs[..., xw], u[sl, ol].reshape(-1),
-                                det[sl, ol].reshape(-1), code[sl, ol].reshape(-1))
+        rows = min(ts.size, block)                   # the t rows of a t block and its chunks
+        n = _workers(len(range(0, ts.size, rows)) * len(range(0, xs.size, block // rows)))
+        cols = min(block // rows, -(-min(xs.size, block) // n))   # the widest chunk
+        works = [np.empty(((rows + 1) * cols, p, p)) for _ in range(n)]
 
         # every member and chunk is written by one worker alone, so no schedule moves a
         # bit; the pool lives for this call only, so no thread outlives it into a fork
@@ -265,59 +239,70 @@ class GammaEvaluator:
         if n > 1:
             import concurrent.futures   # it loads logging: only a shared grid pays for that
             pool = concurrent.futures.ThreadPoolExecutor(n - 1)
-        with pool:
-            for xl in (slice(lo, lo + cols) for lo in range(0, xs.size, cols)):
-                exa, x_overflow = linalg.expm_stack(a, -xs[xl])
+        with pool, np.errstate(over="ignore", invalid="ignore"):   # the flags catch both
+            for x_lo in range(0, xs.size, block):
+                exa, x_overflow = linalg.expm_stack(a, -xs[x_lo:x_lo + block])
                 exa[x_overflow] = np.nan   # an overflowed member makes a NaN Gamma: overflow
-                side = np.empty_like(exa)
-                helpers = [pool.submit(form_side, k, works[k]) for k in range(1, n)]
-                for t_lo in range(0, ts.size, block):
-                    if ts.size > block or not xl.start:   # one t block serves every x block
-                        props, t_overflow = linalg.expm_stack(self.flow, ts[t_lo:t_lo + block])
+                rb = exa @ b
+                # both solves' right sides, points-last: (P, 2, x)
+                rhs = np.concatenate([rb, a @ rb], axis=-1).transpose(1, 2, 0).copy()
+                width = min(cols, -(-len(exa) // n))   # a short last x block is shared too
+                for t_lo in range(0, ts.size, rows):
+                    if ts.size > rows or not x_lo:   # one t block serves every x block
+                        props, t_overflow = linalg.expm_stack(self.flow, ts[t_lo:t_lo + rows])
                         props[t_overflow] = np.nan   # likewise
-                    if not t_lo:   # the caller's share of S(x), while the helpers form theirs
-                        form_side(0, works[0])
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            rb = exa @ b
-                            # both solves' right sides, points-last: (P, 2, x)
-                            rhs = np.concatenate([rb, a @ rb], axis=-1).transpose(1, 2, 0).copy()
-                        for helper in helpers:
-                            helper.result()
-                    # one-row chunks of a block of fewer rows than workers split along x
-                    width = -(-len(side) // n) if rows == 1 and len(props) < n else len(side)
-                    chunks = [(lo, x_lo) for lo in range(0, len(props), rows)
-                              for x_lo in range(0, len(side), width)]
-                    helpers = [pool.submit(run, chunks[k::n], works[k]) for k in range(1, n)]
-                    run(chunks[::n], works[0])
+                        ce = self.triplet.C @ props   # C E(t), per t
+                    # views cut from the x block's, so each ends where its chunk does
+                    tl, xl = slice(t_lo, t_lo + len(props)), slice(x_lo, x_lo + len(exa))
+                    chunks = [(exa[lo:lo + width], rhs[..., lo:lo + width],
+                               *(out[tl, xl][:, lo:lo + width] for out in (u, det, code)))
+                              for lo in range(0, len(exa), width)]
+                    helpers = [pool.submit(self._fill_chunks, works[k], props, ce, chunks[k::n],
+                                           with_u) for k in range(1, n)]
+                    self._fill_chunks(works[0], props, ce, chunks[::n], with_u)
                     for helper in helpers:
                         helper.result()
-                    if ts.size > block:
+                    if ts.size > rows:
                         props = None   # so the next block's stacks replace these, not join them
-                exa = side = None
+                exa = rhs = chunks = None
+
+    def _fill_chunks(self, work, props, ce, chunks, with_u) -> None:
+        """Work each chunk of props' t rows (ce = C E(t)) in work: S(x) at its head, Gamma^T =
+        E(t)^T S(x)^T + I after it, factored there and handed to _fill_rows."""
+        p = self.P
+        with np.errstate(over="ignore", invalid="ignore"):
+            for exa, rhs, u, det, code in chunks:
+                side, gt = work[:len(exa)], work[len(exa):len(exa) * (len(props) + 1)]
+                np.matmul(np.matmul(exa, self.Q, out=gt[:len(exa)]), exa, out=side)
+                # Gamma^T = E(t)^T S(x)^T, so each Gamma is a Fortran-ordered member
+                np.matmul(props.transpose(0, 2, 1)[:, None], side.transpose(0, 2, 1),
+                          out=gt.reshape(len(props), len(exa), p, p))
+                gt.reshape(len(gt), -1)[:, ::p + 1] += 1.0
+                factors = linalg._lu_factor_members(gt.transpose(0, 2, 1))
+                self._fill_rows(factors, with_u, exa, ce, rhs, u, det, code)
 
     def _fill_rows(self, factors, with_u, exa, ce, rhs, u, det, code) -> None:
-        """Gate (LuFactors.gates) and solve one factored chunk; the outputs are flat views."""
-        n_x = exa.shape[0]
-        d, overflow, near = factors.gates()
+        """Gate (LuFactors.gates) and solve one factored chunk into its 2-D (t, x) outputs,
+        under _fill_chunks' error state."""
+        d, overflow, near = (g.reshape(u.shape) for g in factors.gates())
         det[~overflow] = d[~overflow]
         code[overflow] = _OVERFLOW
         code[near] = _NEAR_SINGULAR
         idx = np.flatnonzero(~overflow & ~near)
         if not (with_u and idx.size):
             return
-        i, j = np.divmod(idx, n_x)
+        i, j = np.divmod(idx, u.shape[1])
         sol = linalg.lu_solve_stack(factors, idx, np.take(rhs, j, axis=-1).transpose(2, 0, 1))
         a, p = self.triplet.A, self.P
-        with np.errstate(over="ignore", invalid="ignore"):
-            # C E(t) exp(-xA); BLAS-sized rows for the whole chunk cost less than a gather per point
-            row = ((ce[:, None] @ exa).reshape(-1, 1, p)[idx] if p > linalg.ELIMINATION_MAX_N
-                   else ce[i] @ exa[j])
-            v, w = sol[..., :1], sol[..., 1:]
-            rv = row @ v
-            val = (2.0 * (-(row @ (a @ v)) + rv * rv - row @ w))[:, 0, 0]
+        # C E(t) exp(-xA); BLAS-sized rows for the whole chunk cost less than a gather per point
+        row = ((ce[:, None] @ exa).reshape(-1, 1, p)[idx] if p > linalg.ELIMINATION_MAX_N
+               else ce[i] @ exa[j])
+        v, w = sol[..., :1], sol[..., 1:]
+        rv = row @ v
+        val = (2.0 * (-(row @ (a @ v)) + rv * rv - row @ w))[:, 0, 0]
         finite = np.isfinite(val)   # a non-finite solution gives a non-finite u
-        code[idx[~finite]] = _OVERFLOW
-        u[idx[finite]] = val[finite]
+        code[i[~finite], j[~finite]] = _OVERFLOW
+        u[i[finite], j[finite]] = val[finite]
 
     def sample(self, x: float, t: float) -> SolutionSample:
         """u via the resolvent-kernel closed form, with status flag.

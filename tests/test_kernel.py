@@ -44,7 +44,7 @@ README_EV = make_evaluator(build_triplet(helpers.three_block_spec()))
 
 
 def _chunk_rows(ev, n_x: int, rows: int, cols: int | None = None):
-    """Patch the kernel's byte budget: chunks of `rows` t rows, or of `cols` x points of one."""
+    """Patch the kernel's byte budget to `n_x` * `rows` members, or to `cols` members."""
     members = n_x * rows if cols is None else cols
     return mock.patch.object(solution, "CHUNK_BYTES", 8 * ev.P * ev.P * members)
 
@@ -80,11 +80,13 @@ _xs = st.lists(st.floats(0.0, 30.0), min_size=1, max_size=6)
 
 @settings(max_examples=40, deadline=None)
 @given(spec=st.one_of(_calm_specs, st.just(helpers.three_block_spec())),
-       xs=_xs, ts=_ts, rows=st.integers(1, 3))
-def test_grid_matches_pointwise_sample_bit_for_bit(spec, xs, ts, rows):
+       xs=_xs, ts=_ts, members=st.integers(1, 18), workers=st.integers(1, 2))
+def test_grid_matches_pointwise_sample_bit_for_bit(spec, xs, ts, members, workers):
     ev = make_evaluator(build_triplet(spec))
     ts = ts + [3000.0]   # always at least one overflowing row
-    with _chunk_rows(ev, len(xs), rows):
+    # a budget below the grid gives part-width chunks, some of a helper's with two workers,
+    # and below a row of x points it gives several x blocks, whose widths need not divide it
+    with _chunk_rows(ev, len(xs), 1, members), _workers(workers):
         grid = _assert_grid_equals_pointwise(ev, xs, ts)
     assert np.all(grid.flags[-1] == FLAG_OVERFLOW)
 
@@ -141,8 +143,9 @@ def _working_set(ev, xs, ts):
 
 def _assert_working_set_flat(ev, grids):
     """The working set of the first grid, within 10 % on the second, stays within five
-    budgets: per x block exp(-xA) and S(x), per t block E(t), and two workspaces. The first
-    grid's bytes equal those of one block per axis, as a budget of the whole grid forms it."""
+    budgets: per x block exp(-xA), per t block E(t), and two workspaces, each holding a
+    chunk's S(x) and Gamma. The first grid's bytes equal those of one block per axis, as a
+    budget of the whole grid forms it."""
     small, large = (_working_set(ev, xs, ts) for xs, ts in grids)
     assert abs(large - small) <= 0.1 * small and max(small, large) <= 5 * solution.CHUNK_BYTES
     xs, ts = grids[0]
@@ -301,24 +304,37 @@ def _digest(grid) -> bytes:
                           + grid.flags.tobytes()).digest()
 
 
-_WORKER_GRIDS = {   # (evaluator, xs, ts, one-row chunks?)
-    "P3": (README_EV, np.linspace(0.0, 10.0, 11), [0.0, 0.3, 1.0, 5.0, 11.0, 30.0], True),
-    "P8": (make_evaluator(_dense_triplet(8)), *_DENSE_GRID, True),
-    # P = 64 rows of 201 x points, each split into four chunks by the byte budget itself
+_WORKER_GRIDS = {   # (evaluator, xs, ts, members of a patched byte budget or None)
+    # a budget of 11 members: one-column chunks of all six t rows
+    "P3": (README_EV, np.linspace(0.0, 10.0, 11), [0.0, 0.3, 1.0, 5.0, 11.0, 30.0], 11),
+    "P8": (make_evaluator(_dense_triplet(8)), *_DENSE_GRID, 11),
+    # a budget of 12 members: chunks of six t rows by two of the 11 x points
+    "P3-part-width": (README_EV, np.linspace(0.0, 10.0, 11), [0.0, 0.3, 1.0, 5.0, 11.0, 30.0],
+                      12),
+    # a budget of 7 members: chunks of three t rows by two x points, so each x block of
+    # seven ends in a one-point chunk
+    "P3-x-blocks": (README_EV, np.linspace(0.0, 10.0, 11), [0.0, 0.3, 30.0], 7),
+    # P = 64 rows of 201 x points: x blocks of 64, in chunks of two rows by 32 x points
     "P64-x-split": (make_evaluator(helpers.many_poles_triplet(1)), np.linspace(0.0, 10.0, 201),
-                    [0.0, 0.05], False),
-    # one row: each x block's one chunk is split between the workers, or one would idle
+                    [0.0, 0.05], None),
+    # one row: each x block is split between the workers, or one would idle
     "P64-one-row": (make_evaluator(helpers.many_poles_triplet(1)), np.linspace(0.0, 10.0, 201),
-                    [0.05], False),
+                    [0.05], None),
+    # three rows: chunks of 21 x points, so each x block of 64 ends in a one-point chunk
+    "P64-x-blocks": (make_evaluator(helpers.many_poles_triplet(1)), np.linspace(0.0, 10.0, 201),
+                     [0.0, 0.05, 0.1], None),
+    # two columns of 201 t points: t blocks of 64 rows, in one-column chunks
+    "P64-tall": (make_evaluator(helpers.many_poles_triplet(1)), [0.0, 2.0],
+                 np.linspace(0.0, 1.0, 201), None),
 }
 
 
 @pytest.mark.parametrize("grid", list(_WORKER_GRIDS))
 def test_worker_count_moves_no_bit(grid):
-    ev, xs, ts, one_row = _WORKER_GRIDS[grid]
+    ev, xs, ts, members = _WORKER_GRIDS[grid]
     results, threads = {}, {}
     for n in (1, 2, 4):
-        chunking = _chunk_rows(ev, len(xs), 1) if one_row else contextlib.nullcontext()
+        chunking = _chunk_rows(ev, len(xs), 1, members) if members else contextlib.nullcontext()
         with chunking, _workers(n), _factoring_threads() as seen:
             results[n] = ev.evaluate(xs, ts)
         threads[n] = len(set(seen))
@@ -371,9 +387,10 @@ def test_multi_chunk_evaluate_finishes_in_a_fork_child():
     (make_evaluator(_dense_triplet(8)), [0.0, 31.75, 0.5, 40.0]),
 ], ids=["P3", "P8"])
 def test_a_helper_share_with_overflow_leaks_no_warning(ev, ts):
-    # one t row a chunk: the helper of two workers takes rows 1 and 3. Its thread starts with
-    # numpy's default error state, and Gamma's matmul overflows at t = 10.43 (P = 3) and
-    # 31.75 (P = 8), so only the kernel's own errstate keeps it quiet
+    # chunks of the four t rows by two x points: the helper of two workers takes every other
+    # one. Its thread starts with numpy's default error state, and C E(t) overflows at
+    # t = 10.43 (P = 3) and Gamma's matmul at 31.75 (P = 8), so only the kernel's own
+    # errstate keeps it quiet
     xs = np.linspace(0.0, 10.0, 11)
     with _chunk_rows(ev, len(xs), 1), _workers(2), warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -385,21 +402,26 @@ def test_evaluate_forms_every_propagator_in_one_call():
     ev = make_evaluator(helpers.many_poles_triplet(1))
     xs, ts = np.linspace(0.0, 10.0, 5), [0.0, 5.0, 0.1, 0.05]
     whole = ev.evaluate(xs, ts)   # one chunk
-    calls = []
+    calls, threads = [], set()
     expm_stack = linalg.expm_stack
 
     def counted(m, scales):
         calls.append(m is ev.flow)
+        threads.add(threading.get_ident())
         return expm_stack(m, scales)
 
-    with _chunk_rows(ev, xs.size, 1), mock.patch.object(linalg, "expm_stack", counted):
+    # two workers share the chunks; every exponential stays on the calling thread
+    with _chunk_rows(ev, xs.size, 1), _workers(2), \
+            mock.patch.object(linalg, "expm_stack", counted):
         chunked = ev.evaluate(xs, ts)
-    assert calls.count(True) == 1   # E(t) for all four one-row chunks
+    assert calls.count(True) == 1   # E(t) for all five one-column chunks
     calls.clear()
     # blocks of four points: two x blocks (4 and 1 points) share the one t block's E(t)
-    with _chunk_rows(ev, xs.size, 1, len(ts)), mock.patch.object(linalg, "expm_stack", counted):
+    with _chunk_rows(ev, xs.size, 1, len(ts)), _workers(2), \
+            mock.patch.object(linalg, "expm_stack", counted):
         split = ev.evaluate(xs, ts)
     assert calls == [False, True, False]
+    assert threads == {threading.get_ident()}
     for got in (chunked, split):
         assert got.u.tobytes() == whole.u.tobytes()
         assert got.det_gamma.tobytes() == whole.det_gamma.tobytes()
