@@ -224,15 +224,14 @@ def _check_pde(v: _Verify, tol: float):
 
 
 def _check_marchenko(v: _Verify, tol: float):
-    rng = np.random.default_rng(MARCHENKO_SEED)
     box_x = min(3.0, v.args.x[1])
     box_t = min(3.0, max(v.t_cap, 0.0))
-    samples = []
-    for _ in range(MARCHENKO_SAMPLES):
-        x, y = np.sort(rng.uniform(0.0, box_x, size=2))
-        t = rng.uniform(0.0, box_t) if box_t > 0.0 else 0.0
-        samples.append((x, y, t))
-    x, y, t = np.array(samples).T
+    boxes = [box_x, box_x] + [box_t] * (box_t > 0.0)   # t = 0 takes no draw
+    # in one call, each sample's x, y, t as uniform(0, box) draws them: 0 + box * random()
+    rng = np.random.default_rng(MARCHENKO_SEED)
+    draws = 0.0 + rng.random((MARCHENKO_SAMPLES, len(boxes))) * boxes
+    x, y = np.sort(draws[:, :2], axis=1).T
+    t = draws[:, 2] if box_t > 0.0 else np.zeros(MARCHENKO_SAMPLES)
     worst = float(np.max(np.abs(verification.marchenko_residual(v.evaluator, x, y, t))))
     v.report["marchenkoResidualMax"] = worst
     return worst <= tol, worst, f"{MARCHENKO_SAMPLES} seeded points"

@@ -1,8 +1,8 @@
 """Dense linear algebra kernels for the triplet solution machinery.
 
 Thin, contract-enforcing wrappers around LAPACK-backed numpy/scipy
-routines: the matrix exponential (expm_stack plans each matrix's
-diagonal blocks once, takes 2 x 2 rotation and Jordan blocks in closed
+routines: the matrix exponential (expm_stack plans each matrix's diagonal
+blocks and max |m| once, takes 2 x 2 rotation and Jordan blocks in closed
 form and other block sizes by a vectorized Pade, and reports overflow as
 a mask; expm, for the per-point routes and checks, is its front end), the
 Lyapunov solve A Q + Q A = RHS with a residual check (numpy's solve of
@@ -100,6 +100,8 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
            960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
+_EYE2 = np.eye(2)
+_EYE2.setflags(write=False)
 
 
 def _pade13_stack(x: np.ndarray) -> np.ndarray:
@@ -110,7 +112,7 @@ def _pade13_stack(x: np.ndarray) -> np.ndarray:
     on the rest of the stack.
     """
     b = _PADE13
-    norm = np.max(np.sum(np.abs(x), axis=-2), axis=-1)
+    norm = np.abs(x).sum(axis=-2).max(axis=-1)
     frac, exp2 = np.frexp(norm / _THETA13)
     squarings = np.maximum(0, exp2 - (frac == 0.5))   # ceil(log2(norm / theta))
     x = np.ldexp(x, -squarings[:, None, None])
@@ -133,14 +135,15 @@ def _pade13_stack(x: np.ndarray) -> np.ndarray:
 def _block_plan(shape: tuple, data: bytes) -> tuple:
     """expm_stack's plan for one matrix, keyed on its bytes; at most 32 kept, read-only.
 
-    m splits into diagonal blocks by its exact-zero pattern: a block ends
-    at j when no nonzero entry couples rows or columns 0..j with
-    j+1..n-1. One (rows, blocks, closed) group per block size, smallest
-    first (a set, not np.unique, which loads numpy.ma): rows gathers the
-    blocks, its transpose their columns. 2 x 2 blocks with
-    delta = ((m00 - m11) / 2)^2 + m01 m10 <= 0 (a sign no scale changes,
-    taken exactly on the block over a power of two) form their own group:
-    blocks holds N and closed (mu, r), block = mu I + N, N^2 = -r^2 I.
+    Returns (max |m|, groups). m splits into diagonal blocks by its
+    exact-zero pattern: a block ends at j when no nonzero entry couples
+    rows or columns 0..j with j+1..n-1. One (rows, blocks, closed) group
+    per block size, smallest first (a set, not np.unique, which loads
+    numpy.ma): rows gathers the blocks, its transpose their columns.
+    2 x 2 blocks with delta = ((m00 - m11) / 2)^2 + m01 m10 <= 0 (a sign
+    no scale changes, taken exactly on the block over a power of two)
+    form their own group: blocks holds N and closed (mu, r),
+    block = mu I + N, N^2 = -r^2 I.
     """
     m = np.frombuffer(data).reshape(shape)
     idx = np.arange(shape[0])
@@ -159,13 +162,13 @@ def _block_plan(shape: tuple, data: bytes) -> tuple:
             r = np.ldexp(np.sqrt(np.maximum(-delta, 0.0)), exp2)   # finite: -delta <= |b c| < 1
             route = delta <= 0.0
             mu = 0.5 * blocks[route, :1, :1] + 0.5 * blocks[route, 1:, 1:]   # (blocks, 1, 1)
-            plan.append((rows[route], blocks[route] - mu * np.eye(2), (mu, r[route, None, None])))
+            plan.append((rows[route], blocks[route] - mu * _EYE2, (mu, r[route, None, None])))
         plan.append((rows[~route], blocks[~route], ()))
     plan = tuple(group for group in plan if group[0].size)
     for rows, blocks, closed in plan:
         for v in (rows, blocks, *closed):
             v.setflags(write=False)
-    return plan
+    return np.abs(m).max(initial=0.0), plan
 
 
 def expm_stack(m: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
@@ -187,23 +190,25 @@ def expm_stack(m: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
     n = m.shape[0]
     out = np.zeros((s.size, n, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        overflow = ~np.isfinite(s * np.max(np.abs(m), initial=0.0))
+        max_abs, plan = _block_plan(m.shape, m.tobytes())
+        overflow = ~np.isfinite(s * max_abs)
         s = np.where(overflow, 0.0, s)
         s4 = s[:, None, None, None]   # against each group's (blocks, size, size)
-        for rows, blocks, closed in _block_plan(m.shape, m.tobytes()):
+        for rows, blocks, closed in plan:
             if closed:   # mu and r shaped (blocks, 1, 1)
                 mu, r = closed
                 sr, half = s4 * r, np.exp(0.5 * (s4 * mu))
-                res = (np.cos(sr) * np.eye(2)
+                res = (np.cos(sr) * _EYE2
                        + np.where(r > 0.0, np.sin(sr) / r, s4) * blocks) * half * half
             elif blocks.shape[-1] == 1:
                 res = np.exp(s4 * blocks)
             else:
                 x = s4 * blocks
                 res = _pade13_stack(x.reshape((-1,) + blocks.shape[1:])).reshape(x.shape)
-            overflow |= ~np.all(np.isfinite(res), axis=(1, 2, 3))
+            overflow |= ~np.isfinite(res).all(axis=(1, 2, 3))
             out[:, rows, rows.transpose(0, 2, 1)] = res
-    out[s == 0.0] = np.eye(n)
+    if not s.all():   # a zero scale, or an overflowed one, gives the exact identity
+        out[s == 0.0] = np.eye(n)
     return out, overflow
 
 
@@ -281,20 +286,20 @@ class LuFactors:
     def min_pivot(self) -> np.ndarray:
         if not self.n:
             return np.zeros(self.lu.shape[0])
-        return np.min(np.abs(self.pivots()), axis=-1)
+        return np.abs(self.pivots()).min(axis=-1)
 
     def singular(self) -> np.ndarray:
         """The pivot gate: min |pivot| <= PIVOT_TOL * max |entry|."""
         return _pivot_gate(self.min_pivot(), self.max_abs)
 
     def permutation_sign(self) -> np.ndarray:
-        swaps = np.count_nonzero(self.piv != np.arange(self.n), axis=-1)
+        swaps = (self.piv != np.arange(self.n)).sum(axis=-1)
         return 1.0 - 2.0 * (swaps % 2)
 
     def gates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(det, overflow: a non-finite entry or det, near_singular: either gate, not overflow)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            det = self.permutation_sign() * np.prod(self.pivots(), axis=-1)
+            det = self.permutation_sign() * self.pivots().prod(axis=-1)
             near = np.abs(det) < NEAR_SINGULAR_TOL * (1 + np.maximum(1, self.norm_inf) ** self.n)
         overflow = ~np.isfinite(self.max_abs) | ~np.isfinite(det)
         return det, overflow, ~overflow & (near | self.singular())
@@ -366,17 +371,17 @@ def _lu_factor_members(lu: np.ndarray) -> LuFactors:
 
     Both gate scales, max_abs and norm_inf, come from one |m| pass over
     what the factorization reads. Up to ELIMINATION_MAX_N that is one
-    points-last (n, n, k) copy, whose row sums are accumulated in
-    column order, and Gaussian elimination runs on it one column per step, each
-    step a vector operation over all k members, with LAPACK's pivot
-    choice (the first entry of largest magnitude); a column with a zero
-    pivot is left uneliminated, as LAPACK leaves it. The factors are a
-    (k, n, n) view of that copy. Above it the pass reads the members as
-    the C-ordered m^T, whose BLAS column sums are the row sums of m, one
-    slice of at most _SCALE_SLICE_BYTES at a time, and dgetrf factors
-    each member where it lies, overwriting it. A member's factors do not
-    depend on the rest of the stack; a non-finite member's are
-    meaningless.
+    points-last (n, n, k) copy, whose row sums are accumulated in column
+    order, and Gaussian elimination runs on it one column per step but the
+    last (its pivot is forced), each step a vector operation over all k
+    members, with LAPACK's pivot choice (the first entry of largest
+    magnitude); a column with a zero pivot is left uneliminated, as LAPACK
+    leaves it. The factors are a (k, n, n) view of that copy. Above it the
+    pass reads the members as the C-ordered m^T, whose BLAS column sums are
+    the row sums of m, one slice of at most _SCALE_SLICE_BYTES at a time,
+    and dgetrf factors each member where it lies, overwriting it. A
+    member's factors do not depend on the rest of the stack; a non-finite
+    member's are meaningless.
     """
     k, n, _ = lu.shape
     piv = np.empty((k, n), dtype=np.intp)
@@ -398,10 +403,11 @@ def _lu_factor_members(lu: np.ndarray) -> LuFactors:
     a = lu.transpose(1, 2, 0).copy()
     with np.errstate(over="ignore", invalid="ignore"):
         mag = np.abs(a)
-        max_abs = np.max(mag, axis=(0, 1), initial=0.0)
-        norm_inf = np.max(np.sum(mag, axis=1), axis=0, initial=0.0)
-        for j in range(n):
-            p = j + np.argmax(np.abs(a[j:, j]), axis=0)
+        max_abs = mag.max(axis=(0, 1), initial=0.0)
+        norm_inf = mag.sum(axis=1).max(axis=0, initial=0.0)
+        piv[:, n - 1:] = n - 1   # the last column's pivot is forced: nothing below it
+        for j in range(n - 1):
+            p = j + np.abs(a[j:, j]).argmax(axis=0)
             piv[:, j] = p
             _swap_rows(a, j, p)
             pivot = a[j, j]
@@ -435,10 +441,10 @@ def lu_solve_stack(factors: LuFactors, idx, rhs: np.ndarray) -> np.ndarray:
     lu = np.take(factors.lu.transpose(1, 2, 0), idx, axis=-1)
     piv = factors.piv[idx]
     x = np.array(np.broadcast_to(rhs, shape).transpose(1, 2, 0), dtype=float, order="C")
-    for j in range(n):
+    for j in range(n - 1):   # the last column's swap and elimination are empty
         _swap_rows(x, j, piv[:, j])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in range(n):
+        for j in range(n - 1):
             x[j + 1:] -= lu[j + 1:, j, None] * x[j, None]
         for j in reversed(range(n)):
             x[j] /= lu[j, j]

@@ -16,20 +16,21 @@ GammaEvaluator.evaluate: blocks of exp(-x A) per x and of E(t) per t
 then per chunk of the (t, x) grid S(x) = exp(-x A) Q exp(-x A) and
 Gamma^T = E(t)^T S(x)^T + I written into a workspace and handed to
 linalg's stacked LU as Fortran-ordered members. linalg.LuFactors.gates
-gives det Gamma and the flags as masks, and the passing points are
-solved. A point that fails a gate is flagged, never raised for. A grid
-of one chunk runs on the calling thread; a larger one is shared with a
-helper thread when the process may run on more than one CPU, each with
-its own workspace, one hand-off per block. Every member is formed,
-factored and solved alone, so the bytes depend on neither the chunking
-nor the schedule. Scalar sample() is a batch of one, so grid and scalar
-values agree bit for bit. Gamma, the log-det route and the kernel K
-stay per point and off the batched kernel, as independent checks of its
-algebra: one builder
-forms exp(-x A), E(t) and Gamma for all three through linalg.expm, the
-checked front end of the kernel's exponential, and the log-det route
-and K factor and solve Gamma per point through linalg.lu_factor and
-linalg.solve, the checked front ends of the kernel's stacked LU.
+gives det Gamma and the flags as masks; with u, the passing points are
+solved, and only then are the solves' right sides and C E(t) formed. A
+point that fails a gate is flagged, never raised for. A grid of one
+chunk runs on the calling thread; a larger one is shared with a helper
+thread when the process may run on more than one CPU, each with its own
+workspace, one hand-off per block. Every member is formed, factored and
+solved alone, so the bytes depend on neither the chunking nor the
+schedule. Scalar sample() is a batch of one, so grid and scalar values
+agree bit for bit. Gamma, the log-det route and the kernel K stay per
+point and off the batched kernel, as independent checks of its algebra:
+one builder forms exp(-x A), E(t) and Gamma for all three through
+linalg.expm, the checked front end of the kernel's exponential, and the
+log-det route and K factor and solve Gamma per point through
+linalg.lu_factor and linalg.solve, the checked front ends of the
+kernel's stacked LU.
 """
 from __future__ import annotations
 
@@ -218,8 +219,8 @@ class GammaEvaluator:
     def _fill(self, xs, ts, with_u, u, det, code) -> None:
         """Fill the outputs block by block, each chunk forming its own S(x) (_fill_chunks).
 
-        Per x block the caller forms exp(-xA) and the right sides, per t block E(t) and
-        C E(t), each of at most CHUNK_BYTES points; a chunk is the t block's rows by at most
+        Per x block the caller forms exp(-xA), per t block E(t), each of at most CHUNK_BYTES
+        points, and with u the right sides and C E(t); a chunk is the t block's rows by at most
         width points of one x block. One chunk runs on the calling thread alone. Otherwise
         n = _workers threads share each (x block, t block) in one hand-off, the caller and
         n - 1 helpers of a pool made for this call, each with its own workspace: chunks of at
@@ -243,18 +244,18 @@ class GammaEvaluator:
             for x_lo in range(0, xs.size, block):
                 exa, x_overflow = linalg.expm_stack(a, -xs[x_lo:x_lo + block])
                 exa[x_overflow] = np.nan   # an overflowed member makes a NaN Gamma: overflow
-                rb = exa @ b
-                # both solves' right sides, points-last: (P, 2, x)
-                rhs = np.concatenate([rb, a @ rb], axis=-1).transpose(1, 2, 0).copy()
+                if with_u:   # both solves' right sides, points-last: (P, 2, x)
+                    rb = exa @ b
+                    rhs = np.concatenate([rb, a @ rb], axis=-1).transpose(1, 2, 0).copy()
                 width = min(cols, -(-len(exa) // n))   # a short last x block is shared too
                 for t_lo in range(0, ts.size, rows):
                     if ts.size > rows or not x_lo:   # one t block serves every x block
                         props, t_overflow = linalg.expm_stack(self.flow, ts[t_lo:t_lo + rows])
                         props[t_overflow] = np.nan   # likewise
-                        ce = self.triplet.C @ props   # C E(t), per t
+                        ce = self.triplet.C @ props if with_u else None   # C E(t), per t
                     # views cut from the x block's, so each ends where its chunk does
                     tl, xl = slice(t_lo, t_lo + len(props)), slice(x_lo, x_lo + len(exa))
-                    chunks = [(exa[lo:lo + width], rhs[..., lo:lo + width],
+                    chunks = [(exa[lo:lo + width], rhs[..., lo:lo + width] if with_u else None,
                                *(out[tl, xl][:, lo:lo + width] for out in (u, det, code)))
                               for lo in range(0, len(exa), width)]
                     helpers = [pool.submit(self._fill_chunks, works[k], props, ce, chunks[k::n],
@@ -301,8 +302,10 @@ class GammaEvaluator:
         rv = row @ v
         val = (2.0 * (-(row @ (a @ v)) + rv * rv - row @ w))[:, 0, 0]
         finite = np.isfinite(val)   # a non-finite solution gives a non-finite u
-        code[i[~finite], j[~finite]] = _OVERFLOW
-        u[i[finite], j[finite]] = val[finite]
+        if not finite.all():
+            code[i[~finite], j[~finite]] = _OVERFLOW
+            i, j, val = i[finite], j[finite], val[finite]
+        u[i, j] = val
 
     def sample(self, x: float, t: float) -> SolutionSample:
         """u via the resolvent-kernel closed form, with status flag.

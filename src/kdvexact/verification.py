@@ -139,7 +139,7 @@ def _stencil_values(evaluator: solution.GammaEvaluator, xs, ts, h_x, h_t) -> np.
 
 def _check_grid(x_window, t_window, **counts: int) -> None:
     for name, n in counts.items():
-        if not isinstance(n, (int, np.integer)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise SpecValidationError(f"{name} must be an integer, got {n!r}")
         if not n >= 1:
             raise SpecValidationError(f"{name} must be at least 1, got {n!r}")
@@ -159,8 +159,8 @@ def pde_residual(evaluator: solution.GammaEvaluator, x_window, t_window, n_x: in
     the spectrum of A. The window is clipped so every stencil node has
     x >= 0 and t >= 0. A flagged or non-finite stencil sample rejects the
     window with SpecValidationError, naming the point. A non-evaluator
-    argument, a non-finite window bound, a count not an integer >= 1, or
-    an h_x not finite and > 0 raises it before any sampling.
+    argument, a non-finite window bound, a count not an integer >= 1 (a
+    bool is none), or an h_x not finite and > 0 raises it before any sampling.
     """
     _check_grid(x_window, t_window, n_x=n_x, n_t=n_t)
     if not (math.isfinite(h_x) and h_x > 0.0):
@@ -236,17 +236,17 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray):
     h = (0.5 * (hi - lo))[:, None]
     nodes = c[:, None] + h * _KRONROD_X
     fv = f(nodes.reshape(-1)).reshape(nodes.shape + (-1,))   # (intervals, 21, n)
-    if not np.all(np.isfinite(fv)):
+    if not np.isfinite(fv).all():
         raise NumericalError("non-finite integrand in the adaptive quadrature")
     # sums past the float range give a NaN error, which _adaptive_gk21 rejects
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s_k = _KRONROD_W @ fv
         s_g = _GAUSS_W @ fv[:, 1::2]
-        dabs = np.max(np.abs(h * (_KRONROD_W @ np.abs(fv - 0.5 * s_k[:, None]))), axis=-1)
-        err = np.max(np.abs((s_k - s_g) * h), axis=-1)
+        dabs = np.abs(h * (_KRONROD_W @ np.abs(fv - 0.5 * s_k[:, None]))).max(axis=-1)
+        err = np.abs((s_k - s_g) * h).max(axis=-1)
         damped = dabs * np.minimum(1.0, (200.0 * err / dabs) ** 1.5)
         err = np.where((dabs != 0.0) & (err != 0.0), damped, err)
-        rounding = np.max(np.abs(50.0 * _EPS * h * (_KRONROD_W @ np.abs(fv))), axis=-1)
+        rounding = np.abs(50.0 * _EPS * h * (_KRONROD_W @ np.abs(fv))).max(axis=-1)
     err = np.where(rounding > _TINY, np.maximum(err, rounding), err)
     return h * s_k, err, rounding
 
@@ -571,9 +571,9 @@ def soliton_equivalence(evaluator: solution.GammaEvaluator,
     exponential or factorization with the kernel it checks. The first
     point, in t-major order, where the triplet side overflowed raises
     OverflowDetectedError naming it, before tau is formed. A non-finite
-    window bound, a count not an integer >= 1, or a triplet not built
-    from a bound-states-only spec of at most SOLITON_MAX_STATES states
-    raises SpecValidationError before any work.
+    window bound, a count not an integer >= 1 (a bool is none), or a
+    triplet not built from a bound-states-only spec of at most
+    SOLITON_MAX_STATES states raises SpecValidationError before any work.
     """
     _check_grid(x_window, t_window, n_x=n_x, n_t=n_t)
     spec = _soliton_spec(evaluator)

@@ -192,3 +192,60 @@ def simple_pole_u(spec: ScatteringSpec, xs, ts) -> np.ndarray:
         tau_x = tau_x - 2.0 * lam_s * term
         tau_xx = tau_xx + 4.0 * lam_s ** 2 * term
     return -2.0 * (tau_xx / tau - (tau_x / tau) ** 2)
+
+
+def reference_lu(m) -> tuple[list, list, float, float]:
+    """(lu, piv, max |entry|, largest row sum of |entries|) of one square matrix, in floats.
+
+    Pure-Python Gaussian elimination with partial pivoting: the pivot is the first
+    largest |entry| at or below the diagonal, its whole row is swapped in, and the
+    column below it is divided by it (by 1 where it is 0, so the zeros below it stay).
+    Each step divides, then multiplies and subtracts as separate roundings; the row
+    sums add |entries| in column order.
+    """
+    a = [[float(v) for v in row] for row in m]
+    n = len(a)
+    max_abs = max([abs(v) for row in a for v in row], default=0.0)
+    norm_inf = 0.0
+    for row in a:
+        total = 0.0
+        for v in row:
+            total += abs(v)
+        norm_inf = max(norm_inf, total)
+    piv = []
+    for j in range(n):
+        column = [abs(a[i][j]) for i in range(j, n)]
+        p = j + column.index(max(column))
+        piv.append(p)
+        a[j], a[p] = a[p], a[j]
+        pivot = a[j][j] if a[j][j] != 0.0 else 1.0
+        for i in range(j + 1, n):
+            a[i][j] = a[i][j] / pivot
+            for c in range(j + 1, n):
+                a[i][c] = a[i][c] - a[i][j] * a[j][c]
+    return a, piv, max_abs, norm_inf
+
+
+def reference_det(lu, piv) -> float:
+    """det from reference_lu's factors: the pivots' product, in order, times the swap sign."""
+    det = 1.0
+    for j in range(len(lu)):
+        det *= lu[j][j]
+    return -det if sum(p != j for j, p in enumerate(piv)) % 2 else det
+
+
+def reference_lu_solve(lu, piv, b) -> list:
+    """Solve with reference_lu's factors for one column b, every pivot nonzero: the row
+    swaps in order, then forward and back substitution with separate roundings."""
+    x = [float(v) for v in b]
+    n = len(x)
+    for j, p in enumerate(piv):
+        x[j], x[p] = x[p], x[j]
+    for j in range(n):
+        for i in range(j + 1, n):
+            x[i] = x[i] - lu[i][j] * x[j]
+    for j in reversed(range(n)):
+        x[j] = x[j] / lu[j][j]
+        for i in range(j):
+            x[i] = x[i] - lu[i][j] * x[j]
+    return x

@@ -472,6 +472,25 @@ def test_grid_without_u_keeps_both_gates():
     assert seen == {FLAG_OK, FLAG_NEAR_SINGULAR, FLAG_OVERFLOW}
 
 
+def test_grid_without_u_solves_nothing():
+    solves, solve = [], linalg.lu_solve_stack
+
+    def recorded(factors, idx, rhs):
+        solves.append(len(idx))
+        return solve(factors, idx, rhs)
+
+    xs, ts = np.linspace(0.0, 10.0, 11), [0.0, 0.3, 1.0, 5.0, 11.0, 30.0]
+    with mock.patch.object(linalg, "lu_solve_stack", recorded):
+        # one chunk on the calling thread, then chunks shared with a helper
+        for chunking, n in ((contextlib.nullcontext(), 1), (_chunk_rows(README_EV, 11, 2), 2)):
+            with chunking, _workers(n):
+                assert np.all(np.isnan(README_EV.evaluate(xs, ts, with_u=False).u))
+                assert not solves
+                README_EV.evaluate(xs, ts)
+            assert sum(solves) > 0
+            solves.clear()
+
+
 def test_pde_residual_samples_one_kernel_call():
     for ev, x_window, t_window in [(README_EV, (0.0, 10.0), (0.0, 0.1)),
                                    (make_evaluator(helpers.rotation_triplet(0.5, 0.5, 1.0)),
@@ -617,6 +636,37 @@ def test_lu_stack_member_equals_batch_of_one(data, n, k):
             assert getattr(f, name)[i].tobytes() == getattr(one, name)[0].tobytes(), name
         assert x[i].tobytes() == linalg.lu_solve_stack(one, [0], rhs[i:i + 1])[0].tobytes()
     assert m.tobytes() == before.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(0, linalg.ELIMINATION_MAX_N), k=st.integers(1, 8))
+def test_stacked_lu_equals_a_reference_elimination_bit_for_bit(data, n, k):
+    m = np.array(data.draw(st.lists(_entries, min_size=k * n * n, max_size=k * n * n)))
+    m = m.reshape(k, n, n)
+    # a zeroed column gives a zero pivot; a copied row an exactly singular member
+    for i, c, zero_column in data.draw(st.lists(st.tuples(
+            st.integers(0, k - 1), st.integers(0, max(n - 1, 0)), st.booleans()),
+            max_size=k if n else 0)):
+        if zero_column:
+            m[i, :, c] = 0.0
+        else:
+            m[i, c] = m[i, (c + 1) % n]
+    rhs = np.array(data.draw(st.lists(_entries, min_size=k * n * 2, max_size=k * n * 2)))
+    rhs = rhs.reshape(k, n, 2)
+    f = linalg.lu_factor_stack(m)
+    det = f.gates()[0]
+    x = linalg.lu_solve_stack(f, range(k), rhs)
+    for i in range(k):
+        lu, piv, max_abs, norm_inf = helpers.reference_lu(m[i].tolist())
+        assert f.lu[i].tobytes() == np.array(lu, dtype=float).reshape(n, n).tobytes()
+        assert f.piv[i].tolist() == piv
+        assert np.array([f.max_abs[i], f.norm_inf[i], det[i]]).tobytes() == np.array(
+            [max_abs, norm_inf, helpers.reference_det(lu, piv)]).tobytes()
+        if all(lu[j][j] != 0.0 for j in range(n)):
+            want = [helpers.reference_lu_solve(lu, piv, b) for b in rhs[i].T.tolist()]
+            assert x[i].tobytes() == np.array(want, dtype=float).reshape(2, n).T.tobytes()
+        else:   # a zero pivot divides by zero: a non-finite solution, for the gates to catch
+            assert not np.isfinite(x[i]).all()
 
 
 def test_expm_stack_matches_expm_member_by_member():

@@ -567,7 +567,8 @@ def test_mutated_matrix_gets_the_new_matrix_exponential():
 def test_block_plans_are_read_only_and_bounded():
     m = helpers.many_poles_triplet(1).A
     linalg.expm(m, 0.5)
-    plan = linalg._block_plan(m.shape, m.tobytes())
+    max_abs, plan = linalg._block_plan(m.shape, m.tobytes())
+    assert max_abs == np.max(np.abs(m))
     assert [len(rows) for rows, _, _ in plan] == [12, 10, 8]
     for rows, blocks, closed in plan:
         for v in (rows, blocks, *closed):

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,13 +30,51 @@ DOUBLE_POLE_TRIPLET = build_triplet(ScatteringSpec(
 
 
 def cli_marchenko_samples(box_x: float, box_t: float):
-    """The (x, y, t) samples verify draws, in its order, as three arrays."""
+    """The (x, y, t) samples verify draws, in its order, as three arrays: one uniform draw
+    at a time, and no t draw when box_t is 0."""
     rng = np.random.default_rng(cli.MARCHENKO_SEED)
     samples = []
     for _ in range(cli.MARCHENKO_SAMPLES):
         x, y = np.sort(rng.uniform(0.0, box_x, size=2))
-        samples.append((x, y, rng.uniform(0.0, box_t)))
+        samples.append((x, y, rng.uniform(0.0, box_t) if box_t > 0.0 else 0.0))
     return np.array(samples).T
+
+
+README_DOC = re.search(r"^```json\n(.*?)^```", (Path(__file__).resolve().parents[1] / "README.md")
+                       .read_text(encoding="utf-8"), re.M | re.S).group(1)
+# det Gamma of the rotation pair falls to 0 near t = 0.2 once eta = 10
+SHRINKING_DOC = json.dumps({"eta": 10.0, "complexPoles": [
+    {"alpha": 0.8660254037844386, "beta": 0.5, "coeffs": [{"eps": 0.5, "gamma": 0.5}]}]})
+
+
+@pytest.mark.parametrize("doc, window, box_t_range", [
+    (README_DOC, [], (2.0, 2.0)),                       # the default window
+    (README_DOC, ["--t", "0:0:1"], (0.0, 0.0)),         # box_t = 0: no t draws
+    # the positivity scan cuts t back from 2 to 0.9 times its last positive t
+    (SHRINKING_DOC, ["--x", "0:5:6", "--t", "0:2:3"], (0.1, 0.3)),
+], ids=["readme", "t-zero", "cut-back"])
+def test_verify_draws_the_one_at_a_time_samples(tmp_path, monkeypatch, doc, window, box_t_range):
+    seen = []
+    residual = verification.marchenko_residual
+
+    def recorded(evaluator, x, y, t):
+        seen.append((x, y, t))
+        return residual(evaluator, x, y, t)
+
+    monkeypatch.setattr(verification, "marchenko_residual", recorded)
+    (tmp_path / "doc.json").write_text(doc)
+    argv = ["verify", "--input", str(tmp_path / "doc.json"), "--output", str(tmp_path / "r")]
+    cli.main(argv + window)
+    report = json.loads((tmp_path / "r").read_text())
+    args = cli.build_parser().parse_args(argv + window)
+    t_cap = args.t[1]
+    if not report["positivityWindow"]["certified"]:
+        t_cap = min(t_cap, 0.9 * report["positivityWindow"]["tauLower"])
+    box_t = min(3.0, max(t_cap, 0.0))
+    assert box_t_range[0] <= box_t <= box_t_range[1]
+    (x, y, t), = seen
+    for got, want in zip((x, y, t), cli_marchenko_samples(min(3.0, args.x[1]), box_t)):
+        assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
 
 
 def counter(monkeypatch, owner, name):

@@ -300,6 +300,10 @@ def test_pde_residual_rejects_empty_grid_before_any_work(monkeypatch):
     (pde_residual, {"n_t": 3.0}, "n_t must be an integer, got 3.0"),
     (soliton_equivalence, {"n_x": 2.5}, "n_x must be an integer, got 2.5"),
     (soliton_equivalence, {"n_t": "11"}, "n_t must be an integer, got '11'"),
+    # a bool is no count, though Python makes it an int
+    (pde_residual, {"n_x": True}, "n_x must be an integer, got True"),
+    (pde_residual, {"n_t": False}, "n_t must be an integer, got False"),
+    (soliton_equivalence, {"n_x": True}, "n_x must be an integer, got True"),
 ])
 def test_grid_counts_must_be_integers_before_any_work(monkeypatch, check, counts, named):
     ev = bound_states_evaluator((BoundState(0.5, 1.0), BoundState(0.7, 1.5),
