@@ -101,19 +101,30 @@ def _output_errors():
         raise SpecValidationError(f"cannot write output: {exc}") from None
 
 
+class _PathWriter(io.FileIO):
+    """A path opened raw, with no text stream or buffer: each write encodes UTF-8 and
+    writes again after a short write, until every byte is out."""
+
+    def write(self, text: str) -> None:
+        data = memoryview(text.encode("utf-8"))
+        while data:
+            data = data[super().write(data):]
+
+
 @contextlib.contextmanager
 def _output(path: str | None):
-    """The one writer: stdout (never closed) or path, flushed inside _output_errors."""
+    """The one writer: stdout (never closed) or a _PathWriter, flushed inside _output_errors."""
     with _output_errors(), (contextlib.nullcontext(sys.stdout) if path is None
-                            else open(path, "w", encoding="utf-8", newline="")) as fh:
+                            else _PathWriter(path, "w")) as fh:
         yield fh
         fh.flush()
 
 
 def _write_document(fh, doc: dict) -> None:
-    """documents.dumps_document(doc) in pieces of io.DEFAULT_BUFFER_SIZE characters, as
-    write_grid_csv writes a row at a time: one write larger than a pipe can hold may end
-    short without an error when the reader goes, and the next piece's write raises it."""
+    """documents.dumps_document(doc) in pieces of io.DEFAULT_BUFFER_SIZE characters: one
+    write to stdout's text stream larger than a pipe can hold may end short without an
+    error when the reader goes, and the next piece's write raises it (a _PathWriter
+    writes every byte of each piece)."""
     text = documents.dumps_document(doc)
     for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
         fh.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
@@ -136,6 +147,9 @@ def _sample(args, evaluator) -> solution.SolutionGrid:
     """Sample the --x/--t grid; NumericalError if every point is flagged."""
     x0, x1, nx = args.x
     t0, t1, nt = args.t
+    if nx * nt > verification.POSITIVITY_MAX_POINTS:   # refused before anything is allocated
+        raise SpecValidationError(f"grid of {nx} x values by {nt} t values exceeds "
+                                  f"{verification.POSITIVITY_MAX_POINTS} points")
     grid = solution.sample_grid(evaluator, np.linspace(x0, x1, nx), np.linspace(t0, t1, nt))
     if np.any(grid.flags == solution.FLAG_OK):
         return grid
@@ -317,13 +331,18 @@ def cmd_frames(args) -> int:
         raise SpecValidationError("frames needs --output as a directory")
     grid = _sample(args, _evaluator_from_args(args))
     with _output_errors():
-        os.makedirs(args.output, exist_ok=True)
-    x_cells = [documents.format_float(x) for x in grid.x.tolist()]
+        try:
+            os.mkdir(args.output)
+            fresh = True
+        except OSError:   # missing parents, or a directory to reuse (makedirs refuses a file)
+            os.makedirs(args.output, exist_ok=True)
+            fresh = False
+    x_cells = documents._float_strings(grid.x)
     for i, us in enumerate(grid.u.tolist()):
         with _output(os.path.join(args.output, f"frame_{i:04d}.csv")) as fh:
             documents.write_frame_csv(fh, x_cells, us)
     with _output_errors():   # drop what a longer earlier run left: the directory holds this run
-        for name in os.listdir(args.output):
+        for name in () if fresh else os.listdir(args.output):
             if re.fullmatch(r"frame_\d{4,}\.csv", name) and int(name[6:-4]) >= grid.t.size:
                 os.remove(os.path.join(args.output, name))
     return 0

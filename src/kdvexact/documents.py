@@ -28,6 +28,7 @@ METADATA_KEYS = frozenset({"P", "spectrum", "valid", "flags"})
 
 GRID_CSV_HEADER = "x,t,u,detGamma,flag"
 FRAME_CSV_HEADER = "x,u"
+GRID_CSV_BLOCK_CELLS = 256   # cells write_grid_csv formats and writes at a time, in whole t rows
 
 
 def _expect(value, path: str, kind: type):
@@ -188,16 +189,20 @@ def format_float(value) -> str:
 
 def _float_strings(values) -> list[str]:
     """format_float of every entry, in order, without per-entry numpy indexing."""
-    return [repr(v) for v in np.asarray(values, dtype=float).ravel().tolist()]
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
 def write_grid_csv(stream, grid) -> None:
-    """Grid rows t-major: x, t, u, detGamma, flag; one write per t row."""
+    """Grid rows t-major: x, t, u, detGamma, flag; one write per block of t rows, the
+    fewest whole rows that hold GRID_CSV_BLOCK_CELLS cells (one row of a wider grid)."""
     stream.write(GRID_CSV_HEADER + "\n")
-    xs = _float_strings(grid.x)
-    for t, u, det, flags in zip(_float_strings(grid.t), grid.u, grid.det_gamma, grid.flags):
-        cells = zip(xs, _float_strings(u), _float_strings(det), flags.tolist())
-        stream.write("".join([f"{x},{t},{v},{d},{flag}\n" for x, v, d, flag in cells]))
+    xs, ts = _float_strings(grid.x), _float_strings(grid.t)
+    rows = -(-GRID_CSV_BLOCK_CELLS // max(len(xs), 1))
+    for start in range(0, len(ts), rows):   # a last, shorter block: zip ends with its t cells
+        block = slice(start, start + rows)
+        cells = zip(xs * rows, [t for t in ts[block] for _ in xs], _float_strings(grid.u[block]),
+                    _float_strings(grid.det_gamma[block]), grid.flags[block].ravel().tolist())
+        stream.write("".join([f"{x},{t},{v},{d},{flag}\n" for x, t, v, d, flag in cells]))
 
 
 def write_frame_csv(stream, x_cells, us) -> None:

@@ -490,9 +490,10 @@ def test_frames_single_t_and_missing_output(tmp_path, capsys):
 
 def test_frames_into_a_reused_directory_holds_this_run_alone(tmp_path):
     src = write_doc(tmp_path, ONE_SOLITON_DOC)
-    outdir = tmp_path / "frames"
+    outdir = tmp_path / "missing" / "parents" / "frames"   # the first run makes all three
     assert main(["frames", "--input", src, "--x", "0:1:3", "--t", "0:0.1:5",
                  "--output", str(outdir)]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) == [f"frame_{i:04d}.csv" for i in range(5)]
     for name in ("notes.txt", "frame_0003.txt", "frame_12345.csv"):   # the last is stale too
         (outdir / name).write_text("x,u\n")
     assert main(["frames", "--input", src, "--x", "0:1:3", "--t", "0:0.1:2",
@@ -504,6 +505,21 @@ def test_frames_into_a_reused_directory_holds_this_run_alone(tmp_path):
     for i in range(2):
         assert ((outdir / f"frame_{i:04d}.csv").read_bytes()
                 == helpers.frame_csv_per_cell(grid.x, grid.u[i]).encode())
+
+
+@pytest.mark.parametrize("command, grid", [
+    ("eval", ["--x", "0:1:100000000000", "--t", "0:0:1"]),
+    ("soliton", ["--x", "0:1:100000000000", "--t", "0:0:1"]),
+    ("frames", ["--t", "0:1:100000000000"]),
+])
+def test_grid_above_the_point_cap_is_refused_before_allocation(tmp_path, capsys, command, grid):
+    # 10^11 points would need about 745 GiB for one axis alone
+    nx, nt = (100000000000, 1) if command != "frames" else (201, 100000000000)
+    assert main([command, "--input", write_doc(tmp_path, ONE_SOLITON_DOC),
+                 "--output", str(tmp_path / "out")] + grid) == 2
+    assert capsys.readouterr().err == (
+        f"error: grid of {nx} x values by {nt} t values exceeds 10000000 points\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_documents_exit_2(tmp_path, capsys):
@@ -587,6 +603,54 @@ def test_failed_stdout_write_exits_2(tmp_path, capsys, monkeypatch, argv, method
     assert main(argv + ["--input", write_doc(tmp_path, ONE_SOLITON_DOC)]) == 2
     assert capsys.readouterr().err == (
         f"error: cannot write output: [Errno {errno_}] {os.strerror(errno_)}\n")
+
+
+_PATH_WRITER_RUNS = {
+    "eval-csv": ["eval", "--x", "0:4:9", "--t", "0:0.3:4"],
+    "eval-structured-document": ["eval", "--format", "structured-document",
+                                 "--x", "0:4:9", "--t", "0:0.3:4"],
+    "build": ["build"],
+    "verify": ["verify", "--x", "0:1:3", "--t", "0:0.5:3"],
+    "frames": ["frames", "--x", "0:4:9", "--t", "0:0.3:4"],
+}
+
+
+def _output_bytes(path: Path) -> list:
+    """Each output file's bytes: the one file, or a directory's files by name."""
+    files = sorted(path.iterdir()) if path.is_dir() else [path]
+    return [(f.name if path.is_dir() else "", f.read_bytes()) for f in files]
+
+
+@pytest.mark.parametrize("argv", _PATH_WRITER_RUNS.values(), ids=_PATH_WRITER_RUNS)
+def test_path_writer_finishes_short_writes(tmp_path, monkeypatch, argv):
+    src = write_doc(tmp_path, THREE_BLOCK_DOC)
+    assert main(argv + ["--input", src, "--output", str(tmp_path / "whole")]) in (0, 4)
+    calls = []
+
+    class SevenBytes(io.FileIO):   # the raw file takes at most 7 bytes per write
+        def write(self, data):
+            calls.append(len(data))
+            return super().write(data[:7])
+
+    class ShortPathWriter(cli._PathWriter, SevenBytes):
+        pass
+
+    monkeypatch.setattr(cli, "_PathWriter", ShortPathWriter)
+    assert main(argv + ["--input", src, "--output", str(tmp_path / "short")]) in (0, 4)
+    assert _output_bytes(tmp_path / "short") == _output_bytes(tmp_path / "whole")
+    assert max(calls) > 7 and len(calls) >= sum(len(data) for _, data in
+                                                 _output_bytes(tmp_path / "whole")) / 7
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize("argv", [_PATH_WRITER_RUNS[k] for k in (
+    "eval-csv", "eval-structured-document", "build", "verify")],
+    ids=["eval-csv", "eval-structured-document", "build", "verify"])
+def test_full_output_path_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--input", write_doc(tmp_path, THREE_BLOCK_DOC),
+                        "--output", "/dev/full"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write output: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from kdvexact import (
     ScatteringSpec,
     SolutionGrid,
     Triplet,
+    build_triplet,
     make_evaluator,
     sample_grid,
     validate_triplet,
 )
 from kdvexact.documents import (
+    GRID_CSV_BLOCK_CELLS,
     dumps_document,
     format_float,
     grid_document,
@@ -261,9 +264,16 @@ _cell_floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                                           1.7976931348623157e308, -1e300]))
 
 
+_BLOCK = GRID_CSV_BLOCK_CELLS
+
+
 @st.composite
 def _grids(draw):
-    n_t, n_x = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    # Widths around one block of cells (a wider grid writes one row per block), small ones
+    # and empty axes; heights up to two blocks of rows and one more, so most end in a short block.
+    n_x = draw(st.sampled_from([0, 1, 2, 5, 20, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
+    rows = math.ceil(_BLOCK / max(n_x, 1))
+    n_t = draw(st.sampled_from([0, 1, 2, rows - 1, rows, rows + 1, 2 * rows + 1]))
     cells = hnp.arrays(float, (n_t, n_x), elements=_cell_floats)
     return SolutionGrid(
         x=draw(hnp.arrays(float, n_x, elements=_cell_floats)),
@@ -285,6 +295,26 @@ def test_csv_writers_match_per_cell_writers(grid):
         buf = io.StringIO()
         write_frame_csv(buf, x_cells, grid.u[i])
         assert buf.getvalue() == helpers.frame_csv_per_cell(grid.x, grid.u[i])
+
+
+def test_grid_csv_writes_whole_rows_in_blocks():
+    # 20 x 101, the grid of one eval-readme benchmark op: the header and blocks of whole
+    # t rows, not one write per row (102 writes).
+    grid = sample_grid(make_evaluator(build_triplet(helpers.three_block_spec())),
+                       np.linspace(0.0, 10.0, 201)[:20], np.linspace(0.0, 2.0, 101))
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    buf = Recorder()
+    write_grid_csv(buf, grid)
+    assert buf.getvalue() == _grid_csv_per_cell(grid)
+    assert len(writes) <= math.ceil(2020 / GRID_CSV_BLOCK_CELLS) + 1
+    assert writes[0] == "x,t,u,detGamma,flag\n"
+    assert all(w.endswith("\n") and w.count("\n") % 20 == 0 for w in writes[1:])
 
 
 def test_grid_document_nan_becomes_null():
