@@ -182,13 +182,8 @@ def dumps_document(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def format_float(value) -> str:
-    """Shortest decimal string that round-trips the float exactly."""
-    return repr(float(value))
-
-
 def _float_strings(values) -> list[str]:
-    """format_float of every entry, in order, without per-entry numpy indexing."""
+    """repr(float(v)) of every entry v, in order, without per-entry numpy indexing."""
     return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
@@ -206,7 +201,7 @@ def write_grid_csv(stream, grid) -> None:
 
 
 def write_frame_csv(stream, x_cells, us) -> None:
-    """One time slice: x, u, from the x column already formatted (format_float)."""
+    """One time slice: x, u, from the x column already formatted (repr(float(x)))."""
     rows = [f"{x},{float(u)!r}\n" for x, u in zip(x_cells, us)]
     stream.write("".join([FRAME_CSV_HEADER + "\n", *rows]))
 

@@ -13,11 +13,11 @@ LuFactors alone judges the members; lu_factor_stack copies a stack into
 its layout, lu_solve_stack solves chosen members, and lu_factor, solve,
 determinant and inverse are checked front ends for one matrix),
 eigenvalue extraction, and the resolvent (k I - i A)^{-1} b, by one
-complex Schur reduction and one triangular solve per call.
+numpy complex solve per call behind a gate on the distances from k to
+i times A's eigenvalues.
 
-scipy.linalg is imported only inside resolvent_apply and the branches
-that take members wider than ELIMINATION_MAX_N, so no caller loads it
-up to that size.
+scipy.linalg is imported only inside the branches that take members
+wider than ELIMINATION_MAX_N, so no caller loads it up to that size.
 
 All single-matrix routines detect overflow instead of propagating NaN,
 work on real float64 (the resolvent returns complex values) and raise
@@ -279,27 +279,16 @@ class LuFactors:
     def n(self) -> int:
         return self.lu.shape[-1]
 
-    def pivots(self) -> np.ndarray:
-        """The diagonal of U, shaped (..., n)."""
-        return np.diagonal(self.lu, axis1=-2, axis2=-1)
-
-    def min_pivot(self) -> np.ndarray:
-        if not self.n:
-            return np.zeros(self.lu.shape[0])
-        return np.abs(self.pivots()).min(axis=-1)
-
     def singular(self) -> np.ndarray:
         """The pivot gate: min |pivot| <= PIVOT_TOL * max |entry|."""
-        return _pivot_gate(self.min_pivot(), self.max_abs)
-
-    def permutation_sign(self) -> np.ndarray:
-        swaps = (self.piv != np.arange(self.n)).sum(axis=-1)
-        return 1.0 - 2.0 * (swaps % 2)
+        pivots = np.abs(np.diagonal(self.lu, axis1=-2, axis2=-1))
+        return _pivot_gate(pivots.min(axis=-1) if self.n else 0.0, self.max_abs)
 
     def gates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(det, overflow: a non-finite entry or det, near_singular: either gate, not overflow)."""
+        sign = 1.0 - 2.0 * ((self.piv != np.arange(self.n)).sum(axis=-1) % 2)
         with np.errstate(over="ignore", invalid="ignore"):
-            det = self.permutation_sign() * self.pivots().prod(axis=-1)
+            det = sign * np.diagonal(self.lu, axis1=-2, axis2=-1).prod(axis=-1)
             near = np.abs(det) < NEAR_SINGULAR_TOL * (1 + np.maximum(1, self.norm_inf) ** self.n)
         overflow = ~np.isfinite(self.max_abs) | ~np.isfinite(det)
         return det, overflow, ~overflow & (near | self.singular())
@@ -310,8 +299,8 @@ class LuFactors:
         for i in np.flatnonzero(~np.isfinite(self.max_abs) | self.singular())[:1]:
             if not np.isfinite(self.max_abs[i]):
                 raise OverflowDetectedError(f"overflow in member {i} of a factored stack")
-            raise SingularMatrixError("solve: matrix is singular to working precision "
-                                      f"(pivot {self.min_pivot()[i]:.3e})")
+            raise SingularMatrixError("solve: matrix is singular to working precision (pivot "
+                                      f"{min(np.abs(np.diagonal(self.lu[i])), default=0.0):.3e})")
 
 
 def lu_factor(m: np.ndarray) -> LuFactors:
@@ -328,7 +317,7 @@ def determinant(factors: LuFactors) -> float:
     if not np.isfinite(det):
         # recompute in log space to report log|det| before failing
         with np.errstate(divide="ignore"):
-            log_mag = float(np.sum(np.log(np.abs(factors.pivots()[0]))))
+            log_mag = float(np.sum(np.log(np.abs(np.diagonal(factors.lu[0])))))
         raise OverflowDetectedError(f"determinant overflow, log|det| = {log_mag:.6g}")
     return det
 
@@ -479,25 +468,27 @@ def eigenvalues(m: np.ndarray) -> Spectrum:
 def resolvent_apply(a: np.ndarray, k: complex, b: np.ndarray) -> np.ndarray:
     """Solve (k I - i A) z = b for complex k, real P x P A and P x r b.
 
-    A is reduced to complex Schur form A = Z T Z^H (Jordan chains
-    included), so z = Z (k I - i T)^{-1} Z^H b is one triangular solve.
-    The pivots of k I - i T are its diagonal k - i T_jj; they take the
-    test LuFactors.singular applies to an LU, so k equal to i times an
-    eigenvalue of A raises SingularMatrixError.
+    A numpy complex solve and one step of iterative refinement (the
+    residual's solve added to z), behind the pivot gate (_pivot_gate) on
+    the distances |k - i lambda| to A's eigenvalues: the least against
+    the largest or ||A||_F, whichever is larger.
+    reflection_partial_fractions takes the same gate on the distances to
+    the spec's poles. ||A||_F bounds every entry of A's Schur form T, so
+    the gate fires wherever it would on the pivots k - i T_jj of a
+    Schur-form solve. k equal to i times an eigenvalue of A, or an
+    exactly singular system, raises SingularMatrixError; an empty A
+    gives an empty z.
     """
-    import scipy.linalg as sla
     a = np.asarray(a, dtype=float)
-    t, z = sla.schur(a, output="complex")
-    shifted = -1j * t
-    pivots = complex(k) + np.diagonal(shifted)
-    if not pivots.size:
-        return np.zeros((0, np.shape(b)[-1]), dtype=complex)
-    mags = np.abs(pivots).tolist()
-    pivot = min(mags)
-    off_max = float(np.max(np.abs(np.triu(shifted, 1))))
-    if _pivot_gate(pivot, max(*mags, off_max)):
-        raise SingularMatrixError(
-            f"resolvent: k I - i A is singular to working precision (pivot {pivot:.3e})")
-    np.fill_diagonal(shifted, pivots)
-    y, _ = sla.lapack.ztrtrs(np.asfortranarray(shifted), z.conj().T @ b)
-    return _check_finite(z @ y, "resolvent")
+    dist = np.abs(k - 1j * eigenvalues(a).eigenvalues)
+    nearest = float(np.min(dist, initial=np.inf))
+    try:
+        if _pivot_gate(nearest, max(np.max(dist, initial=0.0), np.linalg.norm(a))):
+            raise np.linalg.LinAlgError   # singular to working precision: reported below
+        m = k * np.eye(len(a)) - 1j * a
+        z = np.linalg.solve(m, b)
+        z += np.linalg.solve(m, b - m @ z)   # one step of iterative refinement
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("resolvent: k I - i A is singular to working precision "
+                                  f"(distance {nearest:.3e} to i times an eigenvalue)") from None
+    return _check_finite(z, "resolvent")

@@ -6,11 +6,12 @@ k = i*beta +/- alpha, purely imaginary poles at k = i*omega), plus
 bound states (kappa, c), is realized as a matrix triplet (A, B, C)
 with A of size P x P, B a column, C a row. The rational function
 itself is recovered as -i C (k I - i A)^{-1} B over the non-bound-state
-blocks (eval_reflection: one complex Schur reduction of A and one
-triangular solve per k, in linalg.resolvent_apply), and independently
-of the matrices as the partial-fraction sum over the poles
-(reflection_partial_fractions); the bound-state blocks contribute the
-discrete part of the associated integral kernel.
+blocks (eval_reflection: one complex solve per k, in
+linalg.resolvent_apply), and independently of the matrices as the
+partial-fraction sum over the poles (reflection_partial_fractions);
+both raise SingularMatrixError when k is a pole to working precision,
+by one rule on the distances from k to the poles. The bound-state
+blocks contribute the discrete part of the associated integral kernel.
 """
 from __future__ import annotations
 
@@ -301,10 +302,12 @@ def reflection_partial_fractions(spec: ScatteringSpec, k: complex) -> complex:
     Independent of the realization matrices; used as the oracle the
     resolvent route is checked against, and as the integrand of
     verification.omega_quadrature_check. A k that is a pole to working
-    precision raises SingularMatrixError: the resolvent route's pivot
-    gate (linalg._pivot_gate) on the distances |k - z| to the poles z,
-    the least against the largest, so next to a pole both routes raise
-    or both return.
+    precision raises SingularMatrixError: the pivot gate
+    (linalg._pivot_gate) on the distances |k - z| to the poles z, the
+    least against the largest, which resolvent_apply takes on the
+    distances to i times A's eigenvalues (the poles of its triplet),
+    against ||A||_F where that is larger. On the README spec both routes
+    raise up to 1e-14 from a pole and return from 1e-13.
     """
     terms, k = _partial_fraction_terms(spec), complex(k)
     dist = [abs(k - z) for z, _ in terms]

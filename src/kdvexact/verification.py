@@ -144,6 +144,8 @@ def _check_grid(x_window, t_window, **counts: int) -> None:
         if not n >= 1:
             raise SpecValidationError(f"{name} must be at least 1, got {n!r}")
     for name, window in (("x_window", x_window), ("t_window", t_window)):
+        if np.shape(window) != (2,):
+            raise SpecValidationError(f"{name} must be two bounds, got shape {np.shape(window)}")
         for bound in window:
             if not math.isfinite(bound):
                 raise SpecValidationError(f"{name} bounds must be finite, got {bound!r}")
@@ -159,8 +161,9 @@ def pde_residual(evaluator: solution.GammaEvaluator, x_window, t_window, n_x: in
     the spectrum of A. The window is clipped so every stencil node has
     x >= 0 and t >= 0. A flagged or non-finite stencil sample rejects the
     window with SpecValidationError, naming the point. A non-evaluator
-    argument, a non-finite window bound, a count not an integer >= 1 (a
-    bool is none), or an h_x not finite and > 0 raises it before any sampling.
+    argument, a window not of two finite bounds, a count not an integer
+    >= 1 (a bool is none), or an h_x not finite and > 0 raises it before
+    any sampling.
     """
     _check_grid(x_window, t_window, n_x=n_x, n_t=n_t)
     if not (math.isfinite(h_x) and h_x > 0.0):
@@ -203,7 +206,7 @@ def pde_residual_refinement(evaluator: solution.GammaEvaluator, x_window,
     The window is clipped once, for the coarsest level, so every level
     samples the same 9 x 4 points; h_t is derived per level. Ratios near 16
     between successive halvings confirm the fourth-order design. A
-    non-evaluator argument or a non-finite window bound raises
+    non-evaluator argument or a window not of two finite bounds raises
     SpecValidationError first.
     """
     _check_grid(x_window, t_window)
@@ -410,13 +413,16 @@ def omega_quadrature_check(spec: realization.ScatteringSpec,
     call per quadrature round), so an error in the realization shows
     as a mismatch. Bound states carry no continuous spectrum, so specs
     without reflection data compare 0 against 0; an empty ys gives ().
-    Every y is checked before any quadrature runs. NumericalError is
-    raised when the cycles of all ys exceed OMEGA_MAX_CYCLES, on reaching
-    QUAD_LIMIT subintervals, or when the error estimate (a bound per
-    cycle; a y's value sums n0 + OMEGA_CYCLES cycles) or a last averaging
-    step exceeds OMEGA_EPSABS.
+    ys must be a scalar or 1-D, and every y is checked before any
+    quadrature runs. NumericalError is raised when the cycles of all ys
+    exceed OMEGA_MAX_CYCLES, on reaching QUAD_LIMIT subintervals, or when
+    the error estimate (a bound per cycle; a y's value sums
+    n0 + OMEGA_CYCLES cycles) or a last averaging step exceeds
+    OMEGA_EPSABS.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    if ys.ndim > 1:
+        raise SpecValidationError(f"ys must be a scalar or 1-D, got shape {ys.shape}")
     for y in ys.tolist():
         if not (math.isfinite(y) and y > 0.0):
             raise SpecValidationError(
@@ -570,9 +576,9 @@ def soliton_equivalence(evaluator: solution.GammaEvaluator,
     evaluator's triplet was built from, so it shares no matrix,
     exponential or factorization with the kernel it checks. The first
     point, in t-major order, where the triplet side overflowed raises
-    OverflowDetectedError naming it, before tau is formed. A non-finite
-    window bound, a count not an integer >= 1 (a bool is none), or a
-    triplet not built from a bound-states-only spec of at most
+    OverflowDetectedError naming it, before tau is formed. A window not
+    of two finite bounds, a count not an integer >= 1 (a bool is none),
+    or a triplet not built from a bound-states-only spec of at most
     SOLITON_MAX_STATES states raises SpecValidationError before any work.
     """
     _check_grid(x_window, t_window, n_x=n_x, n_t=n_t)

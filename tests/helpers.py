@@ -10,7 +10,6 @@ import numpy as np
 
 from kdvexact import (BoundState, ComplexPolePair, ImaginaryPole, ScatteringSpec, Triplet,
                       build_triplet, documents, realization)
-from kdvexact.documents import format_float
 
 S3 = np.sqrt(3.0)
 
@@ -125,7 +124,7 @@ def random_rational_spec(rng: np.random.Generator) -> ScatteringSpec:
 
 def frame_csv_per_cell(xs, us) -> str:
     """The per-cell frame writer documents.write_frame_csv must reproduce byte for byte."""
-    return "x,u\n" + "".join(f"{format_float(x)},{format_float(u)}\n" for x, u in zip(xs, us))
+    return "x,u\n" + "".join(f"{float(x)!r},{float(u)!r}\n" for x, u in zip(xs, us))
 
 
 def many_poles_triplet(seed: int) -> Triplet:

@@ -846,3 +846,25 @@ def test_per_point_routes_up_to_six_poles_leave_scipy_linalg_unloaded():
     runs = json.loads(out.stdout)
     assert all(math.isfinite(v) for values, _ in runs for v in values)
     assert [loaded for _, loaded in runs] == [False, False, False, True]
+
+
+_REFLECTION_SCRIPT = """
+import json, sys
+from kdvexact import (ComplexPolePair, ImaginaryPole, ScatteringSpec, build_reflection_triplet,
+                      eval_reflection, reflection_partial_fractions)
+
+spec = ScatteringSpec(complex_poles=(ComplexPolePair(0.8, 0.6, ((0.3, 0.2), (0.15, 0.4))),),
+                      imaginary_poles=(ImaginaryPole(0.7, (0.5, 1.0)),))
+refl, k = build_reflection_triplet(spec), 0.3 + 0.1j
+r, want = eval_reflection(refl, k), reflection_partial_fractions(spec, k)
+print(json.dumps([refl.P, abs(r - want) / abs(want), "scipy.linalg" in sys.modules]))
+"""
+
+
+def test_reflection_of_six_poles_leaves_scipy_linalg_unloaded():
+    # a double pole pair and a double imaginary pole: P = ELIMINATION_MAX_N, Jordan chains
+    # in A, and eval_reflection's resolvent solve stays in numpy
+    out = run_fresh(_REFLECTION_SCRIPT)
+    assert out.returncode == 0, out.stderr
+    p, rel_err, loaded = json.loads(out.stdout)
+    assert p == linalg.ELIMINATION_MAX_N and rel_err <= 1e-12 and not loaded

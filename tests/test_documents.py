@@ -27,7 +27,6 @@ from kdvexact import (
 from kdvexact.documents import (
     GRID_CSV_BLOCK_CELLS,
     dumps_document,
-    format_float,
     grid_document,
     loads_document,
     parse_input_document,
@@ -203,9 +202,16 @@ def test_format_float_round_trips():
     values = [0.0, -0.0, 1.0, np.pi, 2.0 / 3.0, 1e-300, -1.7976931348623157e308]
     values += [float(v) for v in rng.uniform(-1e6, 1e6, size=50)]
     values += [float(v) for v in rng.standard_normal(50) * 1e-9]
-    for v in values:
-        assert float(format_float(v)) == v, v
-    assert format_float(np.float64(0.1)) == "0.1"
+    # the grid CSV writes every float as repr(float(v)), the shortest string that round-trips
+    row = np.array([values])
+    grid = SolutionGrid(x=np.array(values), t=np.array([np.float64(0.1)]), u=row, det_gamma=row,
+                        flags=np.full(row.shape, FLAG_OK))
+    buf = io.StringIO()
+    write_grid_csv(buf, grid)
+    for v, line in zip(values, buf.getvalue().splitlines()[1:], strict=True):
+        x, t, u, det, _ = line.split(",")
+        assert x == u == det == repr(float(v)) and float(x) == v, v
+        assert t == "0.1"
 
 
 def test_grid_csv_exact_bytes_for_vacuum():
@@ -249,11 +255,10 @@ def _grid_csv_per_cell(grid) -> str:
     buf = io.StringIO()
     buf.write("x,t,u,detGamma,flag\n")
     for i in range(grid.t.size):
-        t_str = format_float(grid.t[i])
+        t_str = repr(float(grid.t[i]))
         for j in range(grid.x.size):
-            buf.write(f"{format_float(grid.x[j])},{t_str},"
-                      f"{format_float(grid.u[i, j])},"
-                      f"{format_float(grid.det_gamma[i, j])},"
+            buf.write(f"{float(grid.x[j])!r},{t_str},{float(grid.u[i, j])!r},"
+                      f"{float(grid.det_gamma[i, j])!r},"
                       f"{grid.flags[i, j]}\n")
     return buf.getvalue()
 
@@ -290,7 +295,7 @@ def test_csv_writers_match_per_cell_writers(grid):
     buf = io.StringIO()
     write_grid_csv(buf, grid)
     assert buf.getvalue() == _grid_csv_per_cell(grid)
-    x_cells = [format_float(x) for x in grid.x]
+    x_cells = [repr(float(x)) for x in grid.x]
     for i in range(grid.t.size):
         buf = io.StringIO()
         write_frame_csv(buf, x_cells, grid.u[i])

@@ -195,7 +195,8 @@ def _copying_kernel(ev, xs, ts):
     gamma[overflow] = np.eye(p)
     f = linalg.lu_factor_stack(gamma)
     with np.errstate(over="ignore", invalid="ignore"):
-        d = f.permutation_sign() * np.prod(f.pivots(), axis=-1)
+        sign = (-1.0) ** np.count_nonzero(f.piv != np.arange(p), axis=-1)
+        d = sign * np.prod(np.diagonal(f.lu, axis1=-2, axis2=-1), axis=-1)
     overflow |= ~np.isfinite(d)
     with np.errstate(over="ignore"):
         near = np.abs(d) < linalg.NEAR_SINGULAR_TOL * (1.0 + np.maximum(1.0, f.norm_inf) ** p)
@@ -552,14 +553,17 @@ def test_lu_factor_stack_matches_lapack(n):
     single = m[2 + n:3 + n].copy()               # a stack of one that swaps at step 0
     linalg.lu_factor_stack(single)
     assert np.array_equal(single, m[2 + n:3 + n])   # the input is left intact
+    det = f.gates()[0]
     for k in range(m.shape[0]):
         lu, piv = sla.lu_factor(m[k], check_finite=False)
         assert np.array_equal(f.piv[k], piv), k
         assert np.max(np.abs(f.lu[k] - lu)) <= 1e-13 * max(1.0, np.max(np.abs(lu))), k
-        assert f.permutation_sign()[k] == (-1.0) ** np.count_nonzero(piv != np.arange(n))
-        assert f.min_pivot()[k] == pytest.approx(np.min(np.abs(np.diag(lu))), rel=1e-13,
-                                                 abs=1e-300)
-    assert f.min_pivot()[0] == 0.0 and f.min_pivot()[1] == 0.0
+        pivots = np.diagonal(f.lu[k])
+        # gates() signs the pivots' product by LAPACK's row swaps
+        assert det[k] == (-1.0) ** np.count_nonzero(piv != np.arange(n)) * np.prod(pivots)
+        assert np.min(np.abs(pivots)) == pytest.approx(np.min(np.abs(np.diag(lu))), rel=1e-13,
+                                                       abs=1e-300)
+    assert np.min(np.abs(np.diagonal(f.lu[:2], axis1=1, axis2=2)), axis=-1).tolist() == [0.0, 0.0]
     rhs = rng.standard_normal((m.shape[0] - 2, n, 2))
     idx = np.arange(2, m.shape[0])
     x = linalg.lu_solve_stack(f, idx, rhs)

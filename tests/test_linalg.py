@@ -26,6 +26,7 @@ from kdvexact import (
 from kdvexact import linalg
 
 import helpers
+from helpers import S3
 
 
 def test_as_matrix_rejects_bad_inputs():
@@ -275,7 +276,8 @@ def test_single_matrix_front_ends_are_member_zero_of_the_stacked_lu(n):
         assert np.array_equal(f.piv[0], piv)
         assert np.max(np.abs(f.lu[0] - lu)) <= 1e-13 * max(1.0, np.max(np.abs(lu)))
         det = linalg.determinant(f)
-        assert det == stack.permutation_sign()[0] * np.prod(stack.pivots()[0])
+        sign = (-1.0) ** np.count_nonzero(stack.piv[0] != np.arange(n))
+        assert det == sign * np.prod(np.diagonal(stack.lu[0]))
         want = (-1.0) ** np.count_nonzero(piv != np.arange(n)) * np.prod(np.diag(lu))
         assert abs(det - want) <= 1e-13 * max(1.0, abs(want)), (det, want)
         assert f.singular()[0] == (i < 2)
@@ -434,6 +436,50 @@ def test_reduced_resolvent_at_spectrum_point_raises(a, b, c):
         for lam in linalg.eigenvalues(a).eigenvalues:
             with pytest.raises(SingularMatrixError):
                 linalg.resolvent_apply(a, 1j * lam, b)
+
+
+_RESOLVENT_MESSAGE = r"^resolvent: k I - i A is singular to working precision \(distance "
+
+
+def _schur_pivot_gate(a, k) -> bool:
+    """The Schur form's pivot gate: min |k - i T_jj| against max(max |pivot|, max |triu(T, 1)|)."""
+    t = sla.schur(a, output="complex")[0]
+    pivots = np.abs(k - 1j * np.diagonal(t))
+    return bool(linalg._pivot_gate(pivots.min(), max(pivots.max(), np.abs(np.triu(t, 1)).max())))
+
+
+_README_SPEC = ScatteringSpec(complex_poles=(ComplexPolePair(S3 / 2, 0.5, ((0.5, 0.5),)),),
+                              imaginary_poles=(ImaginaryPole(1.2, (0.8,)),),
+                              bound_states=(BoundState(2.0, 3.0),), eta=1.0)
+_GATE_SYSTEMS = [a for a, _, _ in _SYSTEMS] + [
+    build_reflection_triplet(spec).A for spec in (_README_SPEC, helpers.three_block_spec())]
+
+
+@pytest.mark.parametrize("a", _GATE_SYSTEMS)
+def test_resolvent_gate_fires_wherever_the_schur_pivot_gate_does(a):
+    # k next to i times an eigenvalue, as numpy's eigvals and as the Schur diagonal give
+    # it: wherever the pivots of the Schur form would fail the pivot gate, the gate on
+    # the distances to the eigenvalues raises too
+    lams = np.concatenate([linalg.eigenvalues(a).eigenvalues,
+                           np.diagonal(sla.schur(a, output="complex")[0])])
+    fired = 0
+    for lam in lams:
+        for delta in (0.0, 1e-15, 1e-14, 1e-13, 1e-12):
+            for step in (1.0, 1j, -1.0, -1j):
+                k = 1j * lam + delta * step
+                if _schur_pivot_gate(a, k):
+                    fired += 1
+                    with pytest.raises(SingularMatrixError, match=_RESOLVENT_MESSAGE):
+                        linalg.resolvent_apply(a, k, np.ones((len(a), 1)))
+    assert fired >= 4 * len(lams)   # at least delta = 0 in every direction
+
+
+def test_resolvent_reports_an_exactly_singular_solve_as_singular(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularMatrixError, match=_RESOLVENT_MESSAGE):
+        linalg.resolvent_apply(np.eye(2), 1.0, np.ones((2, 1)))
 
 
 def test_expm_stack_keeps_every_coupling_of_a_sparse_pattern():

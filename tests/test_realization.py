@@ -265,6 +265,19 @@ def test_partial_fractions_match_realization_and_omega_integrand(spec, ks):
         assert float(np.max(np.abs(r - want))) <= bound, spec
 
 
+
+@pytest.mark.parametrize("spec, k", [
+    (helpers.random_rational_spec(np.random.default_rng(1238)), 6.103515625e-05),
+    (helpers.random_calm_spec(np.random.default_rng(374)), 0.0),
+], ids=["double-and-triple-poles", "one-pair-at-zero"])
+def test_reflection_routes_agree_where_their_terms_cancel(spec, k):
+    # |r| is 1/1,100 and 1/7,500 of the sum of its poles' terms |.|: without its
+    # refinement step the resolvent is 1.03e-12 and 1.5e-12 relative off the
+    # partial-fraction sum
+    got = eval_reflection(build_reflection_triplet(spec), k)
+    want = reflection_partial_fractions(spec, k)
+    assert abs(got - want) <= 1e-12 * max(abs(got), abs(want))
+
 _RATE = st.floats(0.05, 3.0)
 _COEFF = st.floats(-2.0, 2.0)
 

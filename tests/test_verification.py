@@ -348,6 +348,26 @@ def test_soliton_equivalence_rejects_non_finite_windows_before_any_work(monkeypa
         soliton_equivalence(ev, *windows)
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda ev: omega_quadrature_check(ev.triplet.spec, [[1.0, 2.0]]),
+     "ys must be a scalar or 1-D, got shape (1, 2)"),
+    (lambda ev: pde_residual(ev, (0.0,), (0.0, 1.0)),
+     "x_window must be two bounds, got shape (1,)"),
+    (lambda ev: pde_residual_refinement(ev, (0.5, 1.0), 0.2),
+     "t_window must be two bounds, got shape ()"),
+    (lambda ev: soliton_equivalence(ev, (0.0, 1.0, 2.0)),
+     "x_window must be two bounds, got shape (3,)"),
+], ids=["omega", "pde", "refinement", "soliton"])
+def test_bad_shapes_raise_spec_validation_error_before_any_work(monkeypatch, call, named):
+    # a ys of the wrong rank, a window of one bound, a bare number or three bounds
+    ev = one_soliton_evaluator()
+    forbid(monkeypatch, solution.GammaEvaluator, "evaluate")
+    forbid(monkeypatch, verification, "pde_residual")
+    forbid(monkeypatch, realization, "_partial_fraction_terms")
+    with pytest.raises(SpecValidationError, match=f"^{re.escape(named)}$"):
+        call(ev)
+
+
 @pytest.mark.parametrize("step", ["h_x"])
 @pytest.mark.parametrize("value", [0.0, -1e-3, np.nan], ids=["zero", "negative", "nan"])
 def test_pde_residual_rejects_bad_steps_before_any_work(monkeypatch, step, value):
